@@ -39,9 +39,10 @@ from .evaluation import (
     precision_at_k,
 )
 from .retrieval import (
-    GalleryEntry,
+    Gallery,
     GalleryIndex,
     MatchCandidate,
+    base_feature,
     batch_featurize,
     build_index,
     featurize_clip,

@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic given --seed, reads and writes only
 the files named in its arguments, and exits 0 iff it succeeded.  The
-env var AMC_THREADS caps internal parallelism (featurization fans out
-over a thread pool; results keep input order either way).
+env var AMC_THREADS caps internal parallelism at the core count
+(featurization fans out over a thread pool; results keep input order
+either way).
 """
 
 from __future__ import annotations
@@ -18,20 +19,25 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, dsp, evaluation, retrieval, synthetic, transition
+from . import audio_io, evaluation, retrieval, synthetic, transition
 from .dsp import DEFAULT_MEL_BINS, DEFAULT_N_MFCC, FeatureKind
 from .embedding import ProjectionHead, TrainConfig, train
 from .errors import AudioMatchError
-from .retrieval import GalleryEntry, frame_id
+from .retrieval import Gallery, frame_id
 
 _FRAME_SECONDS = 1.0
 
 
 def _max_workers() -> int:
+    cores = os.cpu_count() or 1
     env = os.environ.get("AMC_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, cores)
+    try:
+        requested = int(env)
+    except ValueError:
+        raise AudioMatchError(f"AMC_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(requested, cores))
 
 
 def _iter_input_wavs(inputs: list[str]) -> list[Path]:
@@ -99,30 +105,27 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     kind = FeatureKind(args.kind)
     out_path = Path(args.out)
 
-    def one(row: dict) -> GalleryEntry:
-        clip = _load_frame(row)
-        vector = retrieval.featurize_clip(
-            clip, head, kind, mel_bins=args.mel_bins, n_mfcc=args.n_mfcc
-        )
-        return GalleryEntry(
-            id=row["id"],
-            source_id=row["source_id"],
-            offset_s=float(row["offset_s"]),
-            vector=vector,
+    def one(row: dict) -> np.ndarray:
+        return retrieval.featurize_clip(
+            _load_frame(row), head, kind, mel_bins=args.mel_bins, n_mfcc=args.n_mfcc
         )
 
     try:
         workers = _max_workers()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                entries = list(pool.map(one, rows))
+                vectors = list(pool.map(one, rows))
         else:
-            entries = [one(row) for row in rows]
-        retrieval.write_features(out_path, entries)
+            vectors = [one(row) for row in rows]
+        gallery = Gallery(
+            [row["id"] for row in rows], [row["source_id"] for row in rows],
+            [float(row["offset_s"]) for row in rows], np.stack(vectors),
+        )
+        retrieval.write_features(out_path, gallery)
     except Exception:
         out_path.unlink(missing_ok=True)  # never leave a partial feature file
         raise
-    print(f"wrote {len(entries)} vectors (d={len(entries[0].vector)}) to {out_path}")
+    print(f"wrote {len(gallery)} vectors (d={gallery.vectors.shape[1]}) to {out_path}")
     return 0
 
 
@@ -131,8 +134,7 @@ def _safe_name(text: str) -> str:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    entries = retrieval.read_features(args.features)
-    index = retrieval.build_index(entries)
+    index = retrieval.build_index(retrieval.read_features(args.features))
 
     query_clip = None
     if args.query_id:
@@ -166,7 +168,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 "gallery_id": c.gallery_id,
                 "score": c.score,
                 "source_id": index.source_of(c.gallery_id),
-                "offset_s": index.entry(c.gallery_id).offset_s,
+                "offset_s": float(index.offsets[index.row_of[c.gallery_id]]),
             }
             for c in candidates
         ],
@@ -235,14 +237,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _base_feature_values(clip: audio_io.AudioClip, kind: FeatureKind, args) -> np.ndarray:
-    if kind is FeatureKind.MEL:
-        spec = dsp.mel_spectrogram(clip, args.mel_bins)
-    else:
-        spec = dsp.mfcc(clip, args.n_mfcc, args.mel_bins)
-    return dsp.flatten(spec).values
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     rows = _read_manifest(args.manifest)
     by_source: dict[str, list[dict]] = {}
@@ -253,8 +247,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     n = args.frames_per_sequence
 
     def sequence_features(chunk: list[dict]) -> np.ndarray:
+        options = {"mel_bins": args.mel_bins, "n_mfcc": args.n_mfcc}
         return np.stack(
-            [_base_feature_values(_load_frame(row), kind, args) for row in chunk]
+            [retrieval.base_feature(_load_frame(row), kind, **options).values for row in chunk]
         )
 
     chunks = []
@@ -298,10 +293,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    entries = retrieval.read_features(args.features)
-    index = retrieval.build_index(entries)
-    features = {entry.id: np.asarray(entry.vector, dtype=np.float64) for entry in entries}
+    index = retrieval.build_index(retrieval.read_features(args.features))
     labeled = evaluation.LabeledSet.load(args.labels)
+    query_ids = [query.query_id for query in labeled.queries if query.query_id in index]
+    features = {query_id: index.vector(query_id).astype(np.float64) for query_id in query_ids}
     ks = [int(k) for k in args.ks.split(",") if k.strip()]
     report = evaluation.evaluate(index, labeled, features, ks)
     text = json.dumps(report.to_dict(), indent=2)

@@ -48,25 +48,14 @@ class Spectrogram:
             kind "mel" and cepstral coefficients for kind "mfcc".
         kind: "mel" or "mfcc".
         log_compressed: True when entries are log(power + LOG_EPS).
-        window_size / hop_length / sample_rate: Analysis parameters of
-            the generating STFT.
+        sample_rate: Sample rate of the analysed clip; the STFT always
+            uses WINDOW_SIZE and HOP_LENGTH.
     """
 
     data: np.ndarray
     kind: FeatureKind
     log_compressed: bool
-    window_size: int = WINDOW_SIZE
-    hop_length: int = HOP_LENGTH
     sample_rate: int = 48000
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def mel_bins(self) -> int:
-        """Row count; mel bands for kind "mel", coefficients for "mfcc"."""
-        return self.data.shape[0]
 
     @property
     def time_steps(self) -> int:

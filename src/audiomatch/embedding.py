@@ -148,13 +148,6 @@ class TrainBatch:
             )
         object.__setattr__(self, "features", features)
 
-    @classmethod
-    def from_sequences(
-        cls, sequences: Sequence[Sequence[BaseFeature]], split_index: int
-    ) -> "TrainBatch":
-        stacked = np.stack([[frame.values for frame in seq] for seq in sequences])
-        return cls(features=stacked, split_index=split_index)
-
     @property
     def n_sequences(self) -> int:
         return self.features.shape[0]

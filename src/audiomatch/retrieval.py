@@ -1,8 +1,9 @@
 """Immutable feature gallery with exact top-k inner-product search.
 
-The gallery is a flat matrix of unit-norm float32 vectors scanned
-exhaustively per query (no approximate structures); scores accumulate
-in float64 and ties break by ascending id so results are deterministic.
+The gallery is id, source and offset columns plus one (n, d) float32
+matrix of unit-norm vectors, scanned exhaustively per query (no
+approximate structures); scores accumulate in float64 and ties break
+by ascending id so results are deterministic.
 
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
@@ -15,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .audio_io import AudioClip
 from .dsp import (
     DEFAULT_MEL_BINS,
     DEFAULT_N_MFCC,
+    BaseFeature,
     FeatureKind,
     flatten,
     mel_spectrogram,
@@ -51,14 +53,42 @@ def frame_id(source_id: str, offset_s: float) -> str:
     return f"{source_id}@{offset_s:.3f}"
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    """One indexed frame: id, provenance, and unit feature vector."""
+@dataclass(frozen=True, eq=False, repr=False)
+class Gallery:
+    """Feature rows stored as columns.
 
-    id: str
-    source_id: str
-    offset_s: float
-    vector: np.ndarray
+    Row i is frame ``ids[i]`` of source ``source_ids[i]``, starting
+    ``offsets[i]`` seconds into it, with unit vector ``vectors[i]``.
+    Offsets are kept as a read-only float64 view and vectors as a
+    read-only (n, d) float32 one, copied only to change dtype.  Raises
+    DimensionMismatch unless every column has n rows.
+    """
+
+    ids: tuple[str, ...]
+    source_ids: tuple[str, ...]
+    offsets: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            vectors = np.asarray(self.vectors, dtype=np.float32).view()
+        except ValueError as exc:  # rows of mixed length
+            raise DimensionMismatch(f"vectors do not form one matrix: {exc}") from exc
+        offsets = np.asarray(self.offsets, dtype=np.float64).view()
+        ids, source_ids = tuple(self.ids), tuple(self.source_ids)
+        n = len(vectors) if vectors.ndim == 2 else -1
+        if not len(ids) == len(source_ids) == n or offsets.shape != (n,):
+            raise DimensionMismatch(
+                f"need (n, d) vectors and n-long columns, got vectors {vectors.shape}, "
+                f"{len(ids)} ids, {len(source_ids)} source ids, offsets {offsets.shape}"
+            )
+        vectors.flags.writeable = offsets.flags.writeable = False
+        for name, value in zip(("ids", "source_ids", "offsets", "vectors"),
+                               (ids, source_ids, offsets, vectors)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -71,63 +101,31 @@ class MatchCandidate:
     rank: int
 
 
-class GalleryIndex:
-    """Immutable set of unit vectors supporting exact top-k MIPS."""
+@dataclass(frozen=True, eq=False, repr=False)
+class GalleryIndex(Gallery):
+    """Immutable gallery supporting exact top-k MIPS, built by :func:`build_index`.
 
-    def __init__(self, entries: Sequence[GalleryEntry]):
-        if not entries:
-            raise EmptyIndex("cannot build an index from zero vectors")
-        d = len(entries[0].vector)
-        seen: set[str] = set()
-        for entry in entries:
-            if len(entry.vector) != d:
-                raise DimensionMismatch(
-                    f"entry {entry.id!r} has dimension {len(entry.vector)}, expected {d}"
-                )
-            if entry.id in seen:
-                raise DuplicateId(f"duplicate gallery id {entry.id!r}")
-            seen.add(entry.id)
+    It adds ``source_codes`` (each row's source number), ``id_ranks`` (each
+    row's place in ascending id order) and the id -> row map ``row_of``.
+    """
 
-        self._ids = tuple(entry.id for entry in entries)
-        self._id_array = np.array(self._ids)
-        self._source_ids = tuple(entry.source_id for entry in entries)
-        self._offsets = np.array([entry.offset_s for entry in entries], dtype=np.float64)
-        matrix = np.stack([entry.vector for entry in entries]).astype(np.float32)
-        matrix.flags.writeable = False
-        self._matrix = matrix
-        self._row_by_id = {entry_id: row for row, entry_id in enumerate(self._ids)}
-
-    def __len__(self) -> int:
-        return len(self._ids)
+    source_codes: np.ndarray
+    code_of_source: dict[str, int]
+    id_ranks: np.ndarray
+    row_of: dict[str, int]
 
     @property
     def d(self) -> int:
-        return self._matrix.shape[1]
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self._ids
+        return self.vectors.shape[1]
 
     def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self._row_by_id
-
-    def entry(self, entry_id: str) -> GalleryEntry:
-        row = self._row_by_id[entry_id]
-        return GalleryEntry(
-            id=self._ids[row],
-            source_id=self._source_ids[row],
-            offset_s=float(self._offsets[row]),
-            vector=self._matrix[row],
-        )
+        return entry_id in self.row_of
 
     def vector(self, entry_id: str) -> np.ndarray:
-        return self._matrix[self._row_by_id[entry_id]]
+        return self.vectors[self.row_of[entry_id]]
 
     def source_of(self, entry_id: str) -> str:
-        return self._source_ids[self._row_by_id[entry_id]]
-
-    def entries(self) -> list[GalleryEntry]:
-        return [self.entry(entry_id) for entry_id in self._ids]
+        return self.source_ids[self.row_of[entry_id]]
 
     def query(
         self,
@@ -154,24 +152,22 @@ class GalleryIndex:
 
         # einsum upcasts the f32 rows blockwise and accumulates in f64
         # without materializing a float64 copy of the whole matrix.
-        scores = np.einsum("ij,j->i", self._matrix, z_q, dtype=np.float64)
+        scores = np.einsum("ij,j->i", self.vectors, z_q, dtype=np.float64)
         if exclude_source is None:
-            eligible = np.arange(len(self._ids))
+            eligible = np.arange(len(self.ids))
         else:
-            eligible = np.array(
-                [i for i, source in enumerate(self._source_ids) if source != exclude_source],
-                dtype=np.intp,
-            )
+            # Codes are >= 0, so a source absent from the gallery excludes nothing.
+            code = self.code_of_source.get(exclude_source, -1)
+            eligible = np.flatnonzero(self.source_codes != code)
         if eligible.size == 0:
             raise EmptyIndex("no eligible gallery entries for this query")
 
-        sub_scores = scores[eligible]
-        order = np.lexsort((self._id_array[eligible], -sub_scores))
+        order = np.lexsort((self.id_ranks[eligible], -scores[eligible]))
         top = eligible[order[:k]]
         return [
             MatchCandidate(
                 query_id=query_id,
-                gallery_id=self._ids[row],
+                gallery_id=self.ids[row],
                 score=float(scores[row]),
                 rank=rank,
             )
@@ -179,20 +175,44 @@ class GalleryIndex:
         ]
 
 
-def build_index(
-    entries: Iterable[GalleryEntry | tuple[str, str, float, np.ndarray]],
-) -> GalleryIndex:
-    """Build an immutable index; iteration order is insertion order.
+def build_index(gallery: Gallery) -> GalleryIndex:
+    """Build an immutable index over a gallery's rows, in row order.
 
     Raises:
-        EmptyIndex: No entries.
-        DimensionMismatch: Vectors of mixed dimension.
+        EmptyIndex: No rows.
         DuplicateId: Repeated entry id.
     """
-    normalized = [
-        entry if isinstance(entry, GalleryEntry) else GalleryEntry(*entry) for entry in entries
-    ]
-    return GalleryIndex(normalized)
+    if not len(gallery):
+        raise EmptyIndex("cannot build an index from zero vectors")
+    ids = gallery.ids
+    row_of = {entry_id: row for row, entry_id in enumerate(ids)}
+    if len(row_of) != len(ids):
+        duplicate = next(entry_id for row, entry_id in enumerate(ids) if row_of[entry_id] != row)
+        raise DuplicateId(f"duplicate gallery id {duplicate!r}")
+    # Sources are numbered with exact str equality: numpy's fixed-width
+    # strings would drop trailing NULs and merge distinct sources.
+    code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
+    source_codes = np.array([code_of[source] for source in gallery.source_ids], dtype=np.intp)
+    id_ranks = np.argsort(np.argsort(np.array(ids), kind="stable"))
+    return GalleryIndex(
+        ids, gallery.source_ids, gallery.offsets, gallery.vectors,
+        source_codes, code_of, id_ranks, row_of,
+    )
+
+
+def base_feature(
+    clip: AudioClip,
+    kind: FeatureKind = FeatureKind.MEL,
+    *,
+    mel_bins: int = DEFAULT_MEL_BINS,
+    n_mfcc: int = DEFAULT_N_MFCC,
+) -> BaseFeature:
+    """Flattened mel or MFCC spectrogram of one frame, the head's input."""
+    if kind is FeatureKind.MEL:
+        spec = mel_spectrogram(clip, mel_bins)
+    else:
+        spec = mfcc(clip, n_mfcc, mel_bins)
+    return flatten(spec)
 
 
 def featurize_clip(
@@ -209,11 +229,7 @@ def featurize_clip(
     (the non-learned baseline); with a head, it passes through the
     projection instead.
     """
-    if kind is FeatureKind.MEL:
-        spec = mel_spectrogram(clip, mel_bins)
-    else:
-        spec = mfcc(clip, n_mfcc, mel_bins)
-    base = flatten(spec)
+    base = base_feature(clip, kind, mel_bins=mel_bins, n_mfcc=n_mfcc)
     vector = embed(head, base) if head is not None else normalize(base.values)
     return vector.astype(np.float32)
 
@@ -225,50 +241,57 @@ def batch_featurize(
     *,
     mel_bins: int = DEFAULT_MEL_BINS,
     n_mfcc: int = DEFAULT_N_MFCC,
-) -> list[GalleryEntry]:
+) -> Gallery:
     """Deterministic clip -> feature -> unit-vector pipeline.
 
-    Entry ids follow :func:`frame_id` over each clip's source and
-    offset.
+    Row ids follow :func:`frame_id` over each clip's source and offset.
     """
-    return [
-        GalleryEntry(
-            id=frame_id(clip.source_id, clip.offset_s),
-            source_id=clip.source_id,
-            offset_s=clip.offset_s,
-            vector=featurize_clip(clip, head, kind, mel_bins=mel_bins, n_mfcc=n_mfcc),
-        )
-        for clip in clips
-    ]
+    vectors = [featurize_clip(clip, head, kind, mel_bins=mel_bins, n_mfcc=n_mfcc) for clip in clips]
+    return Gallery(
+        ids=tuple(frame_id(clip.source_id, clip.offset_s) for clip in clips),
+        source_ids=tuple(clip.source_id for clip in clips),
+        offsets=np.array([clip.offset_s for clip in clips], dtype=np.float64),
+        vectors=np.stack(vectors) if vectors else np.empty((0, 0), dtype=np.float32),
+    )
 
 
-def write_features(path: str | Path, entries: Sequence[GalleryEntry]) -> None:
-    """Write entries as an AMCF v1 feature file."""
-    if not entries:
+def write_features(path: str | Path, gallery: Gallery) -> None:
+    """Write a gallery as an AMCF v1 feature file.
+
+    An id or source id over 65535 UTF-8 bytes, or an offset that is not
+    a finite float32, raises IoError before any byte is written.
+    """
+    if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
-    d = len(entries[0].vector)
-    parts = [_FEATURE_MAGIC, struct.pack("<IIQ", _FEATURE_VERSION, d, len(entries))]
-    for entry in entries:
-        if len(entry.vector) != d:
-            raise DimensionMismatch(f"entry {entry.id!r} has mixed dimension")
-        id_bytes = entry.id.encode("utf-8")
-        source_bytes = entry.source_id.encode("utf-8")
-        parts.append(struct.pack("<H", len(id_bytes)))
-        parts.append(id_bytes)
-        parts.append(struct.pack("<H", len(source_bytes)))
-        parts.append(source_bytes)
-        parts.append(struct.pack("<f", entry.offset_s))
-        parts.append(np.asarray(entry.vector, dtype="<f4").tobytes())
+    ids = [entry_id.encode("utf-8") for entry_id in gallery.ids]
+    sources = [source_id.encode("utf-8") for source_id in gallery.source_ids]
+    texts_fit = max(map(len, ids + sources)) <= 0xFFFF
+    if not texts_fit or not (np.abs(gallery.offsets) <= np.finfo(np.float32).max).all():
+        raise IoError("feature files hold ids of at most 65535 UTF-8 bytes and f32 offsets")
+    vectors = gallery.vectors.astype("<f4", copy=False)
+    n, d = vectors.shape
+    parts = [_FEATURE_MAGIC, struct.pack("<IIQ", _FEATURE_VERSION, d, n)]
+    for id_bytes, source_bytes, offset, vector in zip(
+        ids, sources, gallery.offsets.astype("<f4"), vectors
+    ):
+        parts += (
+            struct.pack("<H", len(id_bytes)),
+            id_bytes,
+            struct.pack("<H", len(source_bytes)),
+            source_bytes,
+            offset.tobytes(),
+            vector.tobytes(),
+        )
     try:
         Path(path).write_bytes(b"".join(parts))
     except OSError as exc:
         raise IoError(f"cannot write feature file {path}: {exc}") from exc
 
 
-def read_features(path: str | Path) -> list[GalleryEntry]:
-    """Read an AMCF v1 feature file back into gallery entries."""
+def read_features(path: str | Path) -> Gallery:
+    """Read an AMCF v1 feature file back into a gallery."""
     try:
-        raw = Path(path).read_bytes()
+        raw = memoryview(Path(path).read_bytes())
     except OSError as exc:
         raise IoError(f"cannot read feature file {path}: {exc}") from exc
     if len(raw) < 20 or raw[:4] != _FEATURE_MAGIC:
@@ -276,28 +299,35 @@ def read_features(path: str | Path) -> list[GalleryEntry]:
     version, d, count = struct.unpack_from("<IIQ", raw, 4)
     if version != _FEATURE_VERSION:
         raise IoError(f"unsupported feature file version {version}")
-
-    entries: list[GalleryEntry] = []
     pos = 4 + struct.calcsize("<IIQ")
+    # Every row holds at least two lengths, an offset and d components.
+    if count * (8 + 4 * d) > len(raw) - pos:
+        raise IoError(f"feature file {path} is too short for its {count} rows of dimension {d}")
+
+    ids: list[str] = []
+    source_ids: list[str] = []
+    offsets = np.empty(count, dtype="<f4")
+    vectors = np.empty((count, d), dtype="<f4")
+    offset_bytes = memoryview(offsets.view(np.uint8))
+    vector_bytes = memoryview(vectors.reshape(-1).view(np.uint8))
+    row_bytes = 4 * d
     try:
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            entry_id = raw[pos : pos + id_len].decode("utf-8")
-            pos += id_len
-            (source_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            source_id = raw[pos : pos + source_len].decode("utf-8")
-            pos += source_len
-            (offset_s,) = struct.unpack_from("<f", raw, pos)
+        for row in range(count):
+            for column in (ids, source_ids):
+                (length,) = struct.unpack_from("<H", raw, pos)
+                column.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
+                pos += 2 + length
+            offset_bytes[4 * row : 4 * row + 4] = raw[pos : pos + 4]
             pos += 4
-            vector = np.frombuffer(raw, dtype="<f4", count=d, offset=pos).copy()
-            pos += 4 * d
-            entries.append(
-                GalleryEntry(id=entry_id, source_id=source_id, offset_s=offset_s, vector=vector)
-            )
+            vector_bytes[row * row_bytes : (row + 1) * row_bytes] = raw[pos : pos + row_bytes]
+            pos += row_bytes
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise IoError(f"truncated or corrupt feature file {path}") from exc
     if pos != len(raw):
         raise IoError(f"feature file {path} has {len(raw) - pos} trailing bytes")
-    return entries
+    return Gallery(
+        ids=tuple(ids),
+        source_ids=tuple(source_ids),
+        offsets=offsets.astype(np.float64),
+        vectors=vectors.astype(np.float32, copy=False),
+    )

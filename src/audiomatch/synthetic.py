@@ -51,15 +51,6 @@ def tone(
     return out * (amp / peak) if peak > 0 else out
 
 
-def chirp(
-    f_start: float, f_end: float, seconds: float, sr: int = CANONICAL_RATE, amp: float = 0.5
-) -> np.ndarray:
-    """Linear sweep from f_start to f_end."""
-    t = np.arange(int(round(seconds * sr))) / sr
-    sweep = f_start + (f_end - f_start) * t / (2.0 * seconds)
-    return amp * np.sin(2.0 * np.pi * sweep * t)
-
-
 def noise_burst(
     seconds: float, sr: int = CANONICAL_RATE, amp: float = 0.3, seed: int = 0
 ) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 from audiomatch import (
     AudioClip,
-    GalleryEntry,
+    Gallery,
     ProjectionHead,
     TrainBatch,
     TrainConfig,
@@ -138,10 +138,10 @@ class TestAcceptance:
         rng = np.random.default_rng(505)
         d = 512
 
-        def oracle(entries, z_q, k):
+        def oracle(gallery, z_q, k):
             scored = sorted(
-                (-float(np.dot(np.asarray(e.vector, dtype=np.float64), z_q)), e.id)
-                for e in entries
+                (-float(np.dot(np.asarray(vector, dtype=np.float64), z_q)), entry_id)
+                for entry_id, vector in zip(gallery.ids, gallery.vectors)
             )
             return [entry_id for _, entry_id in scored[:k]]
 
@@ -156,21 +156,24 @@ class TestAcceptance:
                 rows[1] = rows[0]  # force exact score ties
                 rows[3] = rows[0]
             id_order = rng.permutation(n)
-            entries = [
-                GalleryEntry(f"g{id_order[i]:05d}", f"s{i}", float(i), rows[i])
-                for i in range(n)
-            ]
-            index = build_index(entries)
+            gallery = Gallery(
+                [f"g{id_order[i]:05d}" for i in range(n)], [f"s{i}" for i in range(n)],
+                np.arange(n), rows,
+            )
+            index = build_index(gallery)
             z_q = normalize(rng.normal(size=d))
             k = int(rng.integers(1, 12))
             got = [c.gallery_id for c in index.query(z_q, k=k)]
-            assert got == oracle(entries, z_q, k), f"mismatch in gallery {gallery_index}"
+            assert got == oracle(gallery, z_q, k), f"mismatch in gallery {gallery_index}"
 
         # latency and lossless readback on a 10k-entry index
         rows = rng.normal(size=(10_000, d)).astype(np.float32)
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         index = build_index(
-            [GalleryEntry(f"g{i:05d}", f"s{i}", float(i), rows[i]) for i in range(10_000)]
+            Gallery(
+                [f"g{i:05d}" for i in range(10_000)], [f"s{i}" for i in range(10_000)],
+                np.arange(10_000), rows,
+            )
         )
         assert len(index) == 10_000
         for i in rng.integers(0, 10_000, size=200):
@@ -369,12 +372,13 @@ class TestAcceptance:
         # feature file
         rows = rng.normal(size=(25, 96)).astype(np.float32)
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        entries = [
-            GalleryEntry(f"src{i // 5}@{float(i % 5):.3f}", f"src{i // 5}", float(i % 5), rows[i])
-            for i in range(25)
-        ]
+        gallery = Gallery(
+            [f"src{i // 5}@{float(i % 5):.3f}" for i in range(25)],
+            [f"src{i // 5}" for i in range(25)],
+            np.arange(25) % 5, rows,
+        )
         feats_a, feats_b = tmp_path / "a.amcf", tmp_path / "b.amcf"
-        write_features(feats_a, entries)
+        write_features(feats_a, gallery)
         write_features(feats_b, read_features(feats_a))
         assert feats_a.read_bytes() == feats_b.read_bytes()
 

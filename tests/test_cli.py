@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from audiomatch import AudioClip, load_audio, read_features, write_audio
-from audiomatch.cli import main
+from audiomatch.cli import _max_workers, main
+from audiomatch.errors import AudioMatchError
 from audiomatch.synthetic import tone, write_drift_corpus
 
 
@@ -65,9 +66,9 @@ class TestFeaturizeCommand:
     def test_counts_and_dimension(self, tmp_path, segmented):
         out = tmp_path / "g.amcf"
         assert main(["featurize", "--manifest", str(segmented), "--out", str(out)]) == 0
-        entries = read_features(out)
-        assert len(entries) == 8
-        assert all(len(e.vector) == 2880 for e in entries)
+        gallery = read_features(out)
+        assert len(gallery) == 8
+        assert gallery.vectors.shape == (8, 2880)
 
     def test_head_changes_vectors(self, tmp_path, segmented):
         plain = tmp_path / "plain.amcf"
@@ -94,7 +95,7 @@ class TestFeaturizeCommand:
             )
             == 0
         )
-        assert len(read_features(projected)[0].vector) == 32
+        assert read_features(projected).vectors.shape[1] == 32
 
     def test_thread_cap_does_not_change_output(self, tmp_path, segmented, monkeypatch):
         serial, parallel = tmp_path / "serial.amcf", tmp_path / "parallel.amcf"
@@ -115,6 +116,45 @@ class TestFeaturizeCommand:
         assert main(["featurize", "--manifest", str(bad_manifest), "--out", str(out)]) != 0
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_overlong_id_fails_without_output(self, tmp_path, segmented, capsys):
+        rows = manifest_rows(segmented)
+        rows[0]["id"] = "x" * 70_000
+        long_manifest = tmp_path / "long.jsonl"
+        long_manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "long.amcf"
+        assert main(["featurize", "--manifest", str(long_manifest), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+
+class TestMaxWorkers:
+    def test_unset_is_capped_at_eight(self, monkeypatch):
+        monkeypatch.delenv("AMC_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert _max_workers() == 8
+
+    def test_value_is_capped_at_core_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("AMC_THREADS", "1000000")
+        assert _max_workers() == 4
+        monkeypatch.setenv("AMC_THREADS", " 3 ")
+        assert _max_workers() == 3
+        monkeypatch.setenv("AMC_THREADS", "0")
+        assert _max_workers() == 1
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0x2"])
+    def test_non_integer_raises(self, monkeypatch, value):
+        monkeypatch.setenv("AMC_THREADS", value)
+        with pytest.raises(AudioMatchError):
+            _max_workers()
+
+    def test_non_integer_fails_the_command(self, tmp_path, segmented, monkeypatch, capsys):
+        monkeypatch.setenv("AMC_THREADS", "many")
+        out = tmp_path / "g.amcf"
+        assert main(["featurize", "--manifest", str(segmented), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "AMC_THREADS" in capsys.readouterr().err
 
 
 class TestQueryCommand:
@@ -265,6 +305,22 @@ class TestTrainCommand:
         main(args + ["--out", str(tmp_path / "c1.ssch")])
         main(args + ["--out", str(tmp_path / "c2.ssch")])
         assert (tmp_path / "c1.ssch").read_bytes() == (tmp_path / "c2.ssch").read_bytes()
+
+    def test_thread_cap_does_not_change_checkpoint(self, tmp_path, monkeypatch):
+        drift_dir = tmp_path / "drift"
+        write_drift_corpus(drift_dir, n_sequences=4, n_frames=4, seed=3)
+        frames = tmp_path / "frames"
+        main(["segment", str(drift_dir), "--out-dir", str(frames)])
+        args = [
+            "train", "--manifest", str(frames / "manifest.jsonl"),
+            "--epochs", "2", "--frames-per-sequence", "4", "--dim", "16", "--seed", "5",
+        ]
+        monkeypatch.setenv("AMC_THREADS", "1")
+        assert main(args + ["--out", str(tmp_path / "serial.ssch")]) == 0
+        monkeypatch.setenv("AMC_THREADS", "2")
+        assert main(args + ["--out", str(tmp_path / "parallel.ssch")]) == 0
+        serial = (tmp_path / "serial.ssch").read_bytes()
+        assert serial == (tmp_path / "parallel.ssch").read_bytes()
 
 
 class TestEvalCommand:

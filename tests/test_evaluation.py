@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from audiomatch import (
-    GalleryEntry,
+    Gallery,
     LabeledSet,
     average_precision,
     build_index,
@@ -114,13 +114,14 @@ class TestMetricProperties:
 
 def make_index_and_features(rng, ids, query_vectors=None):
     d = 8
-    entries = []
-    for i, gid in enumerate(ids):
+    vectors = []
+    for gid in ids:
         vec = rng.normal(size=d).astype(np.float32)
         vec /= np.linalg.norm(vec)
-        entries.append(GalleryEntry(gid, f"src_{gid}", float(i), vec))
-    index = build_index(entries)
-    features = {e.id: np.asarray(e.vector, dtype=np.float64) for e in entries}
+        vectors.append(vec)
+    gallery = Gallery(ids, [f"src_{gid}" for gid in ids], np.arange(len(ids)), vectors)
+    index = build_index(gallery)
+    features = {gid: np.asarray(vec, dtype=np.float64) for gid, vec in zip(ids, vectors)}
     if query_vectors:
         features.update(query_vectors)
     return index, features
@@ -141,8 +142,8 @@ class TestEvaluate:
 
     def test_ranking_respects_similarity(self, rng):
         basis = np.eye(4, dtype=np.float32)
-        entries = [GalleryEntry(f"g{i}", f"s{i}", 0.0, basis[i]) for i in range(4)]
-        index = build_index(entries)
+        ids = [f"g{i}" for i in range(4)]
+        index = build_index(Gallery(ids, [f"s{i}" for i in range(4)], np.zeros(4), basis))
         features = {"q": np.array([0.0, 1.0, 0.0, 0.0])}
         labeled = LabeledSet.from_rows(
             [
