@@ -18,9 +18,7 @@ from .dsp import (
     mfcc,
 )
 from .embedding import (
-    HeadGradients,
     ProjectionHead,
-    TrainBatch,
     TrainConfig,
     TrainResult,
     embed,

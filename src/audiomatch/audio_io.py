@@ -14,6 +14,7 @@ roughly 87 dB stopband).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from math import gcd
@@ -185,6 +186,22 @@ def load_audio(path: str | Path) -> AudioClip:
     mono = resample_to_canonical(mono, rate)
     mono = np.clip(mono, -1.0, 1.0)
     return AudioClip(mono, CANONICAL_RATE, source_id=path.stem, offset_s=0.0)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failure (OSError) removes the temporary file and leaves ``path`` as it was.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "xb") as handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def write_audio(clip: AudioClip, path: str | Path) -> None:

@@ -110,21 +110,17 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             _load_frame(row), head, kind, mel_bins=args.mel_bins, n_mfcc=args.n_mfcc
         )
 
-    try:
-        workers = _max_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                vectors = list(pool.map(one, rows))
-        else:
-            vectors = [one(row) for row in rows]
-        gallery = Gallery(
-            [row["id"] for row in rows], [row["source_id"] for row in rows],
-            [float(row["offset_s"]) for row in rows], np.stack(vectors),
-        )
-        retrieval.write_features(out_path, gallery)
-    except Exception:
-        out_path.unlink(missing_ok=True)  # never leave a partial feature file
-        raise
+    workers = _max_workers()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            vectors = list(pool.map(one, rows))
+    else:
+        vectors = [one(row) for row in rows]
+    gallery = Gallery(
+        [row["id"] for row in rows], [row["source_id"] for row in rows],
+        [float(row["offset_s"]) for row in rows], np.stack(vectors),
+    )
+    retrieval.write_features(out_path, gallery)
     print(f"wrote {len(gallery)} vectors (d={gallery.vectors.shape[1]}) to {out_path}")
     return 0
 

@@ -13,7 +13,7 @@ the batch (positives included):
 
 Gradients are exact analytic derivatives through the projection and the
 normalization, with log-sum-exp stabilization.  Training runs plain
-Adam over shuffled batches with one fresh split index per batch.
+Adam, in place on float64 arrays, with one split index per batch.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .audio_io import write_atomic
 from .dsp import BaseFeature
 from .errors import DegenerateBatch, DimensionMismatch, IoError
 
@@ -35,12 +36,23 @@ _CHECKPOINT_MAGIC = b"SSCH"
 _CHECKPOINT_VERSION = 1
 
 
+def _parameters(weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias as float64; DimensionMismatch unless (d_base, d) and (d,), d_base, d >= 1."""
+    weight = np.asarray(weight, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if weight.ndim != 2 or bias.ndim != 1 or weight.shape[1] != bias.shape[0] or not weight.size:
+        raise DimensionMismatch(
+            f"weight {weight.shape} and bias {bias.shape} do not form a head with d_base, d >= 1"
+        )
+    return weight, bias
+
+
 @dataclass(frozen=True)
 class ProjectionHead:
     """Linear projection with bias; immutable during inference.
 
     Attributes:
-        weight: (d_base, d) float64 matrix.
+        weight: (d_base, d) float64 matrix, d_base and d >= 1.
         bias: (d,) float64 vector.
     """
 
@@ -48,12 +60,7 @@ class ProjectionHead:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
-        if weight.ndim != 2 or bias.ndim != 1 or weight.shape[1] != bias.shape[0]:
-            raise DimensionMismatch(
-                f"weight {weight.shape} and bias {bias.shape} are inconsistent"
-            )
+        weight, bias = _parameters(self.weight, self.bias)
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise ValueError("head parameters must be finite")
         weight = weight.copy()
@@ -74,6 +81,8 @@ class ProjectionHead:
     @classmethod
     def initialize(cls, d_base: int, d: int = DEFAULT_DIM, seed: int = 0) -> "ProjectionHead":
         """Seeded uniform(-1/sqrt(d_base), 1/sqrt(d_base)) initialization."""
+        if d_base < 1 or d < 1:
+            raise DimensionMismatch(f"head dimensions must be >= 1, got d_base={d_base}, d={d}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(d_base)
         return cls(
@@ -89,7 +98,7 @@ class ProjectionHead:
             + self.bias.astype("<f4").tobytes()
         )
         try:
-            Path(path).write_bytes(header + body)
+            write_atomic(path, header + body)
         except OSError as exc:
             raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -109,63 +118,18 @@ class ProjectionHead:
             raise IoError(f"checkpoint {path} has {len(raw)} bytes, expected {expected}")
         weight = np.frombuffer(raw, dtype="<f4", count=d_base * d, offset=16)
         bias = np.frombuffer(raw, dtype="<f4", count=d, offset=16 + 4 * d_base * d)
-        return cls(weight=weight.reshape(d_base, d).astype(np.float64),
-                   bias=bias.astype(np.float64))
+        return cls(weight=weight.reshape(d_base, d), bias=bias)
 
 
-@dataclass(frozen=True)
-class HeadGradients:
-    """Loss gradients with the same shapes as the head parameters."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weight**2) + np.sum(self.bias**2)))
-
-
-@dataclass(frozen=True)
-class TrainBatch:
-    """N sequences of n consecutive frames plus a shared split index.
-
-    ``features`` is (N, n, d_base); ``split_index`` is the length of
-    the left section, in 1..n-1.
-    """
-
-    features: np.ndarray
-    split_index: int
-
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 3:
-            raise DegenerateBatch(f"expected (N, n, d_base) features, got {features.shape}")
-        n_seq, n_frames, _ = features.shape
-        if n_seq < 1 or n_frames < 2:
-            raise DegenerateBatch(f"batch needs N >= 1 and n >= 2, got N={n_seq}, n={n_frames}")
-        if not 1 <= self.split_index <= n_frames - 1:
-            raise DegenerateBatch(
-                f"split_index {self.split_index} outside 1..{n_frames - 1}"
-            )
-        object.__setattr__(self, "features", features)
-
-    @property
-    def n_sequences(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.features.shape[1]
-
-
-def _project(head: ProjectionHead, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project rows of ``flat`` and L2-normalize; returns (z, pre, norms)."""
-    pre = flat @ head.weight + head.bias
+def _project(weight: np.ndarray, bias: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Project ``rows`` through (weight, bias) and L2-normalize; returns (z, norms)."""
+    pre = rows @ weight + bias
     norms = np.linalg.norm(pre, axis=1)
     z = np.zeros_like(pre)
     nonzero = norms > 0.0
     z[nonzero] = pre[nonzero] / norms[nonzero, None]
     z[~nonzero, 0] = 1.0  # zero vectors map to the first basis vector
-    return z, pre, norms
+    return z, norms
 
 
 def embed(head: ProjectionHead, base: BaseFeature) -> np.ndarray:
@@ -178,7 +142,7 @@ def embed(head: ProjectionHead, base: BaseFeature) -> np.ndarray:
         raise DimensionMismatch(
             f"base feature has dimension {base.dimension}, head expects {head.d_base}"
         )
-    z, _, _ = _project(head, base.values[None, :])
+    z, _ = _project(head.weight, head.bias, base.values[None, :])
     return z[0]
 
 
@@ -189,7 +153,7 @@ def embed_rows(head: ProjectionHead, rows: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"features have dimension {rows.shape[1]}, head expects {head.d_base}"
         )
-    z, _, _ = _project(head, rows)
+    z, _ = _project(head.weight, head.bias, rows)
     return z
 
 
@@ -199,38 +163,53 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 def split_and_contrast_loss(
-    head: ProjectionHead, batch: TrainBatch, tau: float = DEFAULT_TAU
-) -> tuple[float, HeadGradients]:
-    """Contrastive split loss and its exact gradients.
+    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
+    tau: float = DEFAULT_TAU,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Contrastive split loss of a batch and its exact gradients.
 
+    ``features`` holds N sequences of n consecutive frames, (N, n,
+    d_base), each split after its first ``split_index`` frames.
     Positives are the N (last-left-frame, first-right-frame) pairs; the
     denominator sums exp(z_l . z_r / tau) over all left x right frame
     pairs in the batch.  Both sums are log-sum-exp stabilized.
 
     Returns:
-        (loss, gradients); loss >= 0 because the positive terms are a
-        subset of the denominator terms.
+        (loss, grad_weight, grad_bias); loss >= 0 because the positive
+        terms are a subset of the denominator terms.
 
     Raises:
-        DegenerateBatch: Empty batch or n < 2.
-        DimensionMismatch: Feature dimension differs from the head's.
+        ValueError: tau is not positive.
+        DegenerateBatch: Features not 3-D, N < 1, n < 2, or split_index
+            outside 1..n-1.
+        DimensionMismatch: Inconsistent weight and bias, or features of
+            another dimension than the head's d_base.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
-    n_seq, n_frames, d_base = batch.features.shape
-    if d_base != head.d_base:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 3:
+        raise DegenerateBatch(f"expected (N, n, d_base) features, got {features.shape}")
+    n_seq, n_frames, d_base = features.shape
+    if n_seq < 1 or n_frames < 2:
+        raise DegenerateBatch(f"batch needs N >= 1 and n >= 2, got N={n_seq}, n={n_frames}")
+    if not 1 <= split_index <= n_frames - 1:
+        raise DegenerateBatch(f"split_index {split_index} outside 1..{n_frames - 1}")
+    weight, bias = _parameters(weight, bias)
+    if d_base != weight.shape[0]:
         raise DimensionMismatch(
-            f"batch features have dimension {d_base}, head expects {head.d_base}"
+            f"batch features have dimension {d_base}, head expects {weight.shape[0]}"
         )
-    n_left = batch.split_index
+    d = weight.shape[1]
+    n_left = split_index
     n_right = n_frames - n_left
 
-    flat = batch.features.reshape(n_seq * n_frames, d_base)
-    z, _, norms = _project(head, flat)
-    z_seq = z.reshape(n_seq, n_frames, head.d)
+    flat = features.reshape(n_seq * n_frames, d_base)
+    z, norms = _project(weight, bias, flat)
+    z_seq = z.reshape(n_seq, n_frames, d)
 
-    left = z_seq[:, :n_left, :].reshape(n_seq * n_left, head.d)
-    right = z_seq[:, n_left:, :].reshape(n_seq * n_right, head.d)
+    left = z_seq[:, :n_left, :].reshape(n_seq * n_left, d)
+    right = z_seq[:, n_left:, :].reshape(n_seq * n_right, d)
 
     scores = (left @ right.T) / tau
     pos_rows = np.arange(n_seq) * n_left + (n_left - 1)
@@ -250,9 +229,9 @@ def split_and_contrast_loss(
     d_right = coeff.T @ left
 
     dz_seq = np.empty_like(z_seq)
-    dz_seq[:, :n_left, :] = d_left.reshape(n_seq, n_left, head.d)
-    dz_seq[:, n_left:, :] = d_right.reshape(n_seq, n_right, head.d)
-    dz = dz_seq.reshape(n_seq * n_frames, head.d)
+    dz_seq[:, :n_left, :] = d_left.reshape(n_seq, n_left, d)
+    dz_seq[:, n_left:, :] = d_right.reshape(n_seq, n_right, d)
+    dz = dz_seq.reshape(n_seq * n_frames, d)
 
     # Through z = pre / ||pre||: d_pre = (dz - (z . dz) z) / ||pre||.
     nonzero = norms > 0.0
@@ -260,8 +239,7 @@ def split_and_contrast_loss(
     inner = np.sum(z[nonzero] * dz[nonzero], axis=1, keepdims=True)
     d_pre[nonzero] = (dz[nonzero] - inner * z[nonzero]) / norms[nonzero, None]
 
-    grads = HeadGradients(weight=flat.T @ d_pre, bias=d_pre.sum(axis=0))
-    return float(loss), grads
+    return float(loss), flat.T @ d_pre, d_pre.sum(axis=0)
 
 
 @dataclass
@@ -292,38 +270,47 @@ class TrainResult:
         return [float(np.mean(epochs[e])) for e in sorted(epochs)]
 
 
-def _as_feature_matrix(corpus: Iterable[Sequence[BaseFeature] | np.ndarray]) -> np.ndarray:
-    sequences = []
-    for seq in corpus:
-        if isinstance(seq, np.ndarray):
-            sequences.append(np.asarray(seq, dtype=np.float64))
-        else:
-            sequences.append(np.stack([frame.values for frame in seq]).astype(np.float64))
-    if not sequences:
-        raise DegenerateBatch("training corpus is empty")
-    n_frames = sequences[0].shape[0]
-    if n_frames < 2:
-        raise DegenerateBatch("sequences need at least 2 frames")
-    if any(seq.shape != sequences[0].shape for seq in sequences):
-        raise DegenerateBatch("all sequences must share the same frame count and dimension")
-    return np.stack(sequences)
+def _check_config(config: TrainConfig) -> None:
+    """Raise ValueError for a setting train cannot use; comparisons with NaN fail."""
+    for ok, rule in (
+        (config.epochs >= 1 and config.batch_size >= 1, "epochs and batch_size must be >= 1"),
+        (0.0 <= config.learning_rate < np.inf, "learning_rate must be finite and >= 0"),
+        (0.0 < config.tau < np.inf, "tau must be finite and > 0"),
+        (0.0 < config.eps < np.inf, "eps must be finite and > 0"),
+        (0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0, "beta1, beta2 must be in [0, 1)"),
+    ):
+        if not ok:
+            raise ValueError(f"{rule}, got {config}")
+
+
+def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    try:
+        features = np.asarray(corpus, dtype=np.float64)
+    except ValueError as exc:  # ragged sequences
+        raise DegenerateBatch("sequences must share one frame count and dimension") from exc
+    if features.ndim != 3 or len(features) < 1 or features.shape[1] < 2:
+        raise DegenerateBatch(f"need N >= 1 sequences of n >= 2 frames, got {features.shape}")
+    return features
 
 
 def train(
     head: ProjectionHead,
-    corpus: Iterable[Sequence[BaseFeature] | np.ndarray],
+    corpus: np.ndarray | Sequence[np.ndarray],
     config: TrainConfig | None = None,
 ) -> TrainResult:
     """Run Adam over shuffled batches of frame sequences.
 
-    One fresh uniform-random split index is drawn per batch.  The input
-    head is not mutated; two runs with the same seed produce
-    bit-identical results.
+    ``corpus`` is an (N, n, d_base) array or a list of (n, d_base)
+    arrays.  One fresh uniform-random split index is drawn per batch.
+    The input head is not mutated; the same seed gives the same bits.
 
     Raises:
-        DegenerateBatch: Empty corpus or sequences shorter than 2 frames.
+        ValueError: A TrainConfig setting out of range.
+        DegenerateBatch: Empty corpus, sequences shorter than 2 frames
+            or of unequal shape, or a non-finite batch loss.
     """
     config = config or TrainConfig()
+    _check_config(config)
     features = _as_feature_matrix(corpus)
     n_total, n_frames, d_base = features.shape
     if d_base != head.d_base:
@@ -332,12 +319,12 @@ def train(
         )
 
     rng = np.random.default_rng(config.seed)
-    weight = head.weight.copy()
-    bias = head.bias.copy()
-    m_w = np.zeros_like(weight)
-    v_w = np.zeros_like(weight)
-    m_b = np.zeros_like(bias)
-    v_b = np.zeros_like(bias)
+    b1, b2 = config.beta1, config.beta2
+    params = (head.weight.copy(), head.bias.copy())
+    # Per parameter array: Adam's moments m and v, and two scratch buffers.
+    buffers = [
+        (np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p)) for p in params
+    ]
     step = 0
     history: list[dict] = []
 
@@ -346,66 +333,62 @@ def train(
         for batch_index, start in enumerate(range(0, n_total, config.batch_size)):
             chosen = order[start : start + config.batch_size]
             split = int(rng.integers(1, n_frames))
-            batch = TrainBatch(features=features[chosen], split_index=split)
-            loss, grads = split_and_contrast_loss(
-                ProjectionHead(weight=weight, bias=bias), batch, config.tau
-            )
+            loss, *grads = split_and_contrast_loss(*params, features[chosen], split, config.tau)
+            if not np.isfinite(loss):
+                raise DegenerateBatch(f"loss is {loss} at epoch {epoch}, batch {batch_index}")
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
 
             step += 1
-            for param, grad, m, v in (
-                (weight, grads.weight, m_w, v_w),
-                (bias, grads.bias, m_b, v_b),
-            ):
-                m *= config.beta1
-                m += (1.0 - config.beta1) * grad
-                v *= config.beta2
-                v += (1.0 - config.beta2) * grad**2
-                m_hat = m / (1.0 - config.beta1**step)
-                v_hat = v / (1.0 - config.beta2**step)
-                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            for param, grad, (m, v, update, denom) in zip(params, grads, buffers):
+                # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2; param -= lr * (m / (1 - b1^t))
+                # / (sqrt(v / (1 - b2^t)) + eps): each operation as written, for equal bits.
+                m *= b1
+                m += np.multiply(grad, 1.0 - b1, out=update)
+                v *= b2
+                v += np.multiply(np.square(grad, out=denom), 1.0 - b2, out=denom)
+                np.sqrt(np.divide(v, 1.0 - b2**step, out=denom), out=denom)
+                denom += config.eps
+                np.divide(m, 1.0 - b1**step, out=update)
+                update *= config.learning_rate
+                param -= np.divide(update, denom, out=update)
 
-    return TrainResult(head=ProjectionHead(weight=weight, bias=bias), history=history)
+    return TrainResult(head=ProjectionHead(*params), history=history)
 
 
 def gradient_check(
-    head: ProjectionHead,
-    batch: TrainBatch,
-    tau: float = DEFAULT_TAU,
-    h: float = 1e-5,
-    samples: int = 120,
-    seed: int = 0,
+    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
+    tau: float = DEFAULT_TAU, h: float = 1e-5, samples: int = 120, seed: int = 0,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
     Perturbs ``samples`` randomly chosen weight/bias entries by +/-h and
     returns the maximum relative error, with the denominator floored at
     1e-5 so entries whose true gradient is numerically zero do not
-    dominate the statistic.
+    dominate the statistic.  Perturbs one private copy of the arrays.
     """
     rng = np.random.default_rng(seed)
-    _, grads = split_and_contrast_loss(head, batch, tau)
+    _, grad_weight, grad_bias = split_and_contrast_loss(weight, bias, features, split_index, tau)
+    weight = np.array(weight, dtype=np.float64)
+    bias = np.array(bias, dtype=np.float64)
 
-    n_weight = head.weight.size
-    n_total = n_weight + head.bias.size
+    n_weight = weight.size
+    n_total = n_weight + bias.size
     picks = rng.choice(n_total, size=min(samples, n_total), replace=False)
 
     worst = 0.0
     for pick in picks:
-        weight = head.weight.copy()
-        bias = head.bias.copy()
         if pick < n_weight:
             target, flat_index = weight, pick
-            analytic = grads.weight.flat[flat_index]
+            analytic = grad_weight.flat[flat_index]
         else:
             target, flat_index = bias, pick - n_weight
-            analytic = grads.bias.flat[flat_index]
+            analytic = grad_bias.flat[flat_index]
 
         original = target.flat[flat_index]
         target.flat[flat_index] = original + h
-        loss_plus, _ = split_and_contrast_loss(ProjectionHead(weight, bias), batch, tau)
+        loss_plus, _, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
         target.flat[flat_index] = original - h
-        loss_minus, _ = split_and_contrast_loss(ProjectionHead(weight, bias), batch, tau)
+        loss_minus, _, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
         target.flat[flat_index] = original
 
         numeric = (loss_plus - loss_minus) / (2.0 * h)

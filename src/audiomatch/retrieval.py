@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import AudioClip, write_atomic
 from .dsp import (
     DEFAULT_MEL_BINS,
     DEFAULT_N_MFCC,
@@ -193,7 +193,8 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     # strings would drop trailing NULs and merge distinct sources.
     code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
     source_codes = np.array([code_of[source] for source in gallery.source_ids], dtype=np.intp)
-    id_ranks = np.argsort(np.argsort(np.array(ids), kind="stable"))
+    # Ids are ranked in Python's exact str order for the same reason.
+    id_ranks = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
     return GalleryIndex(
         ids, gallery.source_ids, gallery.offsets, gallery.vectors,
         source_codes, code_of, id_ranks, row_of,
@@ -256,7 +257,7 @@ def batch_featurize(
 
 
 def write_features(path: str | Path, gallery: Gallery) -> None:
-    """Write a gallery as an AMCF v1 feature file.
+    """Write a gallery as an AMCF v1 feature file, whole or not at all.
 
     An id or source id over 65535 UTF-8 bytes, or an offset that is not
     a finite float32, raises IoError before any byte is written.
@@ -283,7 +284,7 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
             vector.tobytes(),
         )
     try:
-        Path(path).write_bytes(b"".join(parts))
+        write_atomic(path, b"".join(parts))
     except OSError as exc:
         raise IoError(f"cannot write feature file {path}: {exc}") from exc
 

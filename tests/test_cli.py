@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, run in-process via cli.main()."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ class TestFeaturizeCommand:
         assert main(["featurize", "--manifest", str(bad_manifest), "--out", str(out)]) != 0
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_failure_keeps_an_existing_output(self, tmp_path, segmented, capsys):
+        rows = manifest_rows(segmented)
+        rows[0]["path"] = str(tmp_path / "missing.wav")
+        bad_manifest = tmp_path / "bad.jsonl"
+        bad_manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "old.amcf"
+        out.write_bytes(b"an older file")
+        assert main(["featurize", "--manifest", str(bad_manifest), "--out", str(out)]) == 1
+        assert out.read_bytes() == b"an older file"
+        assert "error" in capsys.readouterr().err
+
+    def test_zero_width_head_fails(self, tmp_path, segmented, capsys):
+        head = tmp_path / "zero.ssch"
+        head.write_bytes(b"SSCH" + struct.pack("<III", 1, 2880, 0))
+        out = tmp_path / "g.amcf"
+        argv = ["featurize", "--manifest", str(segmented), "--out", str(out), "--head", str(head)]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_overlong_id_fails_without_output(self, tmp_path, segmented, capsys):
         rows = manifest_rows(segmented)
@@ -321,6 +342,31 @@ class TestTrainCommand:
         assert main(args + ["--out", str(tmp_path / "parallel.ssch")]) == 0
         serial = (tmp_path / "serial.ssch").read_bytes()
         assert serial == (tmp_path / "parallel.ssch").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def drift_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("drift")
+    write_drift_corpus(root / "drift", n_sequences=2, n_frames=4, seed=4)
+    main(["segment", str(root / "drift"), "--out-dir", str(root / "frames")])
+    return root / "frames" / "manifest.jsonl"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--epochs", "0"], ["--batch-size", "0"], ["--batch-size", "-1"],
+        ["--lr", "nan"], ["--lr", "-0.001"], ["--lr", "inf"],
+        ["--tau", "nan"], ["--tau", "0"], ["--tau", "inf"], ["--dim", "0"],
+    ],
+)
+def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, flags):
+    ckpt = tmp_path / "head.ssch"
+    argv = ["train", "--manifest", str(drift_manifest), "--out", str(ckpt),
+            "--frames-per-sequence", "4", "--dim", "8", *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not ckpt.exists()
 
 
 class TestEvalCommand:

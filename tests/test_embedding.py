@@ -1,13 +1,13 @@
 """Projection head, contrastive loss, gradients, and training."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from audiomatch import (
     ProjectionHead,
-    TrainBatch,
     TrainConfig,
     embed,
     gradient_check,
@@ -19,22 +19,21 @@ from audiomatch.errors import DegenerateBatch, DimensionMismatch
 from audiomatch.synthetic import drift_corpus_features
 
 
-def brute_force_loss(head, batch, tau):
+def brute_force_loss(weight, bias, features, split, tau):
     """Direct double-sum reference: pure-Python loops, no vectorization,
-    no log-sum-exp.  Embeds each frame independently through the head."""
-    n_seq, n_frames, _ = batch.features.shape
-    split = batch.split_index
+    no log-sum-exp.  Embeds each frame independently through (weight, bias)."""
+    n_seq, n_frames, _ = features.shape
 
     def unit(vec):
-        pre = head.weight.T @ vec + head.bias
+        pre = weight.T @ vec + bias
         norm = math.sqrt(float(pre @ pre))
         if norm == 0.0:
-            out = np.zeros(head.d)
+            out = np.zeros(weight.shape[1])
             out[0] = 1.0
             return out
         return pre / norm
 
-    z = [[unit(batch.features[s, f]) for f in range(n_frames)] for s in range(n_seq)]
+    z = [[unit(features[s, f]) for f in range(n_frames)] for s in range(n_seq)]
     numerator = 0.0
     for s in range(n_seq):
         numerator += math.exp(float(z[s][split - 1] @ z[s][split]) / tau)
@@ -55,7 +54,35 @@ def random_batch(rng, n_seq=None, n_frames=None, d_base=None):
     d_base = d_base or int(rng.integers(4, 13))
     features = rng.normal(size=(n_seq, n_frames, d_base))
     split = int(rng.integers(1, n_frames))
-    return TrainBatch(features=features, split_index=split)
+    return features, split
+
+
+def reference_train(head, features, config):
+    """Out-of-place Adam over the same seeded batch order and split draws as train()."""
+    rng = np.random.default_rng(config.seed)
+    weight, bias = head.weight.copy(), head.bias.copy()
+    m_w, v_w = np.zeros_like(weight), np.zeros_like(weight)
+    m_b, v_b = np.zeros_like(bias), np.zeros_like(bias)
+    history, step = [], 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(features))
+        for batch_index, start in enumerate(range(0, len(features), config.batch_size)):
+            chosen = order[start : start + config.batch_size]
+            split = int(rng.integers(1, features.shape[1]))
+            loss, grad_w, grad_b = split_and_contrast_loss(
+                weight, bias, features[chosen], split, config.tau
+            )
+            history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
+            step += 1
+            for param, grad, m, v in ((weight, grad_w, m_w, v_w), (bias, grad_b, m_b, v_b)):
+                m *= config.beta1
+                m += (1.0 - config.beta1) * grad
+                v *= config.beta2
+                v += (1.0 - config.beta2) * grad**2
+                m_hat = m / (1.0 - config.beta1**step)
+                v_hat = v / (1.0 - config.beta2**step)
+                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    return weight, bias, history
 
 
 class TestEmbed:
@@ -92,28 +119,32 @@ class TestEmbed:
 class TestSplitAndContrastLoss:
     def test_single_pair_batch_is_exactly_zero(self, rng):
         head = ProjectionHead.initialize(6, d=4, seed=1)
-        batch = random_batch(rng, n_seq=1, n_frames=2, d_base=6)
-        loss, grads = split_and_contrast_loss(head, batch)
+        features, split = random_batch(rng, n_seq=1, n_frames=2, d_base=6)
+        loss, grad_weight, grad_bias = split_and_contrast_loss(
+            head.weight, head.bias, features, split
+        )
         assert loss == 0.0
-        assert grads.norm() < 1e-8
+        assert np.sqrt(np.sum(grad_weight**2) + np.sum(grad_bias**2)) < 1e-8
 
     def test_loss_is_non_negative(self, rng):
         # The positive terms are a subset of the denominator terms.
         for _ in range(30):
             head = ProjectionHead.initialize(8, d=5, seed=int(rng.integers(1000)))
-            loss, _ = split_and_contrast_loss(head, random_batch(rng, d_base=8))
+            loss, _, _ = split_and_contrast_loss(
+                head.weight, head.bias, *random_batch(rng, d_base=8)
+            )
             assert loss >= 0.0
 
     def test_matches_brute_force_reference(self, rng):
         for _ in range(25):
-            batch = random_batch(rng)
+            features, split = random_batch(rng)
             head = ProjectionHead.initialize(
-                batch.features.shape[2], d=int(rng.integers(3, 17)),
+                features.shape[2], d=int(rng.integers(3, 17)),
                 seed=int(rng.integers(1000)),
             )
             tau = float(rng.uniform(0.05, 1.0))
-            loss, _ = split_and_contrast_loss(head, batch, tau)
-            reference = brute_force_loss(head, batch, tau)
+            loss, _, _ = split_and_contrast_loss(head.weight, head.bias, features, split, tau)
+            reference = brute_force_loss(head.weight, head.bias, features, split, tau)
             assert loss == pytest.approx(reference, rel=1e-8)
 
     def test_loss_vanishes_for_well_separated_embeddings(self):
@@ -124,74 +155,76 @@ class TestSplitAndContrastLoss:
         features = np.zeros((n_seq, 2, n_seq))
         for s in range(n_seq):
             features[s, :, s] = 5.0
-        head = ProjectionHead(weight=np.eye(n_seq), bias=np.zeros(n_seq))
-        batch = TrainBatch(features=features, split_index=1)
-        loss, _ = split_and_contrast_loss(head, batch, tau=0.02)
+        loss, _, _ = split_and_contrast_loss(np.eye(n_seq), np.zeros(n_seq), features, 1, tau=0.02)
         assert 0.0 <= loss < 1e-6
 
     def test_sequence_permutation_invariance(self, rng):
-        batch = random_batch(rng, n_seq=4, n_frames=5, d_base=7)
+        features, split = random_batch(rng, n_seq=4, n_frames=5, d_base=7)
         head = ProjectionHead.initialize(7, d=6, seed=9)
-        loss, _ = split_and_contrast_loss(head, batch)
-        permuted = TrainBatch(
-            features=batch.features[[2, 0, 3, 1]], split_index=batch.split_index
+        loss, _, _ = split_and_contrast_loss(head.weight, head.bias, features, split)
+        loss_perm, _, _ = split_and_contrast_loss(
+            head.weight, head.bias, features[[2, 0, 3, 1]], split
         )
-        loss_perm, _ = split_and_contrast_loss(head, permuted)
         assert loss_perm == pytest.approx(loss, rel=1e-12)
 
     def test_degenerate_batches_rejected(self, rng):
-        with pytest.raises(DegenerateBatch):
-            TrainBatch(features=rng.normal(size=(0, 4, 3)), split_index=1)
-        with pytest.raises(DegenerateBatch):
-            TrainBatch(features=rng.normal(size=(2, 1, 3)), split_index=1)
-        with pytest.raises(DegenerateBatch):
-            TrainBatch(features=rng.normal(size=(2, 4, 3)), split_index=4)
+        head = ProjectionHead.initialize(3, d=4, seed=0)
+        for shape, split in (((0, 4, 3), 1), ((2, 1, 3), 1), ((2, 4, 3), 4), ((2, 4, 3), 0),
+                             ((4, 3), 1)):
+            with pytest.raises(DegenerateBatch):
+                split_and_contrast_loss(head.weight, head.bias, rng.normal(size=shape), split)
 
     def test_dimension_mismatch(self, rng):
         head = ProjectionHead.initialize(5, d=4, seed=0)
         with pytest.raises(DimensionMismatch):
-            split_and_contrast_loss(head, random_batch(rng, d_base=6))
+            split_and_contrast_loss(head.weight, head.bias, *random_batch(rng, d_base=6))
+        features, split = random_batch(rng, d_base=5)
+        for weight, bias in ((head.weight, np.zeros(3)), (head.weight[0], head.bias),
+                             (np.zeros((5, 0)), np.zeros(0))):
+            with pytest.raises(DimensionMismatch):
+                split_and_contrast_loss(weight, bias, features, split)
 
     def test_tau_must_be_positive(self, rng):
         head = ProjectionHead.initialize(6, d=4, seed=0)
         with pytest.raises(ValueError):
-            split_and_contrast_loss(head, random_batch(rng, d_base=6), tau=0.0)
+            split_and_contrast_loss(head.weight, head.bias, *random_batch(rng, d_base=6), tau=0.0)
 
 
 class TestGradients:
     def test_analytic_matches_finite_differences(self, rng):
         for trial in range(5):
-            batch = random_batch(rng)
+            features, split = random_batch(rng)
             head = ProjectionHead.initialize(
-                batch.features.shape[2], d=int(rng.integers(3, 13)), seed=trial
+                features.shape[2], d=int(rng.integers(3, 13)), seed=trial
             )
-            assert gradient_check(head, batch, samples=40, seed=trial) < 1e-4
+            worst = gradient_check(head.weight, head.bias, features, split, samples=40, seed=trial)
+            assert worst < 1e-4
 
     def test_corrupted_gradient_is_detected(self, rng):
         # Doubling the largest analytic entry must blow past the tolerance
         # when compared against the central difference at that entry.
-        batch = random_batch(rng, n_seq=3, n_frames=4, d_base=8)
+        features, split = random_batch(rng, n_seq=3, n_frames=4, d_base=8)
         head = ProjectionHead.initialize(8, d=6, seed=4)
-        _, grads = split_and_contrast_loss(head, batch)
-        flat_index = int(np.argmax(np.abs(grads.weight)))
-        corrupted = 2.0 * grads.weight.flat[flat_index]
+        _, grad_weight, _ = split_and_contrast_loss(head.weight, head.bias, features, split)
+        flat_index = int(np.argmax(np.abs(grad_weight)))
+        corrupted = 2.0 * grad_weight.flat[flat_index]
 
         h = 1e-5
         weight = head.weight.copy()
         original = weight.flat[flat_index]
         weight.flat[flat_index] = original + h
-        plus, _ = split_and_contrast_loss(ProjectionHead(weight, head.bias), batch)
+        plus, _, _ = split_and_contrast_loss(weight, head.bias, features, split)
         weight.flat[flat_index] = original - h
-        minus, _ = split_and_contrast_loss(ProjectionHead(weight, head.bias), batch)
+        minus, _, _ = split_and_contrast_loss(weight, head.bias, features, split)
         numeric = (plus - minus) / (2 * h)
         rel = abs(corrupted - numeric) / max(abs(corrupted), abs(numeric))
         assert rel > 1e-2
 
     def test_zero_gradient_at_constant_loss(self, rng):
-        batch = random_batch(rng, n_seq=1, n_frames=2, d_base=5)
+        features, split = random_batch(rng, n_seq=1, n_frames=2, d_base=5)
         head = ProjectionHead.initialize(5, d=4, seed=7)
-        _, grads = split_and_contrast_loss(head, batch)
-        assert grads.norm() < 1e-8
+        _, grad_weight, grad_bias = split_and_contrast_loss(head.weight, head.bias, features, split)
+        assert np.sqrt(np.sum(grad_weight**2) + np.sum(grad_bias**2)) < 1e-8
 
 
 class TestTrain:
@@ -239,6 +272,60 @@ class TestTrain:
         with pytest.raises(DegenerateBatch):
             train(head, rng.normal(size=(3, 1, 6)), TrainConfig(epochs=1))
 
+    def test_ragged_sequences_rejected(self, rng):
+        head = ProjectionHead.initialize(6, d=4, seed=1)
+        for ragged in ([rng.normal(size=(3, 6)), rng.normal(size=(4, 6))],
+                       [rng.normal(size=(3, 6)), rng.normal(size=(3, 5))]):
+            with pytest.raises(DegenerateBatch):
+                train(head, ragged, TrainConfig(epochs=1))
+
+    def test_list_of_sequences_equals_array(self, rng):
+        corpus = rng.normal(size=(5, 4, 6))
+        head = ProjectionHead.initialize(6, d=4, seed=1)
+        config = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-2)
+        a, b = train(head, corpus, config), train(head, list(corpus), config)
+        assert np.array_equal(a.head.weight, b.head.weight) and a.history == b.history
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfig(epochs=3, batch_size=3, seed=4),
+            TrainConfig(epochs=3, learning_rate=3e-2, batch_size=2, tau=0.3, seed=7,
+                        beta1=0.5, beta2=0.9, eps=1e-4),
+        ],
+    )
+    def test_matches_out_of_place_adam_bit_for_bit(self, rng, config):
+        features = rng.normal(size=(7, 4, 6))
+        head = ProjectionHead.initialize(6, d=5, seed=3)
+        result = train(head, features, config)
+        weight, bias, history = reference_train(head, features, config)
+        assert np.array_equal(result.head.weight, weight)
+        assert np.array_equal(result.head.bias, bias)
+        assert result.history == history
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_corpus_raises_degenerate_batch(self, rng):
+        corpus = rng.normal(size=(6, 4, 6))
+        corpus[4, 2, 1] = np.inf
+        head = ProjectionHead.initialize(6, d=4, seed=1)
+        with pytest.raises(DegenerateBatch, match="epoch 1"):
+            train(head, corpus, TrainConfig(epochs=2, batch_size=2))
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"epochs": 0}, {"batch_size": 0}, {"batch_size": -1},
+            {"learning_rate": -1e-3}, {"learning_rate": math.nan}, {"learning_rate": math.inf},
+            {"tau": 0.0}, {"tau": math.nan}, {"tau": math.inf},
+            {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": math.nan},
+            {"eps": 0.0}, {"eps": math.nan},
+        ],
+    )
+    def test_degenerate_settings_rejected(self, rng, setting):
+        head = ProjectionHead.initialize(6, d=4, seed=1)
+        with pytest.raises(ValueError):
+            train(head, rng.normal(size=(4, 3, 6)), TrainConfig(**setting))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -261,6 +348,15 @@ class TestCheckpoint:
 
         with pytest.raises(IoError):
             ProjectionHead.load(bad)
+
+    @pytest.mark.parametrize("d_base, d", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_width_head_rejected(self, tmp_path, d_base, d):
+        with pytest.raises(DimensionMismatch):
+            ProjectionHead.initialize(d_base, d=d)
+        path = tmp_path / "zero.ssch"
+        path.write_bytes(b"SSCH" + struct.pack("<III", 1, d_base, d) + bytes(4 * d))
+        with pytest.raises(DimensionMismatch):
+            ProjectionHead.load(path)
 
     def test_rejects_truncation(self, tmp_path):
         head = ProjectionHead.initialize(6, d=4, seed=0)

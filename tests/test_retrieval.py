@@ -1,5 +1,6 @@
 """Gallery index exactness, feature files, and the featurize pipeline."""
 
+import os
 import struct
 import tracemalloc
 
@@ -121,6 +122,14 @@ class TestQuery:
         index = build_index(gallery)
         got = [c.gallery_id for c in index.query(row.astype(np.float64), k=3)]
         assert got == ["id1", "id2", "id3"]
+
+    @pytest.mark.parametrize("ids", [["a\0", "a"], ["a", "a\0"]])
+    def test_tie_break_uses_exact_id_order(self, rng, ids):
+        # numpy's fixed-width strings drop trailing NULs; as str, "a" < "a\0".
+        row = unit_rows(rng, 1, 8)[0]
+        index = build_index(gallery_from(np.stack([row] * 2), ids=ids))
+        got = [c.gallery_id for c in index.query(row.astype(np.float64), k=2)]
+        assert got == ["a", "a\0"]
 
     def test_exclude_source_removes_exactly_that_source(self, rng):
         rows = unit_rows(rng, 30, 8)
@@ -247,6 +256,23 @@ class TestFeatureFile:
         with pytest.raises(IoError):
             write_features(path, gallery_from(unit_rows(rng, 2, 8), offsets=[0.0, offset]))
         assert not path.exists()
+
+    @pytest.mark.parametrize("writer", ["features", "checkpoint"])
+    def test_failed_write_keeps_existing_file(self, tmp_path, rng, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"an older file")
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(IoError):
+            if writer == "features":
+                write_features(path, gallery_from(unit_rows(rng, 2, 8)))
+            else:
+                ProjectionHead.initialize(4, d=3).save(path)
+        assert path.read_bytes() == b"an older file"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(EmptyIndex):
