@@ -205,16 +205,15 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def write_audio(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as 16-bit PCM mono WAV at the clip's sample rate.
+    """Write a clip as 16-bit PCM mono WAV at the clip's sample rate, whole or not at all.
 
     Quantization is symmetric (scale 32768 with clamp to int16 range),
     so load-after-write differs from the original by at most 2**-15 per
     sample.
 
     Raises:
-        IoError: The file cannot be written.
+        IoError: The file cannot be written; an older file at ``path`` is kept.
     """
-    path = Path(path)
     scaled = np.clip(np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0), -32768, 32767)
     pcm = scaled.astype("<i2").tobytes()
 
@@ -231,7 +230,7 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
         ]
     )
     try:
-        path.write_bytes(header + pcm)
+        write_atomic(path, header + pcm)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

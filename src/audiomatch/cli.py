@@ -4,7 +4,8 @@ Every subcommand is deterministic given --seed, reads and writes only
 the files named in its arguments, and exits 0 iff it succeeded.  The
 env var AMC_THREADS caps internal parallelism at the core count
 (featurization fans out over a thread pool; results keep input order
-either way).
+either way).  The analysis geometry is fixed in :mod:`audiomatch.dsp`
+and has no flags.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, evaluation, retrieval, synthetic, transition
-from .dsp import DEFAULT_MEL_BINS, DEFAULT_N_MFCC, FeatureKind
+from .dsp import FeatureKind
 from .embedding import ProjectionHead, TrainConfig, train
 from .errors import AudioMatchError
 from .retrieval import Gallery, frame_id
@@ -38,6 +39,12 @@ def _max_workers() -> int:
     except ValueError:
         raise AudioMatchError(f"AMC_THREADS must be an integer, got {env!r}") from None
     return max(1, min(requested, cores))
+
+
+def _map_rows(function, rows: list) -> list:
+    """``function`` of each row, in row order, on a pool of :func:`_max_workers` threads."""
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        return list(pool.map(function, rows))
 
 
 def _iter_input_wavs(inputs: list[str]) -> list[Path]:
@@ -105,17 +112,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     kind = FeatureKind(args.kind)
     out_path = Path(args.out)
 
-    def one(row: dict) -> np.ndarray:
-        return retrieval.featurize_clip(
-            _load_frame(row), head, kind, mel_bins=args.mel_bins, n_mfcc=args.n_mfcc
-        )
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vectors = list(pool.map(one, rows))
-    else:
-        vectors = [one(row) for row in rows]
+    vectors = _map_rows(lambda row: retrieval.featurize_clip(_load_frame(row), head, kind), rows)
     gallery = Gallery(
         [row["id"] for row in rows], [row["source_id"] for row in rows],
         [float(row["offset_s"]) for row in rows], np.stack(vectors),
@@ -144,7 +141,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         clip = audio_io.load_audio(args.query_wav)
         query_clip = audio_io.segment(clip, _FRAME_SECONDS)[0]
         query_vector = retrieval.featurize_clip(
-            query_clip, head, FeatureKind(args.kind), mel_bins=args.mel_bins, n_mfcc=args.n_mfcc
+            query_clip, head, FeatureKind(args.kind)
         ).astype(np.float64)
         query_source = query_clip.source_id
         query_id = frame_id(query_clip.source_id, query_clip.offset_s)
@@ -234,38 +231,31 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    n = args.frames_per_sequence
+    if n < 2:
+        raise AudioMatchError(f"--frames-per-sequence must be at least 2, got {n}")
     rows = _read_manifest(args.manifest)
     by_source: dict[str, list[dict]] = {}
     for row in rows:
         by_source.setdefault(row["source_id"], []).append(row)
 
-    kind = FeatureKind(args.kind)
-    n = args.frames_per_sequence
-
-    def sequence_features(chunk: list[dict]) -> np.ndarray:
-        options = {"mel_bins": args.mel_bins, "n_mfcc": args.n_mfcc}
-        return np.stack(
-            [retrieval.base_feature(_load_frame(row), kind, **options).values for row in chunk]
-        )
-
-    chunks = []
+    # Each source contributes its leading whole runs of n frames, in offset order.
+    sequence_rows = []
     for source_id in sorted(by_source):
         frames = sorted(by_source[source_id], key=lambda r: float(r["offset_s"]))
-        for start in range(0, len(frames) - n + 1, n):
-            chunks.append(frames[start : start + n])
-    if not chunks:
+        sequence_rows += frames[: len(frames) - len(frames) % n]
+    if not sequence_rows:
         raise AudioMatchError(
             f"manifest holds no run of {n} consecutive frames from one source"
         )
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sequences = list(pool.map(sequence_features, chunks))
-    else:
-        sequences = [sequence_features(chunk) for chunk in chunks]
+    kind = FeatureKind(args.kind)
+    bases = _map_rows(
+        lambda row: retrieval.base_feature(_load_frame(row), kind).values, sequence_rows
+    )
+    sequences = np.stack(bases).reshape(len(sequence_rows) // n, n, -1)
 
-    head = ProjectionHead.initialize(sequences[0].shape[1], d=args.dim, seed=args.seed)
+    head = ProjectionHead.initialize(sequences.shape[2], d=args.dim, seed=args.seed)
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -327,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_feature_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kind", choices=["mel", "mfcc"], default="mel")
-        p.add_argument("--mel-bins", type=int, default=DEFAULT_MEL_BINS)
-        p.add_argument("--n-mfcc", type=int, default=DEFAULT_N_MFCC)
         p.add_argument("--head", help="projection head checkpoint")
 
     def add_transition_flags(p: argparse.ArgumentParser) -> None:
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames-per-sequence", type=int, default=10)
-    add_feature_flags(p)
+    p.add_argument("--kind", choices=["mel", "mfcc"], default="mel")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics over a labeled set")

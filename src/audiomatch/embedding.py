@@ -290,6 +290,10 @@ def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
         raise DegenerateBatch("sequences must share one frame count and dimension") from exc
     if features.ndim != 3 or len(features) < 1 or features.shape[1] < 2:
         raise DegenerateBatch(f"need N >= 1 sequences of n >= 2 frames, got {features.shape}")
+    # One sequence at a time keeps the check's temporary small.
+    for index, sequence in enumerate(features):
+        if not np.isfinite(sequence).all():
+            raise DegenerateBatch(f"sequence {index} holds a non-finite feature")
     return features
 
 
@@ -307,7 +311,8 @@ def train(
     Raises:
         ValueError: A TrainConfig setting out of range.
         DegenerateBatch: Empty corpus, sequences shorter than 2 frames
-            or of unequal shape, or a non-finite batch loss.
+            or of unequal shape, a non-finite feature (found before the
+            first step), or a non-finite batch loss.
     """
     config = config or TrainConfig()
     _check_config(config)

@@ -70,21 +70,6 @@ class LabeledSet:
         rows = [json.loads(line) for line in text.splitlines() if line.strip()]
         return cls.from_rows(rows)
 
-    def save(self, path: str | Path) -> None:
-        lines = []
-        for query in self.queries:
-            for gallery_id, relevance in query.relevance.items():
-                lines.append(
-                    json.dumps(
-                        {
-                            "query_id": query.query_id,
-                            "gallery_id": gallery_id,
-                            "relevance": relevance,
-                        }
-                    )
-                )
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def average_precision(ranked_ids: Sequence[str], positives: set[str]) -> float:
     """Mean of precision-at-rank over the ranks holding positives.
@@ -131,9 +116,6 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {"per_query": self.per_query, "aggregate": self.aggregate}
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def rank_labeled(

@@ -21,15 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import AudioClip, write_atomic
-from .dsp import (
-    DEFAULT_MEL_BINS,
-    DEFAULT_N_MFCC,
-    BaseFeature,
-    FeatureKind,
-    flatten,
-    mel_spectrogram,
-    mfcc,
-)
+from .dsp import BaseFeature, FeatureKind, flatten, mel_spectrogram, mfcc
 from .embedding import ProjectionHead, embed
 from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
 
@@ -201,28 +193,15 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     )
 
 
-def base_feature(
-    clip: AudioClip,
-    kind: FeatureKind = FeatureKind.MEL,
-    *,
-    mel_bins: int = DEFAULT_MEL_BINS,
-    n_mfcc: int = DEFAULT_N_MFCC,
-) -> BaseFeature:
+def base_feature(clip: AudioClip, kind: FeatureKind = FeatureKind.MEL) -> BaseFeature:
     """Flattened mel or MFCC spectrogram of one frame, the head's input."""
-    if kind is FeatureKind.MEL:
-        spec = mel_spectrogram(clip, mel_bins)
-    else:
-        spec = mfcc(clip, n_mfcc, mel_bins)
-    return flatten(spec)
+    return flatten(mel_spectrogram(clip) if kind is FeatureKind.MEL else mfcc(clip))
 
 
 def featurize_clip(
     clip: AudioClip,
     head: ProjectionHead | None = None,
     kind: FeatureKind = FeatureKind.MEL,
-    *,
-    mel_bins: int = DEFAULT_MEL_BINS,
-    n_mfcc: int = DEFAULT_N_MFCC,
 ) -> np.ndarray:
     """Unit float32 feature vector of one frame.
 
@@ -230,7 +209,7 @@ def featurize_clip(
     (the non-learned baseline); with a head, it passes through the
     projection instead.
     """
-    base = base_feature(clip, kind, mel_bins=mel_bins, n_mfcc=n_mfcc)
+    base = base_feature(clip, kind)
     vector = embed(head, base) if head is not None else normalize(base.values)
     return vector.astype(np.float32)
 
@@ -239,15 +218,12 @@ def batch_featurize(
     clips: Sequence[AudioClip],
     head: ProjectionHead | None = None,
     kind: FeatureKind = FeatureKind.MEL,
-    *,
-    mel_bins: int = DEFAULT_MEL_BINS,
-    n_mfcc: int = DEFAULT_N_MFCC,
 ) -> Gallery:
     """Deterministic clip -> feature -> unit-vector pipeline.
 
     Row ids follow :func:`frame_id` over each clip's source and offset.
     """
-    vectors = [featurize_clip(clip, head, kind, mel_bins=mel_bins, n_mfcc=n_mfcc) for clip in clips]
+    vectors = [featurize_clip(clip, head, kind) for clip in clips]
     return Gallery(
         ids=tuple(frame_id(clip.source_id, clip.offset_s) for clip in clips),
         source_ids=tuple(clip.source_id for clip in clips),

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioClip, write_audio
-from .dsp import DEFAULT_MEL_BINS, flatten, mel_spectrogram
+from .dsp import flatten, mel_spectrogram
 from .retrieval import frame_id
 
 DRIFT_LOW_AMP = 0.25
@@ -190,12 +190,7 @@ def drift_sequence_audio(rng: np.random.Generator, n_frames: int = 10) -> np.nda
     return frames
 
 
-def drift_corpus_features(
-    n_sequences: int,
-    n_frames: int = 10,
-    seed: int = 0,
-    mel_bins: int = DEFAULT_MEL_BINS,
-) -> np.ndarray:
+def drift_corpus_features(n_sequences: int, n_frames: int = 10, seed: int = 0) -> np.ndarray:
     """In-memory training corpus of flattened log-mel base features.
 
     Returns a (n_sequences, n_frames, d_base) float64 array.
@@ -204,10 +199,7 @@ def drift_corpus_features(
     sequences = []
     for _ in range(n_sequences):
         audio = drift_sequence_audio(rng, n_frames)
-        frames = [
-            flatten(mel_spectrogram(AudioClip(frame, CANONICAL_RATE), mel_bins)).values
-            for frame in audio
-        ]
+        frames = [flatten(mel_spectrogram(AudioClip(f, CANONICAL_RATE))).values for f in audio]
         sequences.append(np.stack(frames))
     return np.stack(sequences)
 

@@ -9,7 +9,7 @@ overlaps the two signals around the cut under square-root fade windows,
 whose in/out weights satisfy w_in^2 + w_out^2 = 1 at every sample.
 
 Time steps map to waveform positions through the center of the analysis
-window: sample = step * hop + window_size / 2.
+window: sample = step * HOP_LENGTH + WINDOW_SIZE / 2, from the dsp geometry.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .audio_io import AudioClip
-from .dsp import DEFAULT_MEL_BINS, Spectrogram, mel_spectrogram
+from .dsp import HOP_LENGTH, WINDOW_SIZE, Spectrogram, mel_spectrogram
 from .errors import CrossfadeTooLong, CutOutOfRange, ShapeMismatch, TooShort
 
 DEFAULT_PHI = 8.0
@@ -147,7 +147,6 @@ class TransitionConfig:
     fixed_s: float = DEFAULT_FIXED_S
     l_min: float = DEFAULT_L_MIN
     l_max: float = DEFAULT_L_MAX
-    mel_bins: int = DEFAULT_MEL_BINS
 
 
 def crossfade_weights(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +218,9 @@ def _fit_overlap(total: int, cut_q: int, len_q: int, cut_m: int, len_m: int) -> 
     return min(total, 2 * room)
 
 
-def step_to_sample(step: int, hop: int = 1024, window_size: int = 2048) -> int:
+def step_to_sample(step: int) -> int:
     """Center-of-window sample position of a spectrogram time step."""
-    return step * hop + window_size // 2
+    return step * HOP_LENGTH + WINDOW_SIZE // 2
 
 
 def make_plan(
@@ -280,8 +279,8 @@ def make_plan(
     query_window = query.slice(off_q, off_q + frame_len)
     match_window = match.slice(off_m, off_m + frame_len)
     sim = similarity_matrix(
-        mel_spectrogram(query_window, config.mel_bins, log_compress=False),
-        mel_spectrogram(match_window, config.mel_bins, log_compress=False),
+        mel_spectrogram(query_window, log_compress=False),
+        mel_spectrogram(match_window, log_compress=False),
     )
     cut_i, cut_j = max_ss(sim)
     cut_q = off_q + step_to_sample(cut_i)

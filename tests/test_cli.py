@@ -1,13 +1,15 @@
 """End-to-end subcommand behavior, run in-process via cli.main()."""
 
+import argparse
+import inspect
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from audiomatch import AudioClip, load_audio, read_features, write_audio
-from audiomatch.cli import _max_workers, main
+from audiomatch import AudioClip, audio_io, load_audio, read_features, write_audio
+from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
 from audiomatch.synthetic import tone, write_drift_corpus
 
@@ -358,15 +360,39 @@ def drift_manifest(tmp_path_factory):
         ["--epochs", "0"], ["--batch-size", "0"], ["--batch-size", "-1"],
         ["--lr", "nan"], ["--lr", "-0.001"], ["--lr", "inf"],
         ["--tau", "nan"], ["--tau", "0"], ["--tau", "inf"], ["--dim", "0"],
+        ["--frames-per-sequence", "0"], ["--frames-per-sequence", "1"],
+        ["--frames-per-sequence", "-1"],
     ],
 )
-def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, flags):
+def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, monkeypatch, flags):
+    loaded = []
+    monkeypatch.setattr(audio_io, "load_audio", lambda p: loaded.append(p) or load_audio(p))
     ckpt = tmp_path / "head.ssch"
     argv = ["train", "--manifest", str(drift_manifest), "--out", str(ckpt),
             "--frames-per-sequence", "4", "--dim", "8", *flags]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert not ckpt.exists()
+    if flags[0] == "--frames-per-sequence":
+        assert "--frames-per-sequence" in err and not loaded
+
+
+def test_every_flag_is_read():
+    # A flag that is parsed but never read silently does nothing.
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = []
+    for name, parser in subcommands.choices.items():
+        readers = [parser.get_default("func")] + ([_render_candidates] if name == "query" else [])
+        source = "".join(inspect.getsource(reader) for reader in readers)
+        unread += [
+            f"{name} {action.option_strings or action.dest}" for action in parser._actions
+            if action.dest != "help" and f"args.{action.dest}" not in source
+        ]
+    assert unread == []
 
 
 class TestEvalCommand:

@@ -303,12 +303,11 @@ class TestTrain:
         assert np.array_equal(result.head.bias, bias)
         assert result.history == history
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_corpus_raises_degenerate_batch(self, rng):
         corpus = rng.normal(size=(6, 4, 6))
         corpus[4, 2, 1] = np.inf
         head = ProjectionHead.initialize(6, d=4, seed=1)
-        with pytest.raises(DegenerateBatch, match="epoch 1"):
+        with pytest.raises(DegenerateBatch, match="sequence 4 holds a non-finite feature"):
             train(head, corpus, TrainConfig(epochs=2, batch_size=2))
 
     @pytest.mark.parametrize(

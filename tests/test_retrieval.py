@@ -16,6 +16,7 @@ from audiomatch import (
     frame_id,
     normalize,
     read_features,
+    write_audio,
     write_features,
 )
 from audiomatch.dsp import FeatureKind
@@ -257,7 +258,7 @@ class TestFeatureFile:
             write_features(path, gallery_from(unit_rows(rng, 2, 8), offsets=[0.0, offset]))
         assert not path.exists()
 
-    @pytest.mark.parametrize("writer", ["features", "checkpoint"])
+    @pytest.mark.parametrize("writer", ["features", "checkpoint", "audio"])
     def test_failed_write_keeps_existing_file(self, tmp_path, rng, monkeypatch, writer):
         path = tmp_path / "out.bin"
         path.write_bytes(b"an older file")
@@ -269,8 +270,10 @@ class TestFeatureFile:
         with pytest.raises(IoError):
             if writer == "features":
                 write_features(path, gallery_from(unit_rows(rng, 2, 8)))
-            else:
+            elif writer == "checkpoint":
                 ProjectionHead.initialize(4, d=3).save(path)
+            else:
+                write_audio(AudioClip(np.zeros(10), 48000), path)
         assert path.read_bytes() == b"an older file"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 

@@ -21,8 +21,7 @@ from audiomatch.transition import SimilarityMatrix, step_to_sample
 
 
 def spec_of(data):
-    return Spectrogram(data=np.asarray(data, dtype=float), kind=FeatureKind.MEL,
-                       log_compressed=False)
+    return Spectrogram(data=np.asarray(data, dtype=float), kind=FeatureKind.MEL)
 
 
 def sim_of(cosine, raw=None):
