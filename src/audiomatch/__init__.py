@@ -11,7 +11,6 @@ from .audio_io import CANONICAL_RATE, AudioClip, load_audio, segment, write_audi
 from .dsp import (
     BaseFeature,
     FeatureKind,
-    Spectrogram,
     flatten,
     mel_filterbank,
     mel_spectrogram,
@@ -50,9 +49,7 @@ from .retrieval import (
     write_features,
 )
 from .transition import (
-    SimilarityMatrix,
     Strategy,
-    TransitionConfig,
     TransitionPlan,
     adaptive_crossfade_length,
     crossfade_weights,

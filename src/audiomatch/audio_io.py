@@ -21,7 +21,6 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import CorruptFile, IoError, TooShort, UnsupportedFormat
 
@@ -32,6 +31,9 @@ _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
 
 _RESAMPLE_WINDOW = ("kaiser", 8.6)
+
+# Bytes per sample of each supported (format code, bits per sample).
+_SAMPLE_BYTES = {(_FORMAT_PCM, 16): 2, (_FORMAT_PCM, 24): 3, (_FORMAT_IEEE_FLOAT, 32): 4}
 
 
 @dataclass(frozen=True)
@@ -121,33 +123,28 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int]:
     if rate <= 0:
         raise CorruptFile("non-positive sample rate")
 
-    if audio_format == _FORMAT_PCM and bits == 16:
-        frame_bytes = 2 * channels
-        usable = len(data) - len(data) % frame_bytes
-        ints = np.frombuffer(data[:usable], dtype="<i2")
-        samples = ints.astype(np.float64) / 32768.0
-    elif audio_format == _FORMAT_PCM and bits == 24:
-        frame_bytes = 3 * channels
-        usable = len(data) - len(data) % frame_bytes
-        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        ints -= (ints & 0x800000) << 1  # sign-extend
-        samples = ints.astype(np.float64) / 8388608.0
-    elif audio_format == _FORMAT_IEEE_FLOAT and bits == 32:
-        frame_bytes = 4 * channels
-        usable = len(data) - len(data) % frame_bytes
-        samples = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
-    elif audio_format in (_FORMAT_PCM, _FORMAT_IEEE_FLOAT):
-        raise UnsupportedFormat(f"unsupported bit depth {bits} for format {audio_format}")
-    else:
+    sample_bytes = _SAMPLE_BYTES.get((audio_format, bits))
+    if sample_bytes is None:
+        if audio_format in (_FORMAT_PCM, _FORMAT_IEEE_FLOAT):
+            raise UnsupportedFormat(f"unsupported bit depth {bits} for format {audio_format}")
         raise UnsupportedFormat(f"unsupported WAV format code 0x{audio_format:04x}")
-
+    frame_bytes = sample_bytes * channels
     if block_align and block_align != frame_bytes:
         raise CorruptFile(f"block align {block_align} does not match frame size {frame_bytes}")
     if len(data) % frame_bytes:
         raise CorruptFile("data chunk is not a whole number of frames")
-    if not np.all(np.isfinite(samples)):
-        raise CorruptFile("non-finite samples in float WAV data")
+
+    if sample_bytes == 2:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    elif sample_bytes == 3:
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        ints -= (ints & 0x800000) << 1  # sign-extend
+        samples = ints.astype(np.float64) / 8388608.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise CorruptFile("non-finite samples in float WAV data")
     return samples.reshape(-1, channels), rate
 
 
@@ -155,6 +152,9 @@ def resample_to_canonical(samples: np.ndarray, rate: int) -> np.ndarray:
     """Polyphase windowed-sinc resample of a mono buffer to 48 kHz."""
     if rate == CANONICAL_RATE:
         return np.asarray(samples, dtype=np.float64)
+    # Imported here: only non-48 kHz input needs scipy.signal, the bulk of import time.
+    from scipy.signal import resample_poly
+
     g = gcd(CANONICAL_RATE, rate)
     return resample_poly(
         np.asarray(samples, dtype=np.float64),

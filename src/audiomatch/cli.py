@@ -90,7 +90,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 }
             )
     manifest = out_dir / "manifest.jsonl"
-    manifest.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    audio_io.write_atomic(manifest, ("\n".join(json.dumps(row) for row in rows) + "\n").encode())
     print(f"wrote {len(rows)} frames and {manifest}")
     return 0
 
@@ -168,7 +168,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     }
     text = json.dumps(result, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        audio_io.write_atomic(args.out, (text + "\n").encode())
     else:
         print(text)
 
@@ -188,9 +188,6 @@ def _render_candidates(args, query_id: str, query_clip, candidates) -> None:
         query_clip = audio_io.load_audio(paths[query_id])
     render_dir = Path(args.render_dir)
     render_dir.mkdir(parents=True, exist_ok=True)
-    config = transition.TransitionConfig(
-        phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max
-    )
     strategy = transition.Strategy(args.strategy)
 
     plans = []
@@ -198,34 +195,31 @@ def _render_candidates(args, query_id: str, query_clip, candidates) -> None:
         if c.gallery_id not in paths:
             raise AudioMatchError(f"candidate id {c.gallery_id!r} not in manifest")
         match_clip = audio_io.load_audio(paths[c.gallery_id])
-        plan = transition.make_plan(query_clip, match_clip, strategy, config)
+        plan = transition.make_plan(
+            query_clip, match_clip, strategy,
+            phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max,
+        )
         rendered = transition.render(query_clip, match_clip, plan)
         name = f"rank{c.rank:02d}_score{c.score:+.4f}_{_safe_name(c.gallery_id)}.wav"
         audio_io.write_audio(rendered, render_dir / name)
         plans.append({"rank": c.rank, "gallery_id": c.gallery_id, "file": name, **plan.describe()})
-    (render_dir / "plans.json").write_text(json.dumps(plans, indent=2) + "\n")
+    audio_io.write_atomic(render_dir / "plans.json", (json.dumps(plans, indent=2) + "\n").encode())
     print(f"rendered {len(plans)} candidates into {render_dir}")
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     query_clip = audio_io.load_audio(args.query_wav)
     match_clip = audio_io.load_audio(args.match_wav)
-    config = transition.TransitionConfig(
-        phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max
-    )
     plan = transition.make_plan(
-        query_clip,
-        match_clip,
-        transition.Strategy(args.strategy),
-        config,
-        query_frame_offset_s=args.query_offset,
-        match_frame_offset_s=args.match_offset,
+        query_clip, match_clip, transition.Strategy(args.strategy),
+        phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max,
+        query_frame_offset_s=args.query_offset, match_frame_offset_s=args.match_offset,
     )
     rendered = transition.render(query_clip, match_clip, plan)
     audio_io.write_audio(rendered, args.out)
     plan_json = json.dumps(plan.describe(), indent=2)
     if args.plan_out:
-        Path(args.plan_out).write_text(plan_json + "\n")
+        audio_io.write_atomic(args.plan_out, (plan_json + "\n").encode())
     print(plan_json)
     return 0
 
@@ -234,6 +228,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     n = args.frames_per_sequence
     if n < 2:
         raise AudioMatchError(f"--frames-per-sequence must be at least 2, got {n}")
+    if args.dim < 1:
+        raise AudioMatchError(f"--dim must be at least 1, got {args.dim}")
+    config = TrainConfig(
+        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, tau=args.tau,
+        seed=args.seed,
+    )
     rows = _read_manifest(args.manifest)
     by_source: dict[str, list[dict]] = {}
     for row in rows:
@@ -256,19 +256,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     sequences = np.stack(bases).reshape(len(sequence_rows) // n, n, -1)
 
     head = ProjectionHead.initialize(sequences.shape[2], d=args.dim, seed=args.seed)
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        tau=args.tau,
-        seed=args.seed,
-    )
     result = train(head, sequences, config)
     result.head.save(args.out)
     if args.history_out:
-        Path(args.history_out).write_text(
-            "\n".join(json.dumps(row) for row in result.history) + "\n"
-        )
+        history = "\n".join(json.dumps(row) for row in result.history) + "\n"
+        audio_io.write_atomic(args.history_out, history.encode())
     means = result.epoch_means()
     print(
         f"trained on {len(sequences)} sequences of {n} frames: "
@@ -287,7 +279,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation.evaluate(index, labeled, features, ks)
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        audio_io.write_atomic(args.out, (text + "\n").encode())
     agg = report.aggregate
     print(json.dumps({"aggregate": agg}, indent=2))
     return 0

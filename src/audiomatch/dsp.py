@@ -34,28 +34,10 @@ LOG_EPS = 1e-10
 
 
 class FeatureKind(str, Enum):
-    """Which flattened representation a base feature was built from."""
+    """Which spectrogram, mel or MFCC, a base feature is built from."""
 
     MEL = "mel"
     MFCC = "mfcc"
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """f x t matrix of band energies for one clip.
-
-    Attributes:
-        data: (rows, time_steps) float64 array; rows are mel bins for
-            kind "mel" and cepstral coefficients for kind "mfcc".
-        kind: "mel" or "mfcc".
-    """
-
-    data: np.ndarray
-    kind: FeatureKind
-
-    @property
-    def time_steps(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -63,7 +45,6 @@ class BaseFeature:
     """Flattened spectrogram, the input of the projection head."""
 
     values: np.ndarray
-    kind: FeatureKind
 
     @property
     def dimension(self) -> int:
@@ -122,12 +103,12 @@ def power_stft(samples: np.ndarray) -> np.ndarray:
     return (np.abs(np.fft.rfft(frames, axis=1)) ** 2).T
 
 
-def mel_spectrogram(clip: AudioClip, *, log_compress: bool = True) -> Spectrogram:
-    """Mel-band power spectrogram of a clip, shape (MEL_BINS, t).
+def mel_spectrogram(clip: AudioClip, *, log_compress: bool = True) -> np.ndarray:
+    """Mel-band power spectrogram of a clip, a float64 array of shape (MEL_BINS, t).
 
     Args:
         clip: Mono clip of at least one analysis window.
-        log_compress: Store log(power + 1e-10) when True, raw power
+        log_compress: Return log(power + 1e-10) when True, raw power
             otherwise (the form the transition search consumes).
 
     Raises:
@@ -135,26 +116,21 @@ def mel_spectrogram(clip: AudioClip, *, log_compress: bool = True) -> Spectrogra
     """
     if len(clip) < WINDOW_SIZE:
         raise TooShort(f"need at least {WINDOW_SIZE} samples, got {len(clip)}")
-    power = power_stft(clip.samples)
-    mel = mel_filterbank(clip.sample_rate) @ power
-    if log_compress:
-        mel = np.log(mel + LOG_EPS)
-    return Spectrogram(data=mel, kind=FeatureKind.MEL)
+    mel = mel_filterbank(clip.sample_rate) @ power_stft(clip.samples)
+    return np.log(mel + LOG_EPS) if log_compress else mel
 
 
-def mfcc(clip: AudioClip) -> Spectrogram:
-    """First N_MFCC coefficients of the orthonormal DCT-II of the log-mel.
+def mfcc(clip: AudioClip) -> np.ndarray:
+    """First N_MFCC coefficients of the orthonormal DCT-II of the log-mel, shape (N_MFCC, t).
 
     Raises:
         TooShort: Fewer samples than one analysis window.
     """
-    log_mel = mel_spectrogram(clip)
-    coeffs = dct(log_mel.data, type=2, axis=0, norm="ortho")[:N_MFCC]
-    return Spectrogram(data=coeffs, kind=FeatureKind.MFCC)
+    return dct(mel_spectrogram(clip), type=2, axis=0, norm="ortho")[:N_MFCC]
 
 
-def flatten(spec: Spectrogram) -> BaseFeature:
-    """Concatenate the time-step columns into one vector of length rows*t."""
-    values = spec.data.flatten(order="F")
+def flatten(spec: np.ndarray) -> BaseFeature:
+    """Concatenate the columns of a (rows, t) spectrogram into one vector of length rows*t."""
+    values = spec.flatten(order="F")
     values.flags.writeable = False
-    return BaseFeature(values=values, kind=spec.kind)
+    return BaseFeature(values)

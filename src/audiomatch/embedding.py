@@ -244,7 +244,7 @@ def split_and_contrast_loss(
 
 @dataclass
 class TrainConfig:
-    """Adam training schedule for the projection head."""
+    """Adam training schedule for the projection head; raises ValueError for an unusable setting."""
 
     epochs: int = 20
     learning_rate: float = 1e-4
@@ -254,6 +254,9 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        _check_config(self)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import CANONICAL_RATE, AudioClip, write_audio
+from .audio_io import CANONICAL_RATE, AudioClip, write_atomic, write_audio
 from .dsp import flatten, mel_spectrogram
 from .retrieval import frame_id
 
@@ -153,7 +153,7 @@ def tone_family_set(
                 )
 
     labels_path = out_dir / "labels.jsonl"
-    labels_path.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    write_atomic(labels_path, ("\n".join(json.dumps(row) for row in rows) + "\n").encode())
     return wav_paths, labels_path
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .audio_io import AudioClip
-from .dsp import HOP_LENGTH, WINDOW_SIZE, Spectrogram, mel_spectrogram
+from .dsp import HOP_LENGTH, WINDOW_SIZE, mel_spectrogram
 from .errors import CrossfadeTooLong, CutOutOfRange, ShapeMismatch, TooShort
 
 DEFAULT_PHI = 8.0
@@ -38,68 +38,56 @@ class Strategy(str, Enum):
     MAX_SS_ADAPTIVE = "max-ss-adaptive"
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise time-step similarities of two equal-shape spectrograms.
+def similarity_matrix(q: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and cosine t x t similarity matrices of two (bins, t) spectrograms.
 
     ``raw[i, j]`` is the dot product of query column i with match column
     j; ``cosine`` holds the same products over the column norms, with
-    zero-norm columns mapping to 0.
-    """
-
-    raw: np.ndarray
-    cosine: np.ndarray
-
-    @property
-    def t(self) -> int:
-        return self.raw.shape[0]
-
-
-def similarity_matrix(s_q: Spectrogram, s_m: Spectrogram) -> SimilarityMatrix:
-    """Raw and cosine t x t similarity matrices of two spectrograms.
-
-    Expects the raw (pre-log) mel form; shapes must agree exactly.
+    zero-norm columns mapping to 0.  Expects the raw (pre-log) mel form;
+    shapes must agree exactly.
 
     Raises:
         ShapeMismatch: Differing frequency bins or time steps.
     """
-    if s_q.data.shape != s_m.data.shape:
-        raise ShapeMismatch(
-            f"spectrogram shapes differ: {s_q.data.shape} vs {s_m.data.shape}"
-        )
-    q = np.asarray(s_q.data, dtype=np.float64)
-    m = np.asarray(s_m.data, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    if q.shape != m.shape:
+        raise ShapeMismatch(f"spectrogram shapes differ: {q.shape} vs {m.shape}")
     raw = q.T @ m
 
     q_norms = np.linalg.norm(q, axis=0)
     m_norms = np.linalg.norm(m, axis=0)
     denom = np.outer(q_norms, m_norms)
     cosine = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0.0)
-    return SimilarityMatrix(raw=raw, cosine=cosine)
+    return raw, cosine
 
 
-def max_ss(sim: SimilarityMatrix) -> tuple[int, int]:
+def max_ss(raw: np.ndarray) -> tuple[int, int]:
     """Argmax over the raw matrix; ties break by smallest (i, then j)."""
-    flat = int(np.argmax(sim.raw))
-    i, j = divmod(flat, sim.raw.shape[1])
-    return i, j
+    return divmod(int(np.argmax(raw)), raw.shape[1])
 
 
-def adaptive_crossfade_length(
-    sim: SimilarityMatrix,
-    phi: float = DEFAULT_PHI,
-    l_max: float = DEFAULT_L_MAX,
-    l_min: float = 0.0,
-) -> float:
+def _check_fade_settings(phi: float, l_min: float, l_max: float) -> None:
+    """Raise ValueError naming a fade setting the rule cannot use; comparisons with NaN fail."""
+    if not 0.0 < phi < np.inf:
+        raise ValueError(f"phi must be finite and > 0, got {phi}")
+    if not 0.0 <= l_min < np.inf:
+        raise ValueError(f"l_min must be finite and >= 0, got {l_min}")
+    if not l_min <= l_max:
+        raise ValueError(f"l_max must be >= l_min ({l_min}), got {l_max}")
+
+
+def adaptive_crossfade_length(var: float, *, phi: float, l_min: float, l_max: float) -> float:
     """Crossfade seconds from the inverse variance of the cosine matrix.
 
-    l = 1 / (Var * phi) with the population variance over all t*t
-    cosine entries, clamped to [l_min, l_max]; zero variance clamps to
-    l_max.
+    ``var`` is the population variance over all t*t cosine entries;
+    l = 1 / (var * phi), clamped to [l_min, l_max]; zero variance clamps
+    to l_max.
+
+    Raises:
+        ValueError: phi not finite and > 0, l_min not finite and >= 0, or l_min > l_max.
     """
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
-    var = float(np.var(sim.cosine))
+    _check_fade_settings(phi, l_min, l_max)
     length = np.inf if var == 0.0 else 1.0 / (var * phi)
     return float(min(max(length, l_min), l_max))
 
@@ -137,16 +125,6 @@ class TransitionPlan:
             "var": self.var,
             "phi": self.phi,
         }
-
-
-@dataclass
-class TransitionConfig:
-    """Tunables shared by the planning strategies."""
-
-    phi: float = DEFAULT_PHI
-    fixed_s: float = DEFAULT_FIXED_S
-    l_min: float = DEFAULT_L_MIN
-    l_max: float = DEFAULT_L_MAX
 
 
 def crossfade_weights(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +190,6 @@ def render(query: AudioClip, match: AudioClip, plan: TransitionPlan) -> AudioCli
     return AudioClip(out, sr, source_id=source, offset_s=0.0)
 
 
-def _fit_overlap(total: int, cut_q: int, len_q: int, cut_m: int, len_m: int) -> int:
-    """Largest even overlap <= total that fits both clips around the cuts."""
-    room = min(cut_q, cut_m, len_q - cut_q, len_m - cut_m)
-    return min(total, 2 * room)
-
-
 def step_to_sample(step: int) -> int:
     """Center-of-window sample position of a spectrogram time step."""
     return step * HOP_LENGTH + WINDOW_SIZE // 2
@@ -227,8 +199,11 @@ def make_plan(
     query: AudioClip,
     match: AudioClip,
     strategy: Strategy,
-    config: TransitionConfig | None = None,
     *,
+    phi: float = DEFAULT_PHI,
+    fixed_s: float = DEFAULT_FIXED_S,
+    l_min: float = DEFAULT_L_MIN,
+    l_max: float = DEFAULT_L_MAX,
     query_frame_offset_s: float = 0.0,
     match_frame_offset_s: float = 0.0,
 ) -> TransitionPlan:
@@ -240,12 +215,17 @@ def make_plan(
     Boundary strategies cut at the end of the query window and the
     start of the match window; for a fixed crossfade the overlap covers
     the last fade-length of the query window and the first of the
-    match window, with the nominal cut at its center.
+    match window, with the nominal cut at its center.  ``fixed_s`` is
+    the fixed-crossfade length; ``phi``, ``l_min`` and ``l_max`` set
+    :func:`adaptive_crossfade_length`.
 
     Raises:
+        ValueError: A setting out of range, checked before any analysis.
         TooShort: Either clip lacks a full 1-second window at its offset.
     """
-    config = config or TransitionConfig()
+    if not 0.0 <= fixed_s < np.inf:
+        raise ValueError(f"fixed_s must be finite and >= 0, got {fixed_s}")
+    _check_fade_settings(phi, l_min, l_max)
     sr = query.sample_rate
     if match.sample_rate != sr:
         raise ShapeMismatch("query and match sample rates differ")
@@ -268,7 +248,7 @@ def make_plan(
     if strategy is Strategy.FIXED_CROSSFADE:
         # Overlap spans the query-window tail and match-window head; the
         # nominal cut sits at the center of that overlap.
-        overlap = min(int(round(config.fixed_s * sr)), off_q + frame_len, len(match) - off_m)
+        overlap = min(int(round(fixed_s * sr)), off_q + frame_len, len(match) - off_m)
         return TransitionPlan(
             strategy=strategy,
             cut_query=off_q + frame_len - (overlap - overlap // 2),
@@ -278,14 +258,14 @@ def make_plan(
 
     query_window = query.slice(off_q, off_q + frame_len)
     match_window = match.slice(off_m, off_m + frame_len)
-    sim = similarity_matrix(
+    raw, cosine = similarity_matrix(
         mel_spectrogram(query_window, log_compress=False),
         mel_spectrogram(match_window, log_compress=False),
     )
-    cut_i, cut_j = max_ss(sim)
+    cut_i, cut_j = max_ss(raw)
     cut_q = off_q + step_to_sample(cut_i)
     cut_m = off_m + step_to_sample(cut_j)
-    var = float(np.var(sim.cosine))
+    var = float(np.var(cosine))
 
     if strategy is Strategy.MAX_SS:
         return TransitionPlan(
@@ -298,8 +278,10 @@ def make_plan(
             var=var,
         )
 
-    length_s = adaptive_crossfade_length(sim, config.phi, config.l_max, config.l_min)
-    overlap = _fit_overlap(int(round(length_s * sr)), cut_q, len(query), cut_m, len(match))
+    length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
+    # Shrink the fade to the largest overlap that fits both clips around the cuts.
+    room = min(cut_q, cut_m, len(query) - cut_q, len(match) - cut_m)
+    overlap = min(int(round(length_s * sr)), 2 * room)
     return TransitionPlan(
         strategy=Strategy.MAX_SS_ADAPTIVE,
         cut_query=cut_q,
@@ -308,5 +290,5 @@ def make_plan(
         cut_i=cut_i,
         cut_j=cut_j,
         var=var,
-        phi=config.phi,
+        phi=phi,
     )

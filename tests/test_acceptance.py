@@ -37,7 +37,7 @@ from audiomatch import (
 from audiomatch.cli import main as cli_main
 from audiomatch.embedding import embed_rows
 from audiomatch.synthetic import drift_corpus_features, tone_family_set
-from audiomatch.transition import SimilarityMatrix, TransitionPlan, Strategy
+from audiomatch.transition import TransitionPlan, Strategy
 
 from test_embedding import brute_force_loss, random_batch
 
@@ -202,7 +202,7 @@ class TestAcceptance:
             return arg
 
         hand = np.array([[0.0, 1.0], [6.0, 0.0]])
-        assert max_ss(SimilarityMatrix(raw=hand, cosine=hand)) == (1, 0)
+        assert max_ss(hand) == (1, 0)
 
         for trial in range(1000):
             matrix = rng.normal(size=(45, 45))
@@ -212,27 +212,23 @@ class TestAcceptance:
                 duplicates = rng.integers(0, flat.size, size=3)
                 flat[duplicates] = peak + 1.0  # multi-way tie
                 matrix = flat.reshape(45, 45)
-            sim = SimilarityMatrix(raw=matrix, cosine=matrix)
-            assert max_ss(sim) == exhaustive(matrix)
+            assert max_ss(matrix) == exhaustive(matrix)
         report(6, "sub-spectrogram argmax matches exhaustive scan on 1000 matrices")
 
     def test_07_inverse_variance_crossfade_arithmetic(self):
         rng = np.random.default_rng(707)
         half = np.zeros((6, 6))
         half[:3] = 1.0  # population variance exactly 0.25
-        sim = SimilarityMatrix(raw=half, cosine=half)
-        assert adaptive_crossfade_length(sim, phi=8.0, l_max=10.0) == 0.5
+        assert adaptive_crossfade_length(np.var(half), phi=8.0, l_min=0.0, l_max=10.0) == 0.5
 
         flat = np.full((5, 5), 0.3)
-        sim_flat = SimilarityMatrix(raw=flat, cosine=flat)
-        assert adaptive_crossfade_length(sim_flat, phi=8.0, l_max=0.75) == 0.75
+        assert adaptive_crossfade_length(np.var(flat), phi=8.0, l_min=0.0, l_max=0.75) == 0.75
 
         previous_var, previous_len = -1.0, np.inf
         for scale in np.linspace(0.02, 0.45, 12):
             cosine = np.clip(0.5 + rng.normal(0.0, scale, (45, 45)), -1.0, 1.0)
-            sim_rand = SimilarityMatrix(raw=cosine, cosine=cosine)
             var = float(np.var(cosine))
-            length = adaptive_crossfade_length(sim_rand, phi=8.0, l_max=np.inf)
+            length = adaptive_crossfade_length(var, phi=8.0, l_min=0.0, l_max=np.inf)
             assert length == pytest.approx(1.0 / (var * 8.0))
             if var > previous_var:
                 assert length < previous_len

@@ -1,10 +1,15 @@
 """WAV parsing, writing, resampling, and segmentation."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import audiomatch
 from audiomatch import AudioClip, load_audio, segment, write_audio
 from audiomatch.errors import CorruptFile, IoError, TooShort, UnsupportedFormat
 
@@ -133,6 +138,35 @@ class TestLoadAudio:
         bad.write_bytes(bytes(raw))
         with pytest.raises(UnsupportedFormat):
             load_audio(bad)
+
+    def test_partial_frame_in_data_chunk(self, tmp_path):
+        # 16-bit stereo frames are 4 bytes; a 4n+2-byte data chunk ends mid-frame.
+        raw = bytearray(wav_bytes(np.zeros((100, 2)), 48000, "pcm16") + b"\x00\x00")
+        struct.pack_into("<I", raw, 40, 402)  # data chunk size
+        bad = tmp_path / "partial.wav"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="whole number of frames"):
+            load_audio(bad)
+
+    def test_block_align_disagreeing_with_format(self, tmp_path):
+        raw = bytearray(wav_bytes(np.zeros((100, 1)), 48000, "pcm16"))
+        struct.pack_into("<H", raw, 32, 4)  # 16-bit mono frames are 2 bytes
+        bad = tmp_path / "align.wav"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="block align 4"):
+            load_audio(bad)
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # Only resampling needs scipy.signal, and it dominates import time.
+        env = dict(os.environ)
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, audiomatch.cli; print('scipy.signal' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestWriteAudio:

@@ -3,7 +3,9 @@
 import argparse
 import inspect
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +290,21 @@ class TestRenderCommand:
         main(["render", str(a), str(b), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--phi", "nan"], "phi"),
+            (["--fixed-seconds", "-0.5", "--strategy", "crossfade"], "fixed_s"),
+            (["--l-min", "0.6", "--l-max", "0.2"], "l_max"),
+        ],
+    )
+    def test_out_of_range_setting_fails(self, tmp_path, tone_wav, capsys, flags, named):
+        a, b = tone_wav("qa", 330.0, 1.0), tone_wav("qb", 550.0, 1.0)
+        out = tmp_path / "out.wav"
+        assert main(["render", str(a), str(b), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named} must")
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_checkpoint_history_and_loss_decrease(self, tmp_path, capsys):
@@ -374,8 +391,39 @@ def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert not ckpt.exists()
+    assert not loaded
     if flags[0] == "--frames-per-sequence":
-        assert "--frames-per-sequence" in err and not loaded
+        assert "--frames-per-sequence" in err
+
+
+@pytest.mark.parametrize("command", ["render", "train"])
+def test_failed_text_write_keeps_existing_file(
+    tmp_path, tone_wav, drift_manifest, monkeypatch, capsys, command
+):
+    texts = tmp_path / "texts"
+    texts.mkdir()
+    target = texts / "older.txt"
+    target.write_text("an older file\n")
+    real_replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst) == target:
+            raise OSError("no space left on device")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    if command == "render":
+        a, b = tone_wav("qa", 330.0, 1.0), tone_wav("qb", 550.0, 1.0)
+        argv = ["render", str(a), str(b), "--out", str(tmp_path / "out.wav"),
+                "--plan-out", str(target)]
+    else:
+        argv = ["train", "--manifest", str(drift_manifest), "--out", str(tmp_path / "head.ssch"),
+                "--history-out", str(target), "--epochs", "1", "--frames-per-sequence", "4",
+                "--dim", "8"]
+    assert main(argv) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert target.read_text() == "an older file\n"
+    assert [p.name for p in texts.iterdir()] == ["older.txt"]
 
 
 def test_every_flag_is_read():

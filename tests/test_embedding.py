@@ -14,7 +14,7 @@ from audiomatch import (
     split_and_contrast_loss,
     train,
 )
-from audiomatch.dsp import BaseFeature, FeatureKind
+from audiomatch.dsp import BaseFeature
 from audiomatch.errors import DegenerateBatch, DimensionMismatch
 from audiomatch.synthetic import drift_corpus_features
 
@@ -88,30 +88,30 @@ def reference_train(head, features, config):
 class TestEmbed:
     def test_identity_head_normalizes(self):
         head = ProjectionHead(weight=np.eye(4), bias=np.zeros(4))
-        base = BaseFeature(values=np.array([3.0, 4.0, 0.0, 0.0]), kind=FeatureKind.MEL)
+        base = BaseFeature(values=np.array([3.0, 4.0, 0.0, 0.0]))
         assert np.allclose(embed(head, base), [0.6, 0.8, 0.0, 0.0])
 
     def test_unit_norm(self, rng):
         head = ProjectionHead.initialize(10, d=6, seed=3)
         for _ in range(20):
-            base = BaseFeature(values=rng.normal(size=10), kind=FeatureKind.MEL)
+            base = BaseFeature(values=rng.normal(size=10))
             assert np.linalg.norm(embed(head, base)) == pytest.approx(1.0, abs=1e-6)
 
     def test_positive_scaling_invariance_with_zero_bias(self, rng):
         weight = rng.normal(size=(8, 5))
         head = ProjectionHead(weight=weight, bias=np.zeros(5))
-        base = BaseFeature(values=rng.normal(size=8), kind=FeatureKind.MEL)
-        scaled = BaseFeature(values=base.values * 7.3, kind=FeatureKind.MEL)
+        base = BaseFeature(values=rng.normal(size=8))
+        scaled = BaseFeature(values=base.values * 7.3)
         assert np.allclose(embed(head, base), embed(head, scaled), atol=1e-12)
 
     def test_zero_vector_maps_to_first_basis_vector(self):
         head = ProjectionHead(weight=np.zeros((4, 3)), bias=np.zeros(3))
-        base = BaseFeature(values=np.zeros(4), kind=FeatureKind.MEL)
+        base = BaseFeature(values=np.zeros(4))
         assert np.array_equal(embed(head, base), [1.0, 0.0, 0.0])
 
     def test_dimension_mismatch(self):
         head = ProjectionHead.initialize(5, d=4, seed=0)
-        base = BaseFeature(values=np.zeros(6), kind=FeatureKind.MEL)
+        base = BaseFeature(values=np.zeros(6))
         with pytest.raises(DimensionMismatch):
             embed(head, base)
 

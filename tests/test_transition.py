@@ -6,7 +6,6 @@ import pytest
 from audiomatch import (
     AudioClip,
     Strategy,
-    TransitionConfig,
     TransitionPlan,
     adaptive_crossfade_length,
     crossfade_weights,
@@ -15,56 +14,51 @@ from audiomatch import (
     render,
     similarity_matrix,
 )
-from audiomatch.dsp import FeatureKind, Spectrogram, mel_spectrogram
+from audiomatch import transition
+from audiomatch.dsp import mel_spectrogram
 from audiomatch.errors import CrossfadeTooLong, CutOutOfRange, ShapeMismatch
-from audiomatch.transition import SimilarityMatrix, step_to_sample
+from audiomatch.transition import DEFAULT_PHI, step_to_sample
 
 
 def spec_of(data):
-    return Spectrogram(data=np.asarray(data, dtype=float), kind=FeatureKind.MEL)
-
-
-def sim_of(cosine, raw=None):
-    cosine = np.asarray(cosine, dtype=float)
-    return SimilarityMatrix(raw=cosine if raw is None else np.asarray(raw, float),
-                            cosine=cosine)
+    return np.asarray(data, dtype=float)
 
 
 class TestSimilarityMatrix:
     def test_hand_computed_product(self):
-        sim = similarity_matrix(spec_of([[1, 0], [0, 2]]), spec_of([[0, 1], [3, 0]]))
-        assert np.array_equal(sim.raw, [[0.0, 1.0], [6.0, 0.0]])
+        raw, _ = similarity_matrix(spec_of([[1, 0], [0, 2]]), spec_of([[0, 1], [3, 0]]))
+        assert np.array_equal(raw, [[0.0, 1.0], [6.0, 0.0]])
 
     def test_one_hot_columns_give_permutation_structure(self):
         # Columns are one-hot, so raw[i, j] is 1 exactly where the hot
         # rows coincide: here match column j carries e_{(j-1) mod 4}.
         eye = np.eye(4)
         shifted = np.roll(eye, 1, axis=1)
-        sim = similarity_matrix(spec_of(eye), spec_of(shifted))
+        raw, cosine = similarity_matrix(spec_of(eye), spec_of(shifted))
         expected = np.zeros((4, 4))
         for j in range(4):
             expected[(j - 1) % 4, j] = 1.0
-        assert np.array_equal(sim.raw, expected)
-        assert np.array_equal(sim.cosine, expected)
+        assert np.array_equal(raw, expected)
+        assert np.array_equal(cosine, expected)
 
     def test_zero_columns_give_zero_cosine(self):
-        sim = similarity_matrix(spec_of(np.zeros((3, 4))), spec_of(np.ones((3, 4))))
-        assert np.all(sim.raw == 0.0)
-        assert np.all(sim.cosine == 0.0)
+        raw, cosine = similarity_matrix(spec_of(np.zeros((3, 4))), spec_of(np.ones((3, 4))))
+        assert np.all(raw == 0.0)
+        assert np.all(cosine == 0.0)
 
     def test_cosine_bounded_for_non_negative_input(self, rng):
-        sim = similarity_matrix(
+        _, cosine = similarity_matrix(
             spec_of(rng.uniform(0, 5, (6, 9))), spec_of(rng.uniform(0, 5, (6, 9)))
         )
-        assert np.all(sim.cosine >= 0.0)
-        assert np.all(sim.cosine <= 1.0 + 1e-9)
+        assert np.all(cosine >= 0.0)
+        assert np.all(cosine <= 1.0 + 1e-9)
 
     def test_raw_matches_per_entry_dot(self, rng):
         q, m = rng.uniform(0, 2, (5, 7)), rng.uniform(0, 2, (5, 7))
-        sim = similarity_matrix(spec_of(q), spec_of(m))
+        raw, _ = similarity_matrix(spec_of(q), spec_of(m))
         for i in range(7):
             for j in range(7):
-                assert sim.raw[i, j] == pytest.approx(float(q[:, i] @ m[:, j]), abs=1e-6)
+                assert raw[i, j] == pytest.approx(float(q[:, i] @ m[:, j]), abs=1e-6)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
@@ -73,10 +67,10 @@ class TestSimilarityMatrix:
 
 class TestMaxSS:
     def test_hand_example(self):
-        assert max_ss(sim_of([[0.0, 1.0], [6.0, 0.0]])) == (1, 0)
+        assert max_ss(np.array([[0.0, 1.0], [6.0, 0.0]])) == (1, 0)
 
     def test_tie_breaks_to_smallest(self):
-        assert max_ss(sim_of(np.ones((4, 4)))) == (0, 0)
+        assert max_ss(np.ones((4, 4))) == (0, 0)
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(50):
@@ -86,31 +80,31 @@ class TestMaxSS:
                 for j in range(12):
                     if matrix[i, j] > best:
                         best, arg = matrix[i, j], (i, j)
-            assert max_ss(sim_of(matrix)) == arg
+            assert max_ss(matrix) == arg
 
 
 class TestAdaptiveCrossfade:
     def test_zero_variance_clamps_to_max(self):
-        sim = sim_of(np.full((6, 6), 0.7))
-        assert adaptive_crossfade_length(sim, phi=8.0, l_max=1.0) == 1.0
+        var = np.var(np.full((6, 6), 0.7))
+        assert adaptive_crossfade_length(var, phi=8.0, l_min=0.0, l_max=1.0) == 1.0
 
     def test_half_zero_half_one_is_half_a_second(self):
         cosine = np.zeros((6, 6))
         cosine[:3] = 1.0  # population variance 0.25
-        assert adaptive_crossfade_length(sim_of(cosine), phi=8.0, l_max=10.0) == 0.5
+        assert adaptive_crossfade_length(np.var(cosine), phi=8.0, l_min=0.0, l_max=10.0) == 0.5
 
     def test_variance_half_gives_quarter_second(self):
         cosine = np.concatenate([np.full(8, 1.0), np.full(8, -1.0)]).reshape(4, 4)
         # population variance = 1.0 -> pre-clamp length 1/(1*8) = 0.125;
         # scale tau by building variance 0.5 from {0, 1, -1, 0} style grid
         cosine = np.array([[1.0, -1.0], [0.0, 0.0]])  # mean 0, E[x^2] = 0.5
-        assert adaptive_crossfade_length(sim_of(cosine), phi=8.0, l_max=10.0) == pytest.approx(
-            0.25
-        )
+        assert adaptive_crossfade_length(
+            np.var(cosine), phi=8.0, l_min=0.0, l_max=10.0
+        ) == pytest.approx(0.25)
 
     def test_clamps_to_min(self):
         cosine = np.array([[1.0, -1.0], [1.0, -1.0]])  # variance 1 -> 0.125 s
-        assert adaptive_crossfade_length(sim_of(cosine), phi=8.0, l_max=1.0, l_min=0.3) == 0.3
+        assert adaptive_crossfade_length(np.var(cosine), phi=8.0, l_min=0.3, l_max=1.0) == 0.3
 
     def test_monotone_decreasing_in_variance(self, rng):
         lengths = []
@@ -118,7 +112,9 @@ class TestAdaptiveCrossfade:
         for scale in np.linspace(0.05, 0.5, 8):
             cosine = np.clip(0.5 + rng.normal(0, scale, (10, 10)), -1, 1)
             variances.append(np.var(cosine))
-            lengths.append(adaptive_crossfade_length(sim_of(cosine), l_max=np.inf))
+            lengths.append(
+                adaptive_crossfade_length(np.var(cosine), phi=DEFAULT_PHI, l_min=0.0, l_max=np.inf)
+            )
         order = np.argsort(variances)
         assert all(
             lengths[order[i]] >= lengths[order[i + 1]] for i in range(len(order) - 1)
@@ -126,7 +122,7 @@ class TestAdaptiveCrossfade:
 
     def test_phi_must_be_positive(self):
         with pytest.raises(ValueError):
-            adaptive_crossfade_length(sim_of(np.ones((2, 2))), phi=0.0)
+            adaptive_crossfade_length(np.var(np.ones((2, 2))), phi=0.0, l_min=0.0, l_max=1.0)
 
 
 class TestCrossfadeWeights:
@@ -244,8 +240,7 @@ class TestMakePlan:
 
     def test_fixed_crossfade_keeps_requested_length(self, tone_clip):
         p = make_plan(
-            tone_clip(), tone_clip(freq=660), Strategy.FIXED_CROSSFADE,
-            TransitionConfig(fixed_s=0.25),
+            tone_clip(), tone_clip(freq=660), Strategy.FIXED_CROSSFADE, fixed_s=0.25
         )
         assert p.crossfade_s == pytest.approx(0.25)
         out = render(tone_clip(), tone_clip(freq=660), p)
@@ -261,15 +256,14 @@ class TestMakePlan:
     def test_adaptive_composes_cut_and_length(self, rng):
         query = AudioClip(rng.normal(0, 0.2, 48000), 48000, "q")
         match = AudioClip(rng.normal(0, 0.2, 48000), 48000, "m")
-        config = TransitionConfig(phi=8.0, l_min=0.0, l_max=1.0)
-        p = make_plan(query, match, Strategy.MAX_SS_ADAPTIVE, config)
-        sim = similarity_matrix(
+        p = make_plan(query, match, Strategy.MAX_SS_ADAPTIVE, phi=8.0, l_min=0.0, l_max=1.0)
+        raw, cosine = similarity_matrix(
             mel_spectrogram(query, log_compress=False),
             mel_spectrogram(match, log_compress=False),
         )
-        assert (p.cut_i, p.cut_j) == max_ss(sim)
-        assert p.var == pytest.approx(float(np.var(sim.cosine)))
-        expected = adaptive_crossfade_length(sim, 8.0, 1.0, 0.0)
+        assert (p.cut_i, p.cut_j) == max_ss(raw)
+        assert p.var == pytest.approx(float(np.var(cosine)))
+        expected = adaptive_crossfade_length(np.var(cosine), phi=8.0, l_min=0.0, l_max=1.0)
         # the planned fade may only shrink, to fit the available audio
         assert p.crossfade_s <= expected + 1e-9
         assert p.phi == 8.0
@@ -281,11 +275,13 @@ class TestMakePlan:
         from audiomatch.synthetic import impulse_train, noise_burst
 
         def pair_length(a, b):
-            sim = similarity_matrix(
+            _, cosine = similarity_matrix(
                 mel_spectrogram(a, log_compress=False),
                 mel_spectrogram(b, log_compress=False),
             )
-            return adaptive_crossfade_length(sim, l_max=np.inf)
+            return adaptive_crossfade_length(
+                np.var(cosine), phi=DEFAULT_PHI, l_min=0.0, l_max=np.inf
+            )
 
         impulsive = pair_length(
             AudioClip(np.clip(impulse_train(1.0, rate_hz=4.0) + noise_burst(1.0, amp=0.02, seed=1), -1, 1), 48000),
@@ -303,8 +299,7 @@ class TestMakePlan:
         query = tone_clip(seconds=3.0, freq=300.0)
         match = tone_clip(seconds=3.0, freq=300.0)
         p = make_plan(
-            query, match, Strategy.MAX_SS_ADAPTIVE,
-            TransitionConfig(l_max=1.0, l_min=0.0),
+            query, match, Strategy.MAX_SS_ADAPTIVE, l_min=0.0, l_max=1.0,
             query_frame_offset_s=1.0, match_frame_offset_s=1.0,
         )
         assert p.crossfade_s == pytest.approx(1.0)
@@ -327,3 +322,29 @@ class TestMakePlan:
             "crossfade_s", "var", "phi",
         }
         assert d["strategy"] == "max-ss-adaptive"
+
+
+class TestPlanSettings:
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ({"phi": np.nan}, "phi"), ({"phi": 0.0}, "phi"), ({"phi": -1.0}, "phi"),
+            ({"phi": np.inf}, "phi"),
+            ({"fixed_s": np.nan}, "fixed_s"), ({"fixed_s": -0.5}, "fixed_s"),
+            ({"fixed_s": np.inf}, "fixed_s"),
+            ({"l_min": np.nan}, "l_min"), ({"l_min": -0.1}, "l_min"),
+            ({"l_min": np.inf, "l_max": np.inf}, "l_min"),
+            ({"l_min": 0.6, "l_max": 0.2}, "l_max"), ({"l_max": np.nan}, "l_max"),
+        ],
+    )
+    @pytest.mark.parametrize("strategy", [Strategy.CONCAT, Strategy.MAX_SS_ADAPTIVE])
+    def test_rejected_before_any_analysis(self, tone_clip, monkeypatch, settings, named, strategy):
+        analysed = []
+        monkeypatch.setattr(transition, "mel_spectrogram", lambda *a, **k: analysed.append(a))
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            make_plan(tone_clip(), tone_clip(freq=660), strategy, **settings)
+        assert analysed == []
+
+    def test_unbounded_l_max_is_accepted(self, tone_clip):
+        p = make_plan(tone_clip(), tone_clip(freq=660), Strategy.MAX_SS_ADAPTIVE, l_max=np.inf)
+        assert 0.0 < p.crossfade_s <= 1.0
