@@ -127,6 +127,12 @@ def _safe_name(text: str) -> str:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    if args.render_dir:  # before any output, so a bad setting leaves none
+        if not args.manifest:
+            raise AudioMatchError("--render-dir requires --manifest to locate frame WAVs")
+        transition.check_settings(
+            phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max
+        )
     index = retrieval.build_index(retrieval.read_features(args.features))
 
     query_clip = None
@@ -179,8 +185,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def _render_candidates(args, query_id: str, query_clip, candidates) -> None:
     """Write one blended WAV per candidate, named by rank and score."""
-    if not args.manifest:
-        raise AudioMatchError("--render-dir requires --manifest to locate frame WAVs")
     paths = {row["id"]: row["path"] for row in _read_manifest(args.manifest)}
     if query_clip is None:
         if query_id not in paths:

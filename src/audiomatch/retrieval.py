@@ -1,9 +1,13 @@
 """Immutable feature gallery with exact top-k inner-product search.
 
 The gallery is id, source and offset columns plus one (n, d) float32
-matrix of unit-norm vectors, scanned exhaustively per query (no
-approximate structures); scores accumulate in float64 and ties break
-by ascending id so results are deterministic.
+matrix of vectors, scanned exhaustively per query (no approximate
+structures).  A query scores every row with one float32 matrix-vector
+product, then rescores in float64 only the rows whose float32 score
+lies within a proven rounding bound of the k-th best; every other row
+ranks below k of those.  The float64 scores, and the ties broken by
+ascending id, are exactly those of a float64 scan of every row, at any
+BLAS thread count.
 
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
@@ -27,6 +31,35 @@ from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
 
 _FEATURE_MAGIC = b"AMCF"
 _FEATURE_VERSION = 1
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+_TINY32 = 2.0**-149  # smallest float32 subnormal, twice any underflow error
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = nu / (1 - nu), the relative error bound of an n-term dot product.
+
+    Beyond nu = 1/3 it returns inf, a trivial bound, so a finite gamma is at most 1/2.
+    """
+    return n * u / (1 - n * u) if 3 * n * u < 1 else np.inf
+
+
+def _score_error_bound(d: int, norm_bound: float, z_norm: float) -> float:
+    """Bound on |float32 score - float64 einsum score| for any row of a query.
+
+    ``norm_bound`` bounds every row's L2 norm and ``z_norm`` is the
+    query's.  Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.1, with sum |x_j z_j| <= ||x|| ||z||, bounds the three errors:
+    rounding the query to float32 (u32), the float32 accumulation
+    (gamma_d at u32, on the rounded query) and the float64 rescore's own
+    rounding (gamma_d at u64).  The absolute term covers float32 underflow
+    in the rounded query and in the products.  The factor 2 absorbs the
+    float64 rounding in the norms, in this bound and in ``kth - 2B``, each
+    below 2**-28 of the bound.
+    """
+    relative = (1 + _U32) * _gamma(d, _U32) + _U32 + _gamma(d, _U64)
+    absolute = _TINY32 * (d + np.sqrt(d) * norm_bound)
+    return 2 * (relative * norm_bound * z_norm + absolute)
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:
@@ -98,13 +131,15 @@ class GalleryIndex(Gallery):
     """Immutable gallery supporting exact top-k MIPS, built by :func:`build_index`.
 
     It adds ``source_codes`` (each row's source number), ``id_ranks`` (each
-    row's place in ascending id order) and the id -> row map ``row_of``.
+    row's place in ascending id order), the id -> row map ``row_of`` and
+    ``norm_bound``, an upper bound on every row's L2 norm.
     """
 
     source_codes: np.ndarray
     code_of_source: dict[str, int]
     id_ranks: np.ndarray
     row_of: dict[str, int]
+    norm_bound: float
 
     @property
     def d(self) -> int:
@@ -128,12 +163,14 @@ class GalleryIndex(Gallery):
     ) -> list[MatchCandidate]:
         """Exact top-k entries by inner product, descending.
 
-        Ties break by ascending id.  Entries whose source matches
+        Scores are those of a float64 ``einsum`` over each row; ties
+        break by ascending id.  Entries whose source matches
         ``exclude_source`` are skipped.  Returns min(k, eligible)
         candidates.
 
         Raises:
             DimensionMismatch: Query dimension differs from the index.
+            ValueError: k < 1 or a non-finite query component.
             EmptyIndex: No eligible entries remain after exclusion.
         """
         z_q = np.asarray(z_q, dtype=np.float64)
@@ -141,30 +178,41 @@ class GalleryIndex(Gallery):
             raise DimensionMismatch(f"query has shape {z_q.shape}, index dimension is {self.d}")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if not np.isfinite(z_q).all():
+            raise ValueError("query vector is not finite")
 
-        # einsum upcasts the f32 rows blockwise and accumulates in f64
-        # without materializing a float64 copy of the whole matrix.
-        scores = np.einsum("ij,j->i", self.vectors, z_q, dtype=np.float64)
         if exclude_source is None:
-            eligible = np.arange(len(self.ids))
+            rows = np.arange(len(self.ids))
         else:
             # Codes are >= 0, so a source absent from the gallery excludes nothing.
             code = self.code_of_source.get(exclude_source, -1)
-            eligible = np.flatnonzero(self.source_codes != code)
-        if eligible.size == 0:
+            rows = np.flatnonzero(self.source_codes != code)
+        if rows.size == 0:
             raise EmptyIndex("no eligible gallery entries for this query")
 
-        order = np.lexsort((self.id_ranks[eligible], -scores[eligible]))
-        top = eligible[order[:k]]
+        if k < rows.size:
+            # A row outside [kth - 2B, inf) scores, in float64, strictly
+            # below the k rows at or above kth, so it cannot place.  Float32
+            # overflow leaves every eligible row in the band.
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = (self.vectors @ z_q.astype(np.float32))[rows]
+            kth = np.float64(np.partition(scores, rows.size - k)[rows.size - k])
+            floor = kth - 2 * _score_error_bound(self.d, self.norm_bound, np.linalg.norm(z_q))
+            if np.isfinite(floor) and np.isfinite(scores).all():
+                rows = rows[scores >= floor]
+        top, top_scores = self._rank(rows, z_q, k)
         return [
-            MatchCandidate(
-                query_id=query_id,
-                gallery_id=self.ids[row],
-                score=float(scores[row]),
-                rank=rank,
-            )
-            for rank, row in enumerate(top, start=1)
+            MatchCandidate(query_id=query_id, gallery_id=self.ids[row], score=float(score), rank=rank)
+            for rank, (row, score) in enumerate(zip(top, top_scores), start=1)
         ]
+
+    def _rank(self, rows: np.ndarray, z_q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k best of ``rows`` by float64 score, ties by ascending id, with their scores."""
+        # einsum upcasts the f32 rows blockwise and accumulates in f64; each
+        # row's score has the same bits whichever rows are gathered with it.
+        scores = np.einsum("ij,j->i", self.vectors[rows], z_q, dtype=np.float64)
+        top = np.lexsort((self.id_ranks[rows], -scores))[:k]
+        return rows[top], scores[top]
 
 
 def build_index(gallery: Gallery) -> GalleryIndex:
@@ -173,10 +221,22 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     Raises:
         EmptyIndex: No rows.
         DuplicateId: Repeated entry id.
+        ValueError: A row is not finite or its squared norm overflows float32.
     """
     if not len(gallery):
         raise EmptyIndex("cannot build an index from zero vectors")
     ids = gallery.ids
+    squared_norms = np.einsum("ij,ij->i", gallery.vectors, gallery.vectors)
+    bad = ~np.isfinite(squared_norms)
+    if bad.any():
+        raise ValueError(
+            f"gallery row {ids[int(np.argmax(bad))]!r} is not finite "
+            "or its squared norm overflows float32"
+        )
+    # The float32 sum of d squares is at least (1 - gamma_d) times the true
+    # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
+    d = gallery.vectors.shape[1]
+    norm_bound = np.sqrt((float(squared_norms.max()) + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
     row_of = {entry_id: row for row, entry_id in enumerate(ids)}
     if len(row_of) != len(ids):
         duplicate = next(entry_id for row, entry_id in enumerate(ids) if row_of[entry_id] != row)
@@ -189,7 +249,7 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     id_ranks = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
     return GalleryIndex(
         ids, gallery.source_ids, gallery.offsets, gallery.vectors,
-        source_codes, code_of, id_ranks, row_of,
+        source_codes, code_of, id_ranks, row_of, float(norm_bound),
     )
 
 

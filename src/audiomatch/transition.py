@@ -77,6 +77,13 @@ def _check_fade_settings(phi: float, l_min: float, l_max: float) -> None:
         raise ValueError(f"l_max must be >= l_min ({l_min}), got {l_max}")
 
 
+def check_settings(*, phi: float, fixed_s: float, l_min: float, l_max: float) -> None:
+    """Raise ValueError naming a :func:`make_plan` setting out of range."""
+    if not 0.0 <= fixed_s < np.inf:
+        raise ValueError(f"fixed_s must be finite and >= 0, got {fixed_s}")
+    _check_fade_settings(phi, l_min, l_max)
+
+
 def adaptive_crossfade_length(var: float, *, phi: float, l_min: float, l_max: float) -> float:
     """Crossfade seconds from the inverse variance of the cosine matrix.
 
@@ -223,9 +230,7 @@ def make_plan(
         ValueError: A setting out of range, checked before any analysis.
         TooShort: Either clip lacks a full 1-second window at its offset.
     """
-    if not 0.0 <= fixed_s < np.inf:
-        raise ValueError(f"fixed_s must be finite and >= 0, got {fixed_s}")
-    _check_fade_settings(phi, l_min, l_max)
+    check_settings(phi=phi, fixed_s=fixed_s, l_min=l_min, l_max=l_max)
     sr = query.sample_rate
     if match.sample_rate != sr:
         raise ShapeMismatch("query and match sample rates differ")

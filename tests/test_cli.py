@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiomatch import AudioClip, audio_io, load_audio, read_features, write_audio
+from audiomatch import (
+    AudioClip, Gallery, audio_io, load_audio, read_features, write_audio, write_features,
+)
 from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
 from audiomatch.synthetic import tone, write_drift_corpus
@@ -254,6 +256,35 @@ class TestQueryCommand:
         main(["featurize", "--manifest", str(segmented), "--out", str(features)])
         assert main(["query", "--features", str(features), "--query-id", "ghost@0.000"]) != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--phi", "nan"], "phi must"),
+            (["--l-min", "0.6", "--l-max", "0.2"], "l_max must"),
+            (["--fixed-seconds", "-0.5", "--strategy", "crossfade"], "fixed_s must"),
+            (["--no-manifest"], "--render-dir requires --manifest"),
+        ],
+    )
+    def test_bad_render_setting_leaves_no_output(self, tmp_path, segmented, capsys, flags, error):
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        capsys.readouterr()
+        out_json, render_dir = tmp_path / "q.json", tmp_path / "r"
+        manifest = [] if flags == ["--no-manifest"] else ["--manifest", str(segmented), *flags]
+        argv = ["query", "--features", str(features), "--query-id", "alpha@0.000",
+                "--out", str(out_json), "--render-dir", str(render_dir), *manifest]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not out_json.exists() and not render_dir.exists()
+
+    def test_non_finite_gallery_row_fails(self, tmp_path, capsys):
+        rows = np.eye(3, 4, dtype=np.float32)
+        rows[1, 2] = np.nan
+        features = tmp_path / "nan.amcf"
+        write_features(features, Gallery(["x", "y", "z"], ["s", "t", "u"], np.zeros(3), rows))
+        assert main(["query", "--features", str(features), "--query-id", "x"]) == 1
+        assert capsys.readouterr().err.startswith("error: gallery row 'y' is not finite")
 
 
 class TestRenderCommand:

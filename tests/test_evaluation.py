@@ -15,6 +15,7 @@ from audiomatch import (
     precision_at_k,
 )
 from audiomatch.errors import MissingId, NoPositives
+from audiomatch.evaluation import rank_labeled
 
 
 class TestAveragePrecision:
@@ -157,6 +158,15 @@ class TestEvaluate:
         report = evaluate(index, labeled, features, ks=(1,))
         assert report.aggregate["r_map"] == 1.0
         assert report.per_query[0]["hr@1"] == 1
+
+    @pytest.mark.parametrize("ids", [["a\0", "a"], ["a", "a\0"]])
+    def test_ties_break_by_exact_id_order(self, ids):
+        # numpy's fixed-width strings drop trailing NULs; as str, "a" < "a\0".
+        vectors = np.ones((2, 4), dtype=np.float32) / 2
+        index = build_index(Gallery(ids, ["s0", "s1"], np.zeros(2), vectors))
+        ranked = rank_labeled(index, np.full(4, 0.5), ids)
+        assert ranked == ["a", "a\0"]
+        assert ranked == [c.gallery_id for c in index.query(np.full(4, 0.5), k=2)]
 
     def test_missing_gallery_id(self, rng):
         ids = [f"g{i}" for i in range(3)]

@@ -2,10 +2,18 @@
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import audiomatch
 
 from audiomatch import (
     AudioClip,
@@ -20,6 +28,7 @@ from audiomatch import (
     write_features,
 )
 from audiomatch.dsp import FeatureKind
+from audiomatch.retrieval import _score_error_bound
 from audiomatch.errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
 
 
@@ -51,6 +60,22 @@ def oracle_ranking(gallery, z_q, k, exclude_source=None):
     return [entry_id for _, entry_id in scored[:k]]
 
 
+def einsum_top(gallery, z_q, k, exclude_source=None):
+    """Independent full scan: float64 einsum over every row, python sort over (-score, id)."""
+    scores = np.einsum("ij,j->i", gallery.vectors, z_q, dtype=np.float64)
+    rows = [row for row, source in enumerate(gallery.source_ids) if source != exclude_source]
+    rows.sort(key=lambda row: (-scores[row], gallery.ids[row]))
+    return [gallery.ids[row] for row in rows[:k]], scores[rows[:k]]
+
+
+def assert_matches_einsum_scan(index, gallery, z_q, k, exclude_source=None):
+    got = index.query(z_q, k, exclude_source=exclude_source)
+    want_ids, want_scores = einsum_top(gallery, z_q, k, exclude_source)
+    assert [c.gallery_id for c in got] == want_ids
+    got_scores = np.array([c.score for c in got], dtype=np.float64)
+    assert np.array_equal(got_scores.view(np.int64), want_scores.view(np.int64))
+
+
 class TestBuildIndex:
     def test_single_vector(self, rng):
         index = build_index(gallery_from(unit_rows(rng, 1, 8)))
@@ -80,6 +105,14 @@ class TestBuildIndex:
     def test_empty(self):
         with pytest.raises(EmptyIndex):
             build_index(gallery_from(np.empty((0, 8), dtype=np.float32)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 3e19])
+    def test_rejects_non_finite_row_naming_the_first(self, rng, value):
+        # 3e19 is finite, but its square overflows float32.
+        rows = unit_rows(rng, 6, 8)
+        rows[2, 5] = rows[4, 0] = value
+        with pytest.raises(ValueError, match="'v00002'"):
+            build_index(gallery_from(rows))
 
     def test_lossless_readback(self, rng):
         rows = unit_rows(rng, 500, 32)
@@ -184,12 +217,145 @@ class TestQuery:
         with pytest.raises(DimensionMismatch):
             index.query(np.zeros(9), k=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, rng, value):
+        index = build_index(gallery_from(unit_rows(rng, 5, 8)))
+        z_q = normalize(rng.normal(size=8))
+        z_q[3] = value
+        with pytest.raises(ValueError, match="not finite"):
+            index.query(z_q, k=1)
+
     def test_scores_non_increasing(self, rng):
         index = build_index(gallery_from(unit_rows(rng, 100, 16)))
         result = index.query(normalize(rng.normal(size=16)), k=100)
         scores = [c.score for c in result]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert [c.rank for c in result] == list(range(1, 101))
+
+
+class TestExactSearch:
+    """The float32 scan with a float64 rescore against a float64 scan of every row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_einsum_scan(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 24), label="d")
+        scale = 10.0 ** data.draw(st.integers(-20, 12), label="scale exponent")
+        elements = st.floats(-1e3, 1e3, width=32)
+        rows = data.draw(arrays(np.float32, (n, d), elements=elements), label="rows") * scale
+        for target, original in data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n),
+            label="copies",
+        ):
+            rows[target] = rows[original]
+        ids = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+        sources = data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+        gallery = gallery_from(rows, ids=ids, sources=sources)
+        index = build_index(gallery)
+
+        if data.draw(st.booleans(), label="query is a row"):
+            z_q = rows[data.draw(st.integers(0, n - 1))].astype(np.float64)
+        else:
+            z_q = data.draw(arrays(np.float64, d, elements=st.floats(-1e3, 1e3)), label="z_q")
+        exclude = data.draw(st.sampled_from([None, "a", "b", "c", "absent"]), label="exclude")
+        k = data.draw(st.integers(1, n + 3), label="k")
+        if all(source == exclude for source in sources):
+            with pytest.raises(EmptyIndex):
+                index.query(z_q, k, exclude_source=exclude)
+        else:
+            assert_matches_einsum_scan(index, gallery, z_q, k, exclude)
+
+    def test_near_ties_below_float32_resolution(self, rng):
+        # Per query, 300 rows projected to score 0.5 before rounding to
+        # float32: their float64 scores differ by less than a float32 ulp,
+        # and float32 accumulation error reorders them, so that some of the
+        # true top 5 score strictly below the float32 5th best.
+        d, m, k = 512, 300, 5
+        misordered = 0
+        for _ in range(4):
+            z_q = unit_rows(rng, 1, d)[0].astype(np.float64)
+            spread = rng.normal(size=(m, d)) / np.sqrt(d)
+            near = spread - np.outer(spread @ z_q - 0.5, z_q)
+            rows = np.vstack([near, rng.normal(size=(200, d)) / np.sqrt(d)]).astype(np.float32)
+            gallery = gallery_from(rows)
+            index = build_index(gallery)
+
+            want_ids, want_scores = einsum_top(gallery, z_q, k)
+            assert np.ptp(want_scores) < np.spacing(np.float32(0.5))
+            f32_scores = rows @ z_q.astype(np.float32)
+            f32_kth = np.sort(f32_scores)[-k]
+            misordered += (f32_scores[[int(gid[1:]) for gid in want_ids]] < f32_kth).any()
+            assert_matches_einsum_scan(index, gallery, z_q, k)
+        assert misordered
+
+    def test_error_bound_covers_a_sequential_float32_sum(self):
+        # Summed in row order, each 2**-25 added to 1 rounds away: a float32
+        # error of 511 * 2**-25, far above the query's own rounding (u32).
+        d = 512
+        row = np.full(d, 2.0**-25, dtype=np.float32)
+        row[0] = 1.0
+        index = build_index(gallery_from(row[None, :]))
+        z_q = np.ones(d)
+        sequential = np.add.accumulate(row * z_q.astype(np.float32), dtype=np.float32)[-1]
+        exact = np.einsum("j,j->", row, z_q, dtype=np.float64)
+        error = abs(float(sequential) - exact)
+        assert error == 511 * 2.0**-25
+        assert error <= _score_error_bound(d, index.norm_bound, np.linalg.norm(z_q)) / 2
+
+    @pytest.mark.parametrize("query_scale", [1e25, 1e39])
+    def test_float32_overflow_ranks_every_row(self, rng, query_scale):
+        # Scores near 1e40 overflow float32 (and a 1e39 query component does
+        # itself), but not the float64 rescore.
+        rows = unit_rows(rng, 50, 8) * np.float32(1e15)
+        rows[10:20] = rows[0]
+        gallery = gallery_from(rows)
+        index = build_index(gallery)
+        z_q = normalize(rng.normal(size=8)) * query_scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(rows @ z_q.astype(np.float32)).all()
+        assert_matches_einsum_scan(index, gallery, z_q, 5)
+
+    @pytest.mark.parametrize("d", [7, 512, 900, 1000, 2880])
+    def test_scores_are_bit_equal_to_full_scan(self, rng, d):
+        n = 600
+        rows = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=(n, 1))
+        rows[rng.choice(n, 40, replace=False)] = rows[rng.choice(n, 40)]  # exact copies
+        sources = [f"s{i % 7}" for i in range(n)]
+        gallery = gallery_from(rows.astype(np.float32), sources=sources)
+        index = build_index(gallery)
+        for _ in range(10):
+            row = int(rng.integers(n))
+            z_q = gallery.vectors[row].astype(np.float64) + rng.normal(scale=1e-3, size=d)
+            assert_matches_einsum_scan(index, gallery, z_q, 10, exclude_source=sources[row])
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        code = (
+            "import numpy as np\n"
+            "from audiomatch import Gallery, build_index\n"
+            "rng = np.random.default_rng(7)\n"
+            "rows = rng.normal(size=(40000, 96)).astype(np.float32)\n"
+            "rows[rng.choice(40000, 400)] = rows[rng.choice(40000, 400)]\n"
+            "sources = [f's{i // 100}' for i in range(40000)]\n"
+            "index = build_index(Gallery([f'v{i:05d}' for i in range(40000)], sources,\n"
+            "                            np.zeros(40000), rows))\n"
+            "for row in rng.choice(40000, 12):\n"
+            "    hits = index.query(rows[row].astype(np.float64), 10, sources[row])\n"
+            "    print(' '.join(f'{c.gallery_id}={c.score.hex()}' for c in hits))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 12
 
 
 class TestFeatureFile:
