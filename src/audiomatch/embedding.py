@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import write_atomic
-from .dsp import BaseFeature
 from .errors import DegenerateBatch, DimensionMismatch, IoError
 
 DEFAULT_DIM = 512
@@ -132,26 +131,16 @@ def _project(weight: np.ndarray, bias: np.ndarray, rows: np.ndarray) -> tuple[np
     return z, norms
 
 
-def embed(head: ProjectionHead, base: BaseFeature) -> np.ndarray:
-    """Unit-norm embedding of one base feature.
+def embed(head: ProjectionHead, rows: np.ndarray) -> np.ndarray:
+    """Unit-norm embeddings of an (m, d_base) matrix of base features, shape (m, d).
 
     Raises:
-        DimensionMismatch: Base dimension differs from the head's input.
+        DimensionMismatch: Rows are not (m, d_base) for the head's d_base.
     """
-    if base.dimension != head.d_base:
-        raise DimensionMismatch(
-            f"base feature has dimension {base.dimension}, head expects {head.d_base}"
-        )
-    z, _ = _project(head.weight, head.bias, base.values[None, :])
-    return z[0]
-
-
-def embed_rows(head: ProjectionHead, rows: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings of a (m, d_base) matrix of base features."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[1] != head.d_base:
+    if rows.ndim != 2 or rows.shape[1] != head.d_base:
         raise DimensionMismatch(
-            f"features have dimension {rows.shape[1]}, head expects {head.d_base}"
+            f"features have shape {rows.shape}, head expects (m, {head.d_base})"
         )
     z, _ = _project(head.weight, head.bias, rows)
     return z

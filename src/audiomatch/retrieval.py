@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .audio_io import AudioClip, write_atomic
-from .dsp import BaseFeature, FeatureKind, flatten, mel_spectrogram, mfcc
+from .audio_io import CANONICAL_RATE, AudioClip, write_atomic
+from .dsp import FeatureKind, flatten, mel_spectrogram, mfcc
 from .embedding import ProjectionHead, embed
 from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
 
@@ -34,6 +35,10 @@ _FEATURE_VERSION = 1
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-149  # smallest float32 subnormal, twice any underflow error
+
+# Frames featurized per block: enough to batch the head GEMM, few enough
+# that a block's samples and power spectra stay near 12 MB.
+CHUNK_FRAMES = 16
 
 
 def _gamma(n: int, u: float) -> float:
@@ -62,15 +67,15 @@ def _score_error_bound(d: int, norm_bound: float, z_norm: float) -> float:
     return 2 * (relative * norm_bound * z_norm + absolute)
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    """L2-normalize; an all-zero vector maps to the first basis vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        out = np.zeros_like(vector)
-        out[0] = 1.0
-        return out
-    return vector / norm
+def normalize(vectors: np.ndarray) -> np.ndarray:
+    """L2-normalize along the last axis; an all-zero vector maps to the first basis vector."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    # Row-by-row BLAS dots, the same sums as np.linalg.norm of each vector.
+    norms = np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
+    zero = norms == 0.0
+    out = vectors / np.where(zero, 1.0, norms)[..., None]
+    out[zero, 0] = 1.0
+    return out
 
 
 def frame_id(source_id: str, offset_s: float) -> str:
@@ -215,6 +220,18 @@ class GalleryIndex(Gallery):
         return rows[top], scores[top]
 
 
+def _finite_squared_norms(gallery: Gallery, error: type[Exception]) -> np.ndarray:
+    """Each row's float32 squared norm; ``error`` names the first row where it is not finite."""
+    squared_norms = np.einsum("ij,ij->i", gallery.vectors, gallery.vectors)
+    bad = ~np.isfinite(squared_norms)
+    if bad.any():
+        raise error(
+            f"gallery row {gallery.ids[int(np.argmax(bad))]!r} is not finite "
+            "or its squared norm overflows float32"
+        )
+    return squared_norms
+
+
 def build_index(gallery: Gallery) -> GalleryIndex:
     """Build an immutable index over a gallery's rows, in row order.
 
@@ -226,13 +243,7 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     if not len(gallery):
         raise EmptyIndex("cannot build an index from zero vectors")
     ids = gallery.ids
-    squared_norms = np.einsum("ij,ij->i", gallery.vectors, gallery.vectors)
-    bad = ~np.isfinite(squared_norms)
-    if bad.any():
-        raise ValueError(
-            f"gallery row {ids[int(np.argmax(bad))]!r} is not finite "
-            "or its squared norm overflows float32"
-        )
+    squared_norms = _finite_squared_norms(gallery, ValueError)
     # The float32 sum of d squares is at least (1 - gamma_d) times the true
     # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
     d = gallery.vectors.shape[1]
@@ -253,25 +264,41 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     )
 
 
-def base_feature(clip: AudioClip, kind: FeatureKind = FeatureKind.MEL) -> BaseFeature:
-    """Flattened mel or MFCC spectrogram of one frame, the head's input."""
-    return flatten(mel_spectrogram(clip) if kind is FeatureKind.MEL else mfcc(clip))
+def base_features(frames: np.ndarray, kind: FeatureKind = FeatureKind.MEL) -> np.ndarray:
+    """Flattened mel or MFCC spectrograms of an (m, n) block of 48 kHz frames, (m, d_base)."""
+    return flatten(mel_spectrogram(frames) if kind is FeatureKind.MEL else mfcc(frames)).values
 
 
 def featurize_clip(
-    clip: AudioClip,
+    frames: np.ndarray,
     head: ProjectionHead | None = None,
     kind: FeatureKind = FeatureKind.MEL,
 ) -> np.ndarray:
-    """Unit float32 feature vector of one frame.
+    """Unit float32 feature vectors of an (m, n) block of 48 kHz frames, shape (m, d).
 
-    Without a head the flattened base feature is L2-normalized directly
+    Without a head each flattened base feature is L2-normalized directly
     (the non-learned baseline); with a head, it passes through the
     projection instead.
     """
-    base = base_feature(clip, kind)
-    vector = embed(head, base) if head is not None else normalize(base.values)
-    return vector.astype(np.float32)
+    base = base_features(frames, kind)
+    vectors = embed(head, base) if head is not None else normalize(base)
+    return vectors.astype(np.float32)
+
+
+def map_blocks(
+    function: Callable[[np.ndarray], np.ndarray], frames: Iterable[np.ndarray]
+) -> np.ndarray:
+    """``function`` of consecutive frames stacked CHUNK_FRAMES at a time, its rows concatenated.
+
+    Frames are drawn from the iterable one block at a time, so a lazy
+    iterable holds at most one block in memory.  Raises ValueError for
+    no frames or frames of unequal length.
+    """
+    frames = iter(frames)
+    parts = []
+    while chunk := list(islice(frames, CHUNK_FRAMES)):
+        parts.append(function(np.stack(chunk)))
+    return np.concatenate(parts)
 
 
 def batch_featurize(
@@ -282,24 +309,36 @@ def batch_featurize(
     """Deterministic clip -> feature -> unit-vector pipeline.
 
     Row ids follow :func:`frame_id` over each clip's source and offset.
+
+    Raises:
+        DimensionMismatch: The clips are not all 48 kHz and of one length.
     """
-    vectors = [featurize_clip(clip, head, kind) for clip in clips]
+    vectors = np.empty((0, 0), dtype=np.float32)
+    if clips:
+        if {(clip.sample_rate, len(clip)) for clip in clips} != {(CANONICAL_RATE, len(clips[0]))}:
+            raise DimensionMismatch("batch_featurize needs 48 kHz clips of one length")
+        vectors = map_blocks(
+            lambda block: featurize_clip(block, head, kind), (clip.samples for clip in clips)
+        )
     return Gallery(
         ids=tuple(frame_id(clip.source_id, clip.offset_s) for clip in clips),
         source_ids=tuple(clip.source_id for clip in clips),
         offsets=np.array([clip.offset_s for clip in clips], dtype=np.float64),
-        vectors=np.stack(vectors) if vectors else np.empty((0, 0), dtype=np.float32),
+        vectors=vectors,
     )
 
 
 def write_features(path: str | Path, gallery: Gallery) -> None:
     """Write a gallery as an AMCF v1 feature file, whole or not at all.
 
-    An id or source id over 65535 UTF-8 bytes, or an offset that is not
-    a finite float32, raises IoError before any byte is written.
+    An id or source id over 65535 UTF-8 bytes, an offset that is not a
+    finite float32, or a row that :func:`build_index` would reject (not
+    finite, or its squared norm overflows float32) raises IoError before
+    any byte is written.
     """
     if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
+    _finite_squared_norms(gallery, IoError)
     ids = [entry_id.encode("utf-8") for entry_id in gallery.ids]
     sources = [source_id.encode("utf-8") for source_id in gallery.source_ids]
     texts_fit = max(map(len, ids + sources)) <= 0xFFFF

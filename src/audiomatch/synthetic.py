@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioClip, write_atomic, write_audio
-from .dsp import flatten, mel_spectrogram
-from .retrieval import frame_id
+from .retrieval import base_features, frame_id
 
 DRIFT_LOW_AMP = 0.25
 DRIFT_HIGH_AMP = 0.5
@@ -196,11 +195,7 @@ def drift_corpus_features(n_sequences: int, n_frames: int = 10, seed: int = 0) -
     Returns a (n_sequences, n_frames, d_base) float64 array.
     """
     rng = np.random.default_rng(seed)
-    sequences = []
-    for _ in range(n_sequences):
-        audio = drift_sequence_audio(rng, n_frames)
-        frames = [flatten(mel_spectrogram(AudioClip(f, CANONICAL_RATE))).values for f in audio]
-        sequences.append(np.stack(frames))
+    sequences = [base_features(drift_sequence_audio(rng, n_frames)) for _ in range(n_sequences)]
     return np.stack(sequences)
 
 

@@ -35,7 +35,7 @@ from audiomatch import (
     write_features,
 )
 from audiomatch.cli import main as cli_main
-from audiomatch.embedding import embed_rows
+from audiomatch.embedding import embed
 from audiomatch.synthetic import drift_corpus_features, tone_family_set
 from audiomatch.transition import TransitionPlan, Strategy
 
@@ -102,7 +102,7 @@ class TestAcceptance:
 
         def adjacent_hit_rate(head, features, query_index=4):
             n_seq, n_frames, _ = features.shape
-            z = embed_rows(head, features.reshape(n_seq * n_frames, d_base))
+            z = embed(head, features.reshape(n_seq * n_frames, d_base))
             sims = z @ z.T
             hits = 0
             for s in range(n_seq):

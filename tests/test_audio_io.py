@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import audiomatch
-from audiomatch import AudioClip, load_audio, segment, write_audio
+from audiomatch import AudioClip, audio_io, load_audio, segment, write_audio
 from audiomatch.errors import CorruptFile, IoError, TooShort, UnsupportedFormat
 
 
@@ -96,6 +96,24 @@ class TestLoadAudio:
         assert np.max(np.abs(clip24.samples - ramp[:, 0])) < 2**-23
         assert np.max(np.abs(clipf.samples - ramp[:, 0])) < 1e-7
 
+    def test_24_bit_decode_matches_byte_formula(self, rng):
+        # Oracle: assemble each little-endian 3-byte sample and sign-extend bit 23.
+        edges = bytes.fromhex("000000 ffffff 000080 ffff7f 010000 feffff ff7f00 008000")
+        data = edges + rng.integers(0, 256, size=3 * 5000, dtype=np.uint8).tobytes()
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        ints -= (ints & 0x800000) << 1
+        assert ints[:4].tolist() == [0, -1, -(2**23), 2**23 - 1]
+        for channels in (1, 2):
+            fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
+            body = data[: len(data) // (3 * channels) * 3 * channels]
+            wav = (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE" + b"fmt "
+                   + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(body)) + body)
+            samples, rate = audio_io._parse_wav(wav)
+            expected = ints[: len(body) // 3].astype(np.float64) / 8388608.0
+            assert rate == 48000 and samples.shape == (len(body) // (3 * channels), channels)
+            assert np.array_equal(samples.reshape(-1), expected)
+
     def test_mixdown_is_linear(self, tmp_path, rng):
         left = rng.uniform(-0.8, 0.8, 4800)
         right = rng.uniform(-0.8, 0.8, 4800)
@@ -169,7 +187,28 @@ class TestLoadAudio:
         assert result.stdout.strip() == "False"
 
 
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # MFCCs use an explicit DCT basis, so importing the CLI loads no scipy at all.
+        env = dict(os.environ)
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, audiomatch.cli; print([m for m in sys.modules if m[:5] == 'scipy'])"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert result.stdout.strip() == "[]"
+
+
 class TestWriteAudio:
+    def test_out_of_range_samples_clamp_like_clipping(self, tmp_path):
+        samples = np.array([1.5, 1.0, 0.99999, -1.0, -1.00001, -7.0, 0.5, 2**-16])
+        path = tmp_path / "loud.wav"
+        write_audio(AudioClip(samples, 48000), path)
+        clipped = np.rint(np.clip(samples, -1.0, 1.0) * 32768.0)
+        expected = np.clip(clipped, -32768, 32767).astype("<i2").tobytes()
+        assert path.read_bytes()[44:] == expected
+
     def test_silence_round_trips_to_digital_zero(self, tmp_path):
         clip = AudioClip(np.zeros(4800), 48000)
         path = tmp_path / "z.wav"
@@ -243,6 +282,16 @@ class TestAudioClip:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros(10), 0)
+
+    def test_slice_is_a_read_only_view(self):
+        clip = AudioClip(np.arange(10.0), 48000, "src", 1.0)
+        part = clip.slice(2, 5)
+        assert np.shares_memory(part.samples, clip.samples)
+        assert part.samples.tolist() == [2.0, 3.0, 4.0]
+        assert (part.sample_rate, part.source_id) == (48000, "src")
+        assert part.offset_s == 1.0 + 2 / 48000
+        with pytest.raises(ValueError):
+            part.samples[0] = 1.0
 
     def test_samples_are_read_only(self):
         clip = AudioClip(np.zeros(10), 48000)

@@ -5,13 +5,18 @@ import inspect
 import json
 import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import audiomatch
 from audiomatch import (
-    AudioClip, Gallery, audio_io, load_audio, read_features, write_audio, write_features,
+    AudioClip, ProjectionHead, audio_io, embed, flatten, load_audio, mel_spectrogram, normalize,
+    read_features, retrieval, write_audio,
 )
 from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
@@ -32,6 +37,18 @@ def tone_wav(tmp_path):
 
 def manifest_rows(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def run_cli_with_blas_threads(threads, *argv):
+    """Run the CLI in a fresh interpreter with ``threads`` BLAS threads; returns the --out path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    src = str(Path(audiomatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "audiomatch.cli", *argv], env=env, capture_output=True,
+        check=True, timeout=300,
+    )
+    return Path(argv[argv.index("--out") + 1])
 
 
 class TestSegmentCommand:
@@ -104,13 +121,46 @@ class TestFeaturizeCommand:
         )
         assert read_features(projected).vectors.shape[1] == 32
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, segmented, monkeypatch):
-        serial, parallel = tmp_path / "serial.amcf", tmp_path / "parallel.amcf"
-        monkeypatch.setenv("AMC_THREADS", "1")
-        main(["featurize", "--manifest", str(segmented), "--out", str(serial)])
-        monkeypatch.setenv("AMC_THREADS", "4")
-        main(["featurize", "--manifest", str(segmented), "--out", str(parallel)])
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_blas_thread_count_does_not_change_output(self, tmp_path, segmented):
+        ckpt = tmp_path / "head.ssch"
+        ProjectionHead.initialize(2880, d=64, seed=2).save(ckpt)
+        for head in ([], ["--head", str(ckpt)]):
+            outputs = [
+                run_cli_with_blas_threads(
+                    threads, "featurize", "--manifest", str(segmented),
+                    "--out", str(tmp_path / f"blas{threads}.amcf"), *head,
+                ).read_bytes()
+                for threads in (1, 2)
+            ]
+            assert outputs[0] == outputs[1]
+
+    def test_block_features_equal_per_frame_features(self, tmp_path, segmented, monkeypatch):
+        # Oracle: each frame featurized alone, as the per-row path did:
+        # the flattened log-mel, normalized or projected one row at a time.
+        # Base features and normalized vectors are bit-equal; a projected
+        # component may differ by one float32 ulp (the GEMM sums in another
+        # order), which these frames do not hit.
+        rows = manifest_rows(segmented)
+        frames = [load_audio(row["path"]).samples for row in rows]
+        reference = np.stack([flatten(mel_spectrogram(AudioClip(f, 48000))).values for f in frames])
+        head = ProjectionHead.initialize(2880, d=64, seed=2)
+        ckpt = tmp_path / "head.ssch"
+        head.save(ckpt)
+        head = ProjectionHead.load(ckpt)
+        expected = {
+            "plain": np.stack([normalize(row) for row in reference]).astype(np.float32),
+            "head": np.concatenate([embed(head, r[None]) for r in reference]).astype(np.float32),
+        }
+        assert len(rows) == 8
+        for chunk in (1, 3, 5, 8, 16):  # 5 leaves a partial last block
+            monkeypatch.setattr(retrieval, "CHUNK_FRAMES", chunk)
+            got = retrieval.map_blocks(retrieval.base_features, iter(frames))
+            assert np.array_equal(got, reference)
+            for name, flags in (("plain", []), ("head", ["--head", str(ckpt)])):
+                out = tmp_path / f"{name}{chunk}.amcf"
+                argv = ["featurize", "--manifest", str(segmented), "--out", str(out), *flags]
+                assert main(argv) == 0
+                assert np.array_equal(read_features(out).vectors, expected[name])
 
     def test_corrupt_row_removes_partial_output(self, tmp_path, segmented, capsys):
         rows = manifest_rows(segmented)
@@ -155,33 +205,110 @@ class TestFeaturizeCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestMaxWorkers:
-    def test_unset_is_capped_at_eight(self, monkeypatch):
-        monkeypatch.delenv("AMC_THREADS", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 64)
-        assert _max_workers() == 8
+    def test_memory_is_bounded_by_a_block(self, tmp_path, segmented):
+        # Four times the frames may add their output rows, not their samples
+        # (64 x 48000 float64 is 24.6 MB) or spectra.
+        rows = manifest_rows(segmented)
+        peaks = []
+        for count in (16, 64):
+            manifest = tmp_path / f"m{count}.jsonl"
+            manifest.write_text("".join(
+                json.dumps({**rows[i % len(rows)], "id": f"f{i}"}) + "\n" for i in range(count)
+            ))
+            argv = ["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "g.amcf")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 << 20
 
-    def test_value_is_capped_at_core_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("AMC_THREADS", "1000000")
-        assert _max_workers() == 4
-        monkeypatch.setenv("AMC_THREADS", " 3 ")
-        assert _max_workers() == 3
-        monkeypatch.setenv("AMC_THREADS", "0")
+
+class TestManifestErrors:
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("{not json", "is not JSON"),
+            ("[1, 2]", "is not a JSON object"),
+            ('{"id": "x@0.000", "source_id": "x", "offset_s": 0.0}', "needs a string 'path'"),
+            ('{"id": "x@0.000", "path": "x.wav", "offset_s": 0.0}', "needs a string 'source_id'"),
+            ('{"id": "x@0.000", "path": "x.wav", "source_id": "x"}', "needs a number 'offset_s'"),
+            ('{"id": "x", "path": 7, "source_id": "x", "offset_s": 0.0}', "needs a string 'path'"),
+            ('{"id": "x", "path": "x.wav", "source_id": "x", "offset_s": "0"}', "needs a number"),
+            ('{"id": "x", "path": "x.wav", "source_id": "x", "offset_s": true}', "needs a number"),
+            ('{"path": "x.wav", "source_id": "x", "offset_s": 0.0}', "needs a string 'id'"),
+        ],
+        ids=["not-json", "list", "no-path", "no-source", "no-offset", "int-path", "text-offset",
+             "bool-offset", "no-id"],
+    )
+    def test_featurize_names_file_and_line(self, tmp_path, capsys, line, error):
+        # Line 1 names a WAV that does not exist: the manifest fails before it is read.
+        first = {"id": "a@0.000", "path": str(tmp_path / "missing.wav"), "source_id": "a",
+                 "offset_s": 0.0}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(first) + "\n\n" + line + "\n")
+        out = tmp_path / "g.amcf"
+        assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} line 3 ") and error in err
+        assert not out.exists()
+
+    def test_error_text(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"path": "x.wav", "source_id": "x"}\n')
+        assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest} line 1 needs a string 'id'\n"
+
+    @pytest.mark.parametrize(
+        "line", ["{not json", "7", '{"path": "x.wav", "offset_s": 1}'],
+        ids=["not-json", "number", "no-source"],
+    )
+    def test_train_names_file_and_line(self, tmp_path, capsys, line):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(line + "\n")
+        out = tmp_path / "head.ssch"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: manifest {manifest} line 1 ")
+        assert not out.exists()
+
+    def test_train_needs_no_id(self, tmp_path, drift_manifest):
+        rows = manifest_rows(drift_manifest)
+        manifest = tmp_path / "noid.jsonl"
+        manifest.write_text("".join(
+            json.dumps({key: row[key] for key in ("path", "source_id", "offset_s")}) + "\n"
+            for row in rows
+        ))
+        argv = ["train", "--manifest", str(manifest), "--epochs", "1", "--dim", "4",
+                "--frames-per-sequence", "4", "--out", str(tmp_path / "head.ssch")]
+        assert main(argv) == 0
+
+    def test_render_manifest_error_leaves_no_output(self, tmp_path, segmented, capsys):
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(segmented.read_text() + '{"id": "alpha@0.000"}\n')
+        out_json, render_dir = tmp_path / "q.json", tmp_path / "r"
+        argv = ["query", "--features", str(features), "--query-id", "alpha@0.000",
+                "--manifest", str(manifest), "--render-dir", str(render_dir),
+                "--out", str(out_json)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: manifest {manifest} line 9 ")
+        assert not out_json.exists() and not render_dir.exists()
+
+
+class TestMaxWorkers:
+    def test_is_one_at_any_core_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert _max_workers() == 1
 
-    @pytest.mark.parametrize("value", ["two", "1.5", "0x2"])
-    def test_non_integer_raises(self, monkeypatch, value):
-        monkeypatch.setenv("AMC_THREADS", value)
-        with pytest.raises(AudioMatchError):
-            _max_workers()
-
-    def test_non_integer_fails_the_command(self, tmp_path, segmented, monkeypatch, capsys):
+    def test_amc_threads_is_ignored(self, tmp_path, segmented, monkeypatch):
+        plain, ignored = tmp_path / "plain.amcf", tmp_path / "ignored.amcf"
+        assert main(["featurize", "--manifest", str(segmented), "--out", str(plain)]) == 0
         monkeypatch.setenv("AMC_THREADS", "many")
-        out = tmp_path / "g.amcf"
-        assert main(["featurize", "--manifest", str(segmented), "--out", str(out)]) == 1
-        assert not out.exists()
-        assert "AMC_THREADS" in capsys.readouterr().err
+        assert main(["featurize", "--manifest", str(segmented), "--out", str(ignored)]) == 0
+        assert plain.read_bytes() == ignored.read_bytes()
 
 
 class TestQueryCommand:
@@ -278,11 +405,38 @@ class TestQueryCommand:
         assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not out_json.exists() and not render_dir.exists()
 
+    def test_render_dir_locates_every_wav_before_any_output(self, tmp_path, drift_manifest, capsys):
+        features = tmp_path / "g.amcf"
+        assert main(["featurize", "--manifest", str(drift_manifest), "--out", str(features)]) == 0
+        small = tmp_path / "small.jsonl"
+        lines = drift_manifest.read_text().splitlines()
+        small.write_text("".join(line + "\n" for line in lines[:3]))
+        out_json, render_dir = tmp_path / "qq.json", tmp_path / "rr"
+        argv = ["query", "--features", str(features), "--query-id", "seq0000@0.000", "--k", "3",
+                "--manifest", str(small), "--render-dir", str(render_dir), "--out", str(out_json)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: candidate id 'seq0001@")
+        assert not out_json.exists() and not render_dir.exists()
+
+        # The query itself missing from the manifest fails the same way.
+        rest = tmp_path / "rest.jsonl"
+        rest.write_text("".join(line + "\n" for line in lines[1:]))
+        argv[argv.index(str(small))] = str(rest)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: query id 'seq0000@0.000' not in manifest")
+        assert not out_json.exists() and not render_dir.exists()
+
     def test_non_finite_gallery_row_fails(self, tmp_path, capsys):
-        rows = np.eye(3, 4, dtype=np.float32)
+        # write_features refuses such a row, so the AMCF v1 bytes are written by hand.
+        rows = np.eye(3, 4, dtype="<f4")
         rows[1, 2] = np.nan
         features = tmp_path / "nan.amcf"
-        write_features(features, Gallery(["x", "y", "z"], ["s", "t", "u"], np.zeros(3), rows))
+        body = b"".join(
+            struct.pack("<H", 1) + name + struct.pack("<H", 1) + source + struct.pack("<f", 0.0)
+            + row.tobytes()
+            for name, source, row in zip([b"x", b"y", b"z"], [b"s", b"t", b"u"], rows)
+        )
+        features.write_bytes(b"AMCF" + struct.pack("<IIQ", 1, 4, 3) + body)
         assert main(["query", "--features", str(features), "--query-id", "x"]) == 1
         assert capsys.readouterr().err.startswith("error: gallery row 'y' is not finite")
 
@@ -377,7 +531,7 @@ class TestTrainCommand:
         main(args + ["--out", str(tmp_path / "c2.ssch")])
         assert (tmp_path / "c1.ssch").read_bytes() == (tmp_path / "c2.ssch").read_bytes()
 
-    def test_thread_cap_does_not_change_checkpoint(self, tmp_path, monkeypatch):
+    def test_blas_thread_count_does_not_change_checkpoint(self, tmp_path):
         drift_dir = tmp_path / "drift"
         write_drift_corpus(drift_dir, n_sequences=4, n_frames=4, seed=3)
         frames = tmp_path / "frames"
@@ -386,12 +540,11 @@ class TestTrainCommand:
             "train", "--manifest", str(frames / "manifest.jsonl"),
             "--epochs", "2", "--frames-per-sequence", "4", "--dim", "16", "--seed", "5",
         ]
-        monkeypatch.setenv("AMC_THREADS", "1")
-        assert main(args + ["--out", str(tmp_path / "serial.ssch")]) == 0
-        monkeypatch.setenv("AMC_THREADS", "2")
-        assert main(args + ["--out", str(tmp_path / "parallel.ssch")]) == 0
-        serial = (tmp_path / "serial.ssch").read_bytes()
-        assert serial == (tmp_path / "parallel.ssch").read_bytes()
+        serial, parallel = (
+            run_cli_with_blas_threads(threads, *args, "--out", str(tmp_path / f"{threads}.ssch"))
+            for threads in (1, 2)
+        )
+        assert serial.read_bytes() == parallel.read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -99,6 +99,35 @@ class TestMfcc:
         with pytest.raises(TooShort):
             mfcc(AudioClip(np.zeros(100), 48000))
 
+    def test_matches_scipy_dct_within_stated_tolerance(self, rng):
+        from scipy.fft import dct
+
+        block = rng.uniform(-0.5, 0.5, size=(3, 48000))
+        reference = dct(mel_spectrogram(block), type=2, axis=1, norm="ortho")[:, :20]
+        coeffs = mfcc(block)
+        assert coeffs.shape == (3, 20, 45)
+        scale = np.abs(reference).max()
+        assert np.abs(coeffs - reference).max() <= 3e-14 * scale
+
+
+class TestBlocks:
+    def test_block_equals_each_frame_bit_for_bit(self, rng):
+        block = rng.uniform(-0.5, 0.5, size=(5, 48000))
+        for transform in (mel_spectrogram, mfcc):
+            stacked = transform(block)
+            for frame, result in zip(block, stacked):
+                assert np.array_equal(result, transform(AudioClip(frame, 48000)))
+        raw = mel_spectrogram(block, log_compress=False)
+        alone = mel_spectrogram(AudioClip(block[2], 48000), log_compress=False)
+        assert np.array_equal(raw[2], alone)
+        flat = flatten(mel_spectrogram(block)).values
+        assert flat.shape == (5, 2880)
+        assert np.array_equal(flat[4], flatten(mel_spectrogram(AudioClip(block[4], 48000))).values)
+
+    def test_too_short_block(self):
+        with pytest.raises(TooShort):
+            mel_spectrogram(np.zeros((2, 2047)))
+
 
 class TestFlatten:
     def test_concatenates_time_columns(self):

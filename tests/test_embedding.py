@@ -14,7 +14,6 @@ from audiomatch import (
     split_and_contrast_loss,
     train,
 )
-from audiomatch.dsp import BaseFeature
 from audiomatch.errors import DegenerateBatch, DimensionMismatch
 from audiomatch.synthetic import drift_corpus_features
 
@@ -88,32 +87,42 @@ def reference_train(head, features, config):
 class TestEmbed:
     def test_identity_head_normalizes(self):
         head = ProjectionHead(weight=np.eye(4), bias=np.zeros(4))
-        base = BaseFeature(values=np.array([3.0, 4.0, 0.0, 0.0]))
-        assert np.allclose(embed(head, base), [0.6, 0.8, 0.0, 0.0])
+        rows = np.array([[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
+        assert np.allclose(embed(head, rows), [[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
     def test_unit_norm(self, rng):
         head = ProjectionHead.initialize(10, d=6, seed=3)
-        for _ in range(20):
-            base = BaseFeature(values=rng.normal(size=10))
-            assert np.linalg.norm(embed(head, base)) == pytest.approx(1.0, abs=1e-6)
+        z = embed(head, rng.normal(size=(20, 10)))
+        assert z.shape == (20, 6)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
 
     def test_positive_scaling_invariance_with_zero_bias(self, rng):
         weight = rng.normal(size=(8, 5))
         head = ProjectionHead(weight=weight, bias=np.zeros(5))
-        base = BaseFeature(values=rng.normal(size=8))
-        scaled = BaseFeature(values=base.values * 7.3)
-        assert np.allclose(embed(head, base), embed(head, scaled), atol=1e-12)
+        rows = rng.normal(size=(3, 8))
+        assert np.allclose(embed(head, rows), embed(head, rows * 7.3), atol=1e-12)
 
     def test_zero_vector_maps_to_first_basis_vector(self):
         head = ProjectionHead(weight=np.zeros((4, 3)), bias=np.zeros(3))
-        base = BaseFeature(values=np.zeros(4))
-        assert np.array_equal(embed(head, base), [1.0, 0.0, 0.0])
+        assert np.array_equal(embed(head, np.zeros((2, 4))), [[1.0, 0.0, 0.0]] * 2)
 
     def test_dimension_mismatch(self):
         head = ProjectionHead.initialize(5, d=4, seed=0)
-        base = BaseFeature(values=np.zeros(6))
-        with pytest.raises(DimensionMismatch):
-            embed(head, base)
+        for shape in [(1, 6), (5,), (1, 1, 5)]:
+            with pytest.raises(DimensionMismatch):
+                embed(head, np.zeros(shape))
+
+    def test_block_agrees_with_one_row_at_a_time(self, rng):
+        # A block GEMM sums in another order than a one-row product: the
+        # float64 rows agree to a few ulps, so float32 components agree to
+        # within one float32 ulp (and are nearly always equal).
+        head = ProjectionHead.initialize(2880, d=512, seed=1)
+        rows = rng.normal(size=(16, 2880))
+        block = embed(head, rows)
+        single = np.concatenate([embed(head, row[None]) for row in rows])
+        assert np.abs(block - single).max() < 1e-14
+        block32, single32 = block.astype(np.float32), single.astype(np.float32)
+        assert (np.abs(block32 - single32) <= np.spacing(np.abs(single32))).all()
 
 
 class TestSplitAndContrastLoss:

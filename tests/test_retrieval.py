@@ -424,6 +424,18 @@ class TestFeatureFile:
             write_features(path, gallery_from(unit_rows(rng, 2, 8), offsets=[0.0, offset]))
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3e19])
+    def test_non_finite_row_raises_before_writing(self, tmp_path, rng, bad):
+        # 3e19 is a finite float32 whose square overflows: build_index rejects it too.
+        rows = unit_rows(rng, 3, 8)
+        rows[1, 4] = bad
+        path = tmp_path / "bad.amcf"
+        with pytest.raises(IoError, match="row 'v00001' is not finite"):
+            write_features(path, gallery_from(rows))
+        assert not path.exists()
+        with pytest.raises(ValueError, match="row 'v00001' is not finite"):
+            build_index(gallery_from(rows))
+
     @pytest.mark.parametrize("writer", ["features", "checkpoint", "audio"])
     def test_failed_write_keeps_existing_file(self, tmp_path, rng, monkeypatch, writer):
         path = tmp_path / "out.bin"
@@ -481,6 +493,20 @@ class TestBatchFeaturize:
         vector = batch_featurize([tone_clip()], kind=FeatureKind.MFCC).vectors[0]
         assert vector.shape == (20 * 45,)
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-6)
+
+    def test_clips_must_share_rate_and_length(self, tone_clip):
+        with pytest.raises(DimensionMismatch):
+            batch_featurize([tone_clip(), tone_clip(seconds=1.5)])
+        with pytest.raises(DimensionMismatch):
+            batch_featurize([tone_clip(sr=44100)])
+
+    def test_normalize_rows_equal_one_vector_at_a_time(self, rng):
+        # Oracle: each vector divided by np.linalg.norm of it alone, bit for bit.
+        rows = rng.normal(size=(16, 2880)) * rng.uniform(0.1, 50.0, size=(16, 1))
+        rows[3] = 0.0
+        expected = [row / np.linalg.norm(row) if row.any() else np.eye(1, 2880)[0] for row in rows]
+        assert np.array_equal(normalize(rows), expected)
+        assert np.array_equal(normalize(rows[5]), expected[5])
 
     def test_no_clips_give_an_empty_gallery(self):
         assert len(batch_featurize([])) == 0
