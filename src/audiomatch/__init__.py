@@ -7,7 +7,7 @@ pair's spectrograms for the best cut point and render an equal-power
 crossfade whose length adapts to how peaky the pair's similarity is.
 """
 
-from .audio_io import CANONICAL_RATE, AudioClip, load_audio, segment, write_audio
+from .audio_io import CANONICAL_RATE, FRAME_LENGTH, AudioClip, load_audio, segment, write_audio
 from .dsp import (
     BaseFeature,
     FeatureKind,

@@ -2,18 +2,23 @@
 
 Every downstream stage (features, retrieval, transitions) consumes the
 canonical form produced by :func:`load_audio`: finite mono float samples
-in [-1, 1] at 48 kHz.  Input must be RIFF/WAV holding 16- or 24-bit
-integer PCM or 32-bit IEEE float, 1-8 channels, at any rate; compressed
-formats are out of scope and callers pre-convert.  Output is always
-16-bit PCM mono at 48 kHz.
+in [-1, 1] at 48 kHz, cut by :func:`segment` into 1-second frames of
+FRAME_LENGTH samples.  These two constants are the only definition of
+the rate and the frame; no other module carries either.  Input must be
+RIFF/WAV holding 16- or 24-bit integer PCM or 32-bit IEEE float, 1-8
+channels, at any rate; compressed formats are out of scope and callers
+pre-convert.  Output is always 16-bit PCM mono at 48 kHz.
 
 Multi-channel input is mixed down by arithmetic mean.  Non-48 kHz input
 is resampled with a polyphase windowed-sinc filter (Kaiser beta 8.6,
-roughly 87 dB stopband).
+roughly 87 dB stopband).  The module also holds the file helpers every
+command shares: atomic writes and the JSON-lines reader of manifests
+and labels.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -22,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFile, IoError, TooShort, UnsupportedFormat
+from .errors import AudioMatchError, CorruptFile, IoError, TooShort, UnsupportedFormat
 
 CANONICAL_RATE = 48000
+FRAME_LENGTH = CANONICAL_RATE  # samples in one 1-second frame
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -38,11 +44,16 @@ _SAMPLE_BYTES = {(_FORMAT_PCM, 16): 2, (_FORMAT_PCM, 24): 3, (_FORMAT_IEEE_FLOAT
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Immutable mono sample buffer with provenance metadata.
+    """Immutable 48 kHz mono sample buffer with provenance metadata.
+
+    Samples are kept as a read-only float64 view, copied only to change
+    dtype: a float64 input shares its memory with the clip, so a caller
+    that writes to that array afterwards changes the clip too.
 
     Attributes:
-        samples: 1-D float64 array of amplitudes in [-1, 1] (read-only).
-        sample_rate: Sampling rate in Hz; 48000 after ingest.
+        samples: 1-D finite float64 array of amplitudes (read-only).
+        sample_rate: Always CANONICAL_RATE; any other value raises
+            ValueError.
         source_id: Opaque identifier of the originating file.
         offset_s: Seconds from the start of the source.
     """
@@ -53,38 +64,25 @@ class AudioClip:
     offset_s: float = 0.0
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        if self.sample_rate != CANONICAL_RATE:
+            raise ValueError(f"sample_rate must be {CANONICAL_RATE}, got {self.sample_rate}")
+        samples = np.asarray(self.samples, dtype=np.float64).view()
         if samples.ndim != 1:
             raise ValueError("samples must be 1-D")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    def slice(self, start: int, stop: int, offset_s: float | None = None) -> "AudioClip":
-        """Return a sub-clip of samples[start:stop] with adjusted offset.
-
-        Its samples are a read-only view of this clip's, already checked,
-        so nothing is copied or checked again.
-        """
-        if offset_s is None:
-            offset_s = self.offset_s + start / self.sample_rate
-        sub = object.__new__(AudioClip)
-        fields = (("samples", self.samples[start:stop]), ("sample_rate", self.sample_rate),
-                  ("source_id", self.source_id), ("offset_s", offset_s))
-        for name, value in fields:
-            object.__setattr__(sub, name, value)
-        return sub
+    def slice(self, start: int, stop: int) -> "AudioClip":
+        """Sub-clip of samples[start:stop], a view of these, offset ``start`` samples further."""
+        return AudioClip(
+            self.samples[start:stop], CANONICAL_RATE, self.source_id,
+            self.offset_s + start / CANONICAL_RATE,
+        )
 
 
 def _read_exact(buf: bytes, pos: int, count: int, what: str) -> bytes:
@@ -182,7 +180,7 @@ def load_audio(path: str | Path) -> AudioClip:
     """Load a WAV file as a canonical 48 kHz mono clip.
 
     Multi-channel input is averaged to mono, non-48 kHz input is
-    resampled, and the result is clipped to [-1, 1].
+    resampled, and the result is clipped to [-1, 1] in place.
 
     Raises:
         UnsupportedFormat: Wrong container, codec, or bit depth.
@@ -198,7 +196,7 @@ def load_audio(path: str | Path) -> AudioClip:
     frames, rate = _parse_wav(raw)
     mono = frames[:, 0] if frames.shape[1] == 1 else frames.mean(axis=1)
     mono = resample_to_canonical(mono, rate)
-    mono = np.clip(mono, -1.0, 1.0)
+    np.clip(mono, -1.0, 1.0, out=mono)
     return AudioClip(mono, CANONICAL_RATE, source_id=path.stem, offset_s=0.0)
 
 
@@ -218,8 +216,53 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+# What each kind of JSON-lines field accepts.  Types are exact: a JSON true is no number.
+_FIELD_KINDS = {
+    "a string": lambda value: type(value) is str,
+    "a number": lambda value: type(value) in (int, float),
+    "a 0 or 1": lambda value: type(value) is int and value in (0, 1),
+}
+
+
+def read_json_lines(
+    path: str | Path, fields: dict[str, str], what: str = "manifest"
+) -> list[dict]:
+    """The rows of a JSON-lines file, a frame manifest or labels, each an object holding ``fields``.
+
+    ``fields`` maps each key a row needs to its kind: "a string", "a
+    number" or "a 0 or 1".  Blank lines are skipped.  An unreadable file
+    raises IoError.  One that is not UTF-8 or is empty, and the first
+    row that is not JSON, not an object or lacks a key of its kind,
+    raise AudioMatchError naming ``what``, the file and the 1-based line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise AudioMatchError(f"{what} {path} is not UTF-8: {exc}") from None
+    checks = [(key, kind, _FIELD_KINDS[kind]) for key, kind in fields.items()]
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise AudioMatchError(f"{what} {path} line {number} is not JSON: {exc}") from None
+        if type(row) is not dict:
+            raise AudioMatchError(f"{what} {path} line {number} is not a JSON object")
+        for key, kind, accepts in checks:
+            if not accepts(row.get(key)):
+                raise AudioMatchError(f"{what} {path} line {number} needs {kind} {key!r}")
+        rows.append(row)
+    if not rows:
+        raise AudioMatchError(f"{what} {path} is empty")
+    return rows
+
+
 def write_audio(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as 16-bit PCM mono WAV at the clip's sample rate, whole or not at all.
+    """Write a clip as 16-bit PCM mono 48 kHz WAV, whole or not at all.
 
     Quantization is symmetric (scale 32768 with clamp to int16 range),
     so load-after-write differs from the original by at most 2**-15 per
@@ -231,14 +274,13 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
     scaled = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767)
     pcm = scaled.astype("<i2").tobytes()
 
-    rate = clip.sample_rate
     header = b"".join(
         [
             b"RIFF",
             struct.pack("<I", 36 + len(pcm)),
             b"WAVE",
             b"fmt ",
-            struct.pack("<IHHIIHH", 16, _FORMAT_PCM, 1, rate, rate * 2, 2, 16),
+            struct.pack("<IHHIIHH", 16, _FORMAT_PCM, 1, CANONICAL_RATE, 2 * CANONICAL_RATE, 2, 16),
             b"data",
             struct.pack("<I", len(pcm)),
         ]
@@ -249,25 +291,20 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def segment(clip: AudioClip, frame_s: float = 1.0) -> list[AudioClip]:
-    """Cut a clip into consecutive non-overlapping frames of frame_s seconds.
+def segment(clip: AudioClip) -> list[AudioClip]:
+    """Cut a clip into consecutive non-overlapping 1-second frames of FRAME_LENGTH samples.
 
-    Returns floor(duration / frame_s) frames; the trailing remainder is
-    dropped.  Each frame keeps the source_id and carries its absolute
-    offset within the source.
+    Returns floor(duration) frames; the trailing remainder is dropped.
+    Each frame is a view of the clip, keeps its source_id and carries
+    its absolute offset within the source, a whole number of seconds
+    past the clip's.
 
     Raises:
         TooShort: The clip holds less than one full frame.
     """
-    if frame_s <= 0:
-        raise ValueError("frame_s must be positive")
-    frame_len = int(round(frame_s * clip.sample_rate))
-    if len(clip) < frame_len:
+    if len(clip) < FRAME_LENGTH:
         raise TooShort(
-            f"clip of {len(clip)} samples is shorter than one {frame_len}-sample frame"
+            f"clip of {len(clip)} samples is shorter than one {FRAME_LENGTH}-sample frame"
         )
-    count = len(clip) // frame_len
-    return [
-        clip.slice(i * frame_len, (i + 1) * frame_len, offset_s=clip.offset_s + i * frame_s)
-        for i in range(count)
-    ]
+    starts = range(0, len(clip) - FRAME_LENGTH + 1, FRAME_LENGTH)
+    return [clip.slice(start, start + FRAME_LENGTH) for start in starts]

@@ -7,8 +7,9 @@ OPENBLAS_NUM_THREADS or the like); outputs are byte-identical at any
 BLAS thread count.  featurize and train stream manifest frames through
 one block path, ``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM
 and one head GEMM per block), so memory is bounded by a block, not by
-the manifest.  The analysis geometry is fixed in :mod:`audiomatch.dsp`
-and has no flags.
+the manifest.  Clips are always 48 kHz and frames always 1 second
+(:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in
+:mod:`audiomatch.dsp`; none of them has a flag.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .embedding import ProjectionHead, TrainConfig, train
 from .errors import AudioMatchError
 from .retrieval import Gallery, frame_id
 
-_FRAME_SECONDS = 1.0
-_FRAME_KEYS = ("path", "source_id", "offset_s")  # the manifest keys featurize and train read
+# The manifest fields featurize and train read.
+_FRAME_FIELDS = {"path": "a string", "source_id": "a string", "offset_s": "a number"}
 
 
 def _max_workers() -> int:
@@ -47,35 +48,6 @@ def _iter_input_wavs(inputs: list[str]) -> list[Path]:
     return paths
 
 
-def _read_manifest(path: str | Path, keys: tuple[str, ...] = _FRAME_KEYS) -> list[dict]:
-    """The rows of a JSON-lines frame manifest, each an object holding ``keys``.
-
-    ``offset_s`` must be a number and every other key a string.  The
-    first row that is not JSON, not an object or lacks a key raises
-    AudioMatchError naming the file and its 1-based line.
-    """
-    # Exact types: a JSON true is no number here.
-    checks = [(key, (int, float) if key == "offset_s" else (str,)) for key in keys]
-    rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AudioMatchError(f"manifest {path} line {number} is not JSON: {exc}") from None
-        if type(row) is not dict:
-            raise AudioMatchError(f"manifest {path} line {number} is not a JSON object")
-        for key, types in checks:
-            if type(row.get(key)) not in types:
-                kind = "number" if key == "offset_s" else "string"
-                raise AudioMatchError(f"manifest {path} line {number} needs a {kind} {key!r}")
-        rows.append(row)
-    if not rows:
-        raise AudioMatchError(f"manifest {path} is empty")
-    return rows
-
-
 def cmd_segment(args: argparse.Namespace) -> int:
     wavs = _iter_input_wavs(args.inputs)
     if not wavs:
@@ -86,7 +58,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     rows = []
     for wav in wavs:
         clip = audio_io.load_audio(wav)
-        for index, frame in enumerate(audio_io.segment(clip, args.frame_seconds)):
+        for index, frame in enumerate(audio_io.segment(clip)):
             frame_path = out_dir / f"{clip.source_id}_{index:05d}.wav"
             audio_io.write_audio(frame, frame_path)
             rows.append(
@@ -105,11 +77,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def _load_frame(row: dict) -> np.ndarray:
     """48 kHz samples of the first 1-second frame of a manifest row's WAV."""
-    return audio_io.segment(audio_io.load_audio(row["path"]), _FRAME_SECONDS)[0].samples
+    return audio_io.segment(audio_io.load_audio(row["path"]))[0].samples
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    rows = _read_manifest(args.manifest, ("id",) + _FRAME_KEYS)
+    rows = audio_io.read_json_lines(args.manifest, {"id": "a string", **_FRAME_FIELDS})
     head = ProjectionHead.load(args.head) if args.head else None
     kind = FeatureKind(args.kind)
     out_path = Path(args.out)
@@ -149,7 +121,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     elif args.query_wav:
         head = ProjectionHead.load(args.head) if args.head else None
         clip = audio_io.load_audio(args.query_wav)
-        query_clip = audio_io.segment(clip, _FRAME_SECONDS)[0]
+        query_clip = audio_io.segment(clip)[0]
         query_vector = retrieval.featurize_clip(
             query_clip.samples[None], head, FeatureKind(args.kind)
         )[0].astype(np.float64)
@@ -161,7 +133,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     exclude = query_source if not args.include_same_source else None
     candidates = index.query(query_vector, args.k, exclude_source=exclude, query_id=query_id)
     if args.render_dir:  # every WAV is located, and the query's loaded, before any output
-        paths = {row["id"]: row["path"] for row in _read_manifest(args.manifest, ("id", "path"))}
+        fields = {"id": "a string", "path": "a string"}
+        paths = {row["id"]: row["path"] for row in audio_io.read_json_lines(args.manifest, fields)}
         if query_clip is None:
             if query_id not in paths:
                 raise AudioMatchError(f"query id {query_id!r} not in manifest {args.manifest}")
@@ -244,7 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, tau=args.tau,
         seed=args.seed,
     )
-    rows = _read_manifest(args.manifest)
+    rows = audio_io.read_json_lines(args.manifest, _FRAME_FIELDS)
     by_source: dict[str, list[dict]] = {}
     for row in rows:
         by_source.setdefault(row["source_id"], []).append(row)
@@ -335,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="split WAVs into 1-second frames plus a manifest")
     p.add_argument("inputs", nargs="+", help="WAV files or directories")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--frame-seconds", type=float, default=1.0)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("featurize", help="turn a frame manifest into a feature file")
@@ -411,10 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AudioMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (AudioMatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,15 +58,15 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(sample_rate: int = 48000) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filterbank matrix of shape (MEL_BINS, WINDOW_SIZE//2 + 1).
 
     Band edges are equally spaced on the HTK mel scale between 0 Hz and
     Nyquist; each triangle ramps linearly in Hz and peaks at 1.
+    :func:`mel_spectrogram` uses the copy built once at import.
     """
-    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / sample_rate)
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), MEL_BINS + 2))
+    freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / CANONICAL_RATE)
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(CANONICAL_RATE / 2.0), MEL_BINS + 2))
     bank = np.zeros((MEL_BINS, len(freqs)))
     for m in range(MEL_BINS):
         lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
@@ -78,11 +77,13 @@ def mel_filterbank(sample_rate: int = 48000) -> np.ndarray:
     return bank
 
 
-def filter_center_frequencies(sample_rate: int = 48000) -> np.ndarray:
+def filter_center_frequencies() -> np.ndarray:
     """Center frequency in Hz of each mel filter."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), MEL_BINS + 2))
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(CANONICAL_RATE / 2.0), MEL_BINS + 2))
     return edges[1:-1]
 
+
+_MEL_FILTERBANK = mel_filterbank()
 
 # Periodic Hann: one full cosine cycle over the window.
 _HANN_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
@@ -120,21 +121,18 @@ def mel_spectrogram(clip: AudioClip | np.ndarray, *, log_compress: bool = True) 
     """Mel-band power spectrogram, float64 of shape (MEL_BINS, t), or (m, MEL_BINS, t) for a block.
 
     Args:
-        clip: Mono clip of at least one analysis window, or an (m, n)
-            block of m such 48 kHz frames.
+        clip: 48 kHz mono clip of at least one analysis window, or an
+            (m, n) block of m such frames.
         log_compress: Return log(power + 1e-10) when True, raw power
             otherwise (the form the transition search consumes).
 
     Raises:
         TooShort: Fewer samples than one analysis window.
     """
-    if isinstance(clip, AudioClip):
-        samples, sample_rate = clip.samples, clip.sample_rate
-    else:
-        samples, sample_rate = np.asarray(clip, dtype=np.float64), CANONICAL_RATE
+    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
     if samples.shape[-1] < WINDOW_SIZE:
         raise TooShort(f"need at least {WINDOW_SIZE} samples, got {samples.shape[-1]}")
-    mel = np.matmul(mel_filterbank(sample_rate), power_stft(samples))
+    mel = np.matmul(_MEL_FILTERBANK, power_stft(samples))
     return np.log(mel + LOG_EPS) if log_compress else mel
 
 

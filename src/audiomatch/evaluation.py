@@ -6,20 +6,21 @@ by ascending id) and averages average precision, hit-rate@K, and
 precision@K over queries.  Metrics are pure functions of the
 rank/relevance structure.
 
-Labels are JSON lines {query_id, gallery_id, relevance}; reports are
-JSON with per-query rows and an aggregate block.
+Labels are JSON lines {query_id, gallery_id, relevance}, read by
+:func:`audio_io.read_json_lines`: ids are strings and relevance is 0 or
+1.  Reports are JSON with per-query rows and an aggregate block.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IoError, MissingId, NoPositives
+from .audio_io import read_json_lines
+from .errors import MissingId, NoPositives
 from .retrieval import GalleryIndex
 
 
@@ -63,12 +64,9 @@ class LabeledSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "LabeledSet":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise IoError(f"cannot read labels {path}: {exc}") from exc
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return cls.from_rows(rows)
+        """Labels from a JSON-lines file; a bad row raises AudioMatchError naming its line."""
+        fields = {"query_id": "a string", "gallery_id": "a string", "relevance": "a 0 or 1"}
+        return cls.from_rows(read_json_lines(path, fields, "labels"))
 
 
 def average_precision(ranked_ids: Sequence[str], positives: set[str]) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .audio_io import CANONICAL_RATE, AudioClip, write_atomic
+from .audio_io import AudioClip, write_atomic
 from .dsp import FeatureKind, flatten, mel_spectrogram, mfcc
 from .embedding import ProjectionHead, embed
 from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
@@ -311,12 +311,12 @@ def batch_featurize(
     Row ids follow :func:`frame_id` over each clip's source and offset.
 
     Raises:
-        DimensionMismatch: The clips are not all 48 kHz and of one length.
+        DimensionMismatch: The clips are not all of one length.
     """
     vectors = np.empty((0, 0), dtype=np.float32)
     if clips:
-        if {(clip.sample_rate, len(clip)) for clip in clips} != {(CANONICAL_RATE, len(clips[0]))}:
-            raise DimensionMismatch("batch_featurize needs 48 kHz clips of one length")
+        if len({len(clip) for clip in clips}) != 1:
+            raise DimensionMismatch("batch_featurize needs clips of one length")
         vectors = map_blocks(
             lambda block: featurize_clip(block, head, kind), (clip.samples for clip in clips)
         )

@@ -36,13 +36,12 @@ DRIFT_HIGH_AMP = 0.5
 def tone(
     freq: float,
     seconds: float,
-    sr: int = CANONICAL_RATE,
     amp: float = 0.5,
     harmonics: tuple[float, ...] = (1.0,),
     phase: float = 0.0,
 ) -> np.ndarray:
-    """Sum of harmonics of a fundamental, peak-normalized to ``amp``."""
-    t = np.arange(int(round(seconds * sr))) / sr
+    """48 kHz sum of harmonics of a fundamental, peak-normalized to ``amp``."""
+    t = np.arange(int(round(seconds * CANONICAL_RATE))) / CANONICAL_RATE
     out = np.zeros_like(t)
     for h, weight in enumerate(harmonics, start=1):
         out += weight * np.sin(2.0 * np.pi * freq * h * t + phase)
@@ -50,26 +49,20 @@ def tone(
     return out * (amp / peak) if peak > 0 else out
 
 
-def noise_burst(
-    seconds: float, sr: int = CANONICAL_RATE, amp: float = 0.3, seed: int = 0
-) -> np.ndarray:
-    """Seeded white noise clipped to [-amp, amp]."""
+def noise_burst(seconds: float, amp: float = 0.3, seed: int = 0) -> np.ndarray:
+    """Seeded 48 kHz white noise clipped to [-amp, amp]."""
     rng = np.random.default_rng(seed)
-    return np.clip(rng.normal(0.0, amp / 3.0, int(round(seconds * sr))), -amp, amp)
+    return np.clip(rng.normal(0.0, amp / 3.0, int(round(seconds * CANONICAL_RATE))), -amp, amp)
 
 
 def impulse_train(
-    seconds: float,
-    sr: int = CANONICAL_RATE,
-    rate_hz: float = 3.0,
-    amp: float = 0.8,
-    decay: float = 0.004,
+    seconds: float, rate_hz: float = 3.0, amp: float = 0.8, decay: float = 0.004
 ) -> np.ndarray:
-    """Exponentially decaying clicks at a fixed repetition rate."""
-    n = int(round(seconds * sr))
+    """48 kHz exponentially decaying clicks at a fixed repetition rate."""
+    n = int(round(seconds * CANONICAL_RATE))
     out = np.zeros(n)
-    period = int(sr / rate_hz)
-    kernel = amp * np.exp(-np.arange(int(decay * sr) * 8) / (decay * sr))
+    period = int(CANONICAL_RATE / rate_hz)
+    kernel = amp * np.exp(-np.arange(int(decay * CANONICAL_RATE) * 8) / (decay * CANONICAL_RATE))
     for start in range(0, n, period):
         end = min(n, start + len(kernel))
         out[start:end] += kernel[: end - start]

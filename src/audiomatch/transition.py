@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import CANONICAL_RATE, FRAME_LENGTH, AudioClip
 from .dsp import HOP_LENGTH, WINDOW_SIZE, mel_spectrogram
 from .errors import CrossfadeTooLong, CutOutOfRange, ShapeMismatch, TooShort
 
@@ -120,14 +120,14 @@ class TransitionPlan:
     var: float | None = None
     phi: float | None = None
 
-    def describe(self, sample_rate: int = 48000) -> dict:
+    def describe(self) -> dict:
         """JSON-friendly summary of the plan."""
         return {
             "strategy": self.strategy.value,
             "cut_i": self.cut_i,
             "cut_j": self.cut_j,
-            "cut_query_s": self.cut_query / sample_rate,
-            "cut_match_s": self.cut_match / sample_rate,
+            "cut_query_s": self.cut_query / CANONICAL_RATE,
+            "cut_match_s": self.cut_match / CANONICAL_RATE,
             "crossfade_s": self.crossfade_s,
             "var": self.var,
             "phi": self.phi,
@@ -158,18 +158,15 @@ def render(query: AudioClip, match: AudioClip, plan: TransitionPlan) -> AudioCli
         CutOutOfRange: A cut point falls outside its clip.
         CrossfadeTooLong: The overlap does not fit the available audio.
     """
-    if query.sample_rate != match.sample_rate:
-        raise ShapeMismatch("query and match sample rates differ")
     if plan.crossfade_s < 0.0:
         raise ValueError("crossfade_s must be >= 0")
-    sr = query.sample_rate
     cut_q, cut_m = plan.cut_query, plan.cut_match
     if not 0 <= cut_q <= len(query):
         raise CutOutOfRange(f"query cut {cut_q} outside clip of {len(query)} samples")
     if not 0 <= cut_m <= len(match):
         raise CutOutOfRange(f"match cut {cut_m} outside clip of {len(match)} samples")
 
-    overlap = int(round(plan.crossfade_s * sr))
+    overlap = int(round(plan.crossfade_s * CANONICAL_RATE))
     if overlap == 0:
         out = np.concatenate([query.samples[:cut_q], match.samples[cut_m:]])
     else:
@@ -194,7 +191,7 @@ def render(query: AudioClip, match: AudioClip, plan: TransitionPlan) -> AudioCli
         )
     out = np.clip(out, -1.0, 1.0)
     source = f"{query.source_id}=>{match.source_id}" if query.source_id else match.source_id
-    return AudioClip(out, sr, source_id=source, offset_s=0.0)
+    return AudioClip(out, CANONICAL_RATE, source_id=source, offset_s=0.0)
 
 
 def step_to_sample(step: int) -> int:
@@ -227,25 +224,26 @@ def make_plan(
     :func:`adaptive_crossfade_length`.
 
     Raises:
-        ValueError: A setting out of range, checked before any analysis.
+        ValueError: A setting out of range or an offset that is not
+            finite, checked before any analysis.
         TooShort: Either clip lacks a full 1-second window at its offset.
     """
     check_settings(phi=phi, fixed_s=fixed_s, l_min=l_min, l_max=l_max)
-    sr = query.sample_rate
-    if match.sample_rate != sr:
-        raise ShapeMismatch("query and match sample rates differ")
-    frame_len = sr  # 1-second search window
-    off_q = int(round(query_frame_offset_s * sr))
-    off_m = int(round(match_frame_offset_s * sr))
-    if off_q < 0 or off_q + frame_len > len(query):
+    for name, offset in (("query_frame_offset_s", query_frame_offset_s),
+                         ("match_frame_offset_s", match_frame_offset_s)):
+        if not abs(offset) * CANONICAL_RATE < np.inf:  # false for NaN too
+            raise ValueError(f"{name} must be finite in seconds and in samples, got {offset}")
+    off_q = int(round(query_frame_offset_s * CANONICAL_RATE))
+    off_m = int(round(match_frame_offset_s * CANONICAL_RATE))
+    if off_q < 0 or off_q + FRAME_LENGTH > len(query):
         raise TooShort("query clip lacks a full 1-second window at the requested offset")
-    if off_m < 0 or off_m + frame_len > len(match):
+    if off_m < 0 or off_m + FRAME_LENGTH > len(match):
         raise TooShort("match clip lacks a full 1-second window at the requested offset")
 
     if strategy is Strategy.CONCAT:
         return TransitionPlan(
             strategy=strategy,
-            cut_query=off_q + frame_len,
+            cut_query=off_q + FRAME_LENGTH,
             cut_match=off_m,
             crossfade_s=0.0,
         )
@@ -253,16 +251,18 @@ def make_plan(
     if strategy is Strategy.FIXED_CROSSFADE:
         # Overlap spans the query-window tail and match-window head; the
         # nominal cut sits at the center of that overlap.
-        overlap = min(int(round(fixed_s * sr)), off_q + frame_len, len(match) - off_m)
+        overlap = min(
+            int(round(fixed_s * CANONICAL_RATE)), off_q + FRAME_LENGTH, len(match) - off_m
+        )
         return TransitionPlan(
             strategy=strategy,
-            cut_query=off_q + frame_len - (overlap - overlap // 2),
+            cut_query=off_q + FRAME_LENGTH - (overlap - overlap // 2),
             cut_match=off_m + overlap // 2,
-            crossfade_s=overlap / sr,
+            crossfade_s=overlap / CANONICAL_RATE,
         )
 
-    query_window = query.slice(off_q, off_q + frame_len)
-    match_window = match.slice(off_m, off_m + frame_len)
+    query_window = query.slice(off_q, off_q + FRAME_LENGTH)
+    match_window = match.slice(off_m, off_m + FRAME_LENGTH)
     raw, cosine = similarity_matrix(
         mel_spectrogram(query_window, log_compress=False),
         mel_spectrogram(match_window, log_compress=False),
@@ -286,12 +286,12 @@ def make_plan(
     length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
     # Shrink the fade to the largest overlap that fits both clips around the cuts.
     room = min(cut_q, cut_m, len(query) - cut_q, len(match) - cut_m)
-    overlap = min(int(round(length_s * sr)), 2 * room)
+    overlap = min(int(round(length_s * CANONICAL_RATE)), 2 * room)
     return TransitionPlan(
         strategy=Strategy.MAX_SS_ADAPTIVE,
         cut_query=cut_q,
         cut_match=cut_m,
-        crossfade_s=overlap / sr,
+        crossfade_s=overlap / CANONICAL_RATE,
         cut_i=cut_i,
         cut_j=cut_j,
         var=var,

@@ -279,9 +279,24 @@ class TestAudioClip:
         with pytest.raises(ValueError):
             AudioClip(np.array([0.0, np.nan]), 48000)
 
-    def test_rejects_bad_rate(self):
+    def test_rejects_bad_rate(self, tone_clip):
         with pytest.raises(ValueError):
             AudioClip(np.zeros(10), 0)
+        # Every clip is 48 kHz, so no two clips can differ in rate.
+        with pytest.raises(ValueError, match="^sample_rate must be 48000, got 44100$"):
+            AudioClip(np.zeros(100), 44100)
+        with pytest.raises(ValueError):
+            tone_clip(sr=44100)
+
+    def test_samples_are_copied_only_to_change_dtype(self):
+        samples = np.linspace(-1.0, 1.0, 10)
+        clip = AudioClip(samples, 48000)
+        assert np.shares_memory(clip.samples, samples)
+        assert samples.flags.writeable and not clip.samples.flags.writeable
+        with pytest.raises(ValueError):
+            clip.samples[0] = 0.5
+        converted = AudioClip(samples.astype(np.float32), 48000).samples
+        assert converted.dtype == np.float64 and not converted.flags.writeable
 
     def test_slice_is_a_read_only_view(self):
         clip = AudioClip(np.arange(10.0), 48000, "src", 1.0)

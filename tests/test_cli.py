@@ -76,6 +76,16 @@ class TestSegmentCommand:
         main(["segment", str(wav), "--out-dir", str(out)])
         assert (out / "manifest.jsonl").read_bytes() == first
 
+    def test_frame_length_has_no_flag(self, tmp_path, tone_wav, capsys):
+        # Frames are always 1 second: the flag is a usage error, before any output.
+        out = tmp_path / "frames"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["segment", str(tone_wav(seconds=3.0)), "--out-dir", str(out),
+                  "--frame-seconds", "1.5"])
+        assert exit_info.value.code == 2
+        assert "--frame-seconds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def segmented(tmp_path, tone_wav):
@@ -481,6 +491,8 @@ class TestRenderCommand:
             (["--phi", "nan"], "phi"),
             (["--fixed-seconds", "-0.5", "--strategy", "crossfade"], "fixed_s"),
             (["--l-min", "0.6", "--l-max", "0.2"], "l_max"),
+            (["--query-offset", "inf"], "query_frame_offset_s"),
+            (["--match-offset", "nan", "--strategy", "concat"], "match_frame_offset_s"),
         ],
     )
     def test_out_of_range_setting_fails(self, tmp_path, tone_wav, capsys, flags, named):
@@ -661,6 +673,31 @@ class TestEvalCommand:
         )
         assert main(["eval", "--features", str(features), "--labels", str(labels)]) != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("[1, 2]", "is not a JSON object"),
+            ('{"query_id": "alpha@0.000", "gallery_id": "alpha@1.000", "relevance": null}',
+             "needs a 0 or 1 'relevance'"),
+            ('{"query_id": "alpha@0.000", "relevance": 1}', "needs a string 'gallery_id'"),
+            ("{not json", "is not JSON"),
+        ],
+        ids=["list", "null-relevance", "no-gallery-id", "not-json"],
+    )
+    def test_bad_labels_row_names_file_and_line(self, tmp_path, segmented, capsys, line, error):
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        good = {"query_id": "alpha@0.000", "gallery_id": "alpha@1.000", "relevance": 1}
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps(good) + "\n" + line + "\n")
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        argv = ["eval", "--features", str(features), "--labels", str(labels), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: labels {labels} line 2 ") and error in err
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -1,6 +1,7 @@
 """Retrieval metrics and labeled-set evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from audiomatch import (
     hit_rate_at_k,
     precision_at_k,
 )
-from audiomatch.errors import MissingId, NoPositives
+from audiomatch.errors import AudioMatchError, IoError, MissingId, NoPositives
 from audiomatch.evaluation import rank_labeled
 
 
@@ -220,6 +221,39 @@ class TestLabeledSetIo:
         path = tmp_path / "labels.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert LabeledSet.load(path) == LabeledSet.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ({"query_id": "q", "gallery_id": "g", "relevance": 2}, "needs a 0 or 1 'relevance'"),
+            ({"query_id": "q", "gallery_id": "g", "relevance": True}, "needs a 0 or 1"),
+            ({"query_id": "q", "gallery_id": "g", "relevance": 1.0}, "needs a 0 or 1"),
+            ({"query_id": "q", "gallery_id": "g", "relevance": "1"}, "needs a 0 or 1"),
+            ({"query_id": 7, "gallery_id": "g", "relevance": 1}, "needs a string 'query_id'"),
+            ({"gallery_id": "g", "relevance": 1}, "needs a string 'query_id'"),
+            ("just text", "is not a JSON object"),
+        ],
+        ids=["two", "true", "float", "text", "int-query", "no-query", "string"],
+    )
+    def test_load_names_file_and_line(self, tmp_path, row, error):
+        path = tmp_path / "labels.jsonl"
+        good = {"query_id": "q", "gallery_id": "h", "relevance": 0}
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+        expected = f"^labels {re.escape(str(path))} line 3 {re.escape(error)}"
+        with pytest.raises(AudioMatchError, match=expected):
+            LabeledSet.load(path)
+
+    def test_load_rejects_empty_binary_and_missing_files(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        with pytest.raises(AudioMatchError, match="is empty"):
+            LabeledSet.load(empty)
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\x80\x81\n")
+        with pytest.raises(AudioMatchError, match="is not UTF-8"):
+            LabeledSet.load(binary)
+        with pytest.raises(IoError, match="cannot read labels"):
+            LabeledSet.load(tmp_path / "missing.jsonl")
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):

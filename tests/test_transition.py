@@ -215,14 +215,6 @@ class TestRender:
         with pytest.raises(CrossfadeTooLong):
             render(a, b, plan(24000, 47950, 0.5))
 
-    def test_sample_rate_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            render(
-                AudioClip(np.zeros(100), 48000),
-                AudioClip(np.zeros(100), 44100),
-                plan(10, 10, 0.0),
-            )
-
 
 def click_clip(step, amp=0.9, seconds=1.0, source="click"):
     """Single impulse at the center of the given spectrogram step."""
@@ -335,6 +327,11 @@ class TestPlanSettings:
             ({"l_min": np.nan}, "l_min"), ({"l_min": -0.1}, "l_min"),
             ({"l_min": np.inf, "l_max": np.inf}, "l_min"),
             ({"l_min": 0.6, "l_max": 0.2}, "l_max"), ({"l_max": np.nan}, "l_max"),
+            ({"query_frame_offset_s": np.inf}, "query_frame_offset_s"),
+            ({"query_frame_offset_s": np.nan}, "query_frame_offset_s"),
+            ({"match_frame_offset_s": -np.inf}, "match_frame_offset_s"),
+            ({"match_frame_offset_s": np.nan}, "match_frame_offset_s"),
+            ({"match_frame_offset_s": -1e305}, "match_frame_offset_s"),
         ],
     )
     @pytest.mark.parametrize("strategy", [Strategy.CONCAT, Strategy.MAX_SS_ADAPTIVE])
