@@ -215,6 +215,19 @@ class TestRender:
         with pytest.raises(CrossfadeTooLong):
             render(a, b, plan(24000, 47950, 0.5))
 
+    def test_sample_rate_mismatch(self):
+        # A 44.1 kHz clip is refused when built, so render never sees two rates.
+        with pytest.raises(ValueError, match="^sample_rate must be 48000, got 44100$"):
+            render(
+                AudioClip(np.zeros(100), 48000),
+                AudioClip(np.zeros(100), 44100),
+                plan(10, 10, 0.0),
+            )
+        out = render(
+            AudioClip(np.zeros(100), 48000), AudioClip(np.zeros(100), 48000), plan(10, 10, 0.0)
+        )
+        assert out.sample_rate == 48000
+
 
 def click_clip(step, amp=0.9, seconds=1.0, source="click"):
     """Single impulse at the center of the given spectrogram step."""
