@@ -225,15 +225,17 @@ _FIELD_KINDS = {
 
 
 def read_json_lines(
-    path: str | Path, fields: dict[str, str], what: str = "manifest"
+    path: str | Path, fields: dict[str, str], what: str = "manifest", unique: tuple[str, ...] = ()
 ) -> list[dict]:
     """The rows of a JSON-lines file, a frame manifest or labels, each an object holding ``fields``.
 
     ``fields`` maps each key a row needs to its kind: "a string", "a
-    number" or "a 0 or 1".  Blank lines are skipped.  An unreadable file
-    raises IoError.  One that is not UTF-8 or is empty, and the first
-    row that is not JSON, not an object or lacks a key of its kind,
-    raise AudioMatchError naming ``what``, the file and the 1-based line.
+    number" or "a 0 or 1".  Blank lines are skipped but counted.  An
+    unreadable file raises IoError.  One that is not UTF-8 or is empty,
+    the first row that is not JSON, not an object or lacks a key of its
+    kind, and, when ``unique`` names keys of ``fields``, the first row
+    repeating an earlier row's values of them, raise AudioMatchError
+    naming ``what``, the file and the 1-based line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -243,6 +245,7 @@ def read_json_lines(
         raise AudioMatchError(f"{what} {path} is not UTF-8: {exc}") from None
     checks = [(key, kind, _FIELD_KINDS[kind]) for key, kind in fields.items()]
     rows = []
+    line_of: dict[tuple, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -255,6 +258,13 @@ def read_json_lines(
         for key, kind, accepts in checks:
             if not accepts(row.get(key)):
                 raise AudioMatchError(f"{what} {path} line {number} needs {kind} {key!r}")
+        if unique:
+            first = line_of.setdefault(tuple(row[key] for key in unique), number)
+            if first != number:
+                keys = " and ".join(unique)
+                raise AudioMatchError(
+                    f"{what} {path} line {number} repeats the {keys} of line {first}"
+                )
         rows.append(row)
     if not rows:
         raise AudioMatchError(f"{what} {path} is empty")

@@ -253,12 +253,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_ks(text: str) -> list[int]:
+    """The --ks cutoffs: one or more comma-separated integers, each at least 1."""
+    try:
+        ks = [int(k) for k in text.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise AudioMatchError(f"--ks needs comma-separated integers >= 1, got {text!r}")
+    return ks
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    ks = _parse_ks(args.ks)  # before any file is read
     index = retrieval.build_index(retrieval.read_features(args.features))
     labeled = evaluation.LabeledSet.load(args.labels)
     query_ids = [query.query_id for query in labeled.queries if query.query_id in index]
     features = {query_id: index.vector(query_id).astype(np.float64) for query_id in query_ids}
-    ks = [int(k) for k in args.ks.split(",") if k.strip()]
     report = evaluation.evaluate(index, labeled, features, ks)
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:

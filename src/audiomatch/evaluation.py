@@ -7,8 +7,9 @@ precision@K over queries.  Metrics are pure functions of the
 rank/relevance structure.
 
 Labels are JSON lines {query_id, gallery_id, relevance}, read by
-:func:`audio_io.read_json_lines`: ids are strings and relevance is 0 or
-1.  Reports are JSON with per-query rows and an aggregate block.
+:func:`audio_io.read_json_lines`: ids are strings, relevance is 0 or 1
+and no (query_id, gallery_id) pair appears twice.  Reports are JSON
+with per-query rows and an aggregate block.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class LabeledSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "LabeledSet":
-        """Labels from a JSON-lines file; a bad row raises AudioMatchError naming its line."""
+        """Labels from a JSON-lines file; a bad or repeated row raises AudioMatchError naming it."""
         fields = {"query_id": "a string", "gallery_id": "a string", "relevance": "a 0 or 1"}
-        return cls.from_rows(read_json_lines(path, fields, "labels"))
+        unique = ("query_id", "gallery_id")
+        return cls.from_rows(read_json_lines(path, fields, "labels", unique))
 
 
 def average_precision(ranked_ids: Sequence[str], positives: set[str]) -> float:

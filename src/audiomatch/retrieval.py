@@ -12,11 +12,16 @@ BLAS thread count.
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
 u16-length-prefixed UTF-8 source id, an f32 offset in seconds, and d
-f32 vector components.
+f32 vector components.  :func:`read_features` reads a file once, into
+one buffer of its size, and moves each row's components forward into
+the (n, d) matrix at the buffer's start, which becomes the gallery's
+vectors: reading costs about one file of memory, not two.
+:func:`write_features` fills one buffer of the file's exact size.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from itertools import islice
@@ -32,6 +37,7 @@ from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
 
 _FEATURE_MAGIC = b"AMCF"
 _FEATURE_VERSION = 1
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, d, count
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-149  # smallest float32 subnormal, twice any underflow error
@@ -331,10 +337,11 @@ def batch_featurize(
 def write_features(path: str | Path, gallery: Gallery) -> None:
     """Write a gallery as an AMCF v1 feature file, whole or not at all.
 
-    An id or source id over 65535 UTF-8 bytes, an offset that is not a
-    finite float32, or a row that :func:`build_index` would reject (not
-    finite, or its squared norm overflows float32) raises IoError before
-    any byte is written.
+    The file is assembled in one buffer of its exact size.  An id or
+    source id over 65535 UTF-8 bytes, an offset that is not a finite
+    float32, or a row that :func:`build_index` would reject (not finite,
+    or its squared norm overflows float32) raises IoError before any
+    byte is written.
     """
     if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
@@ -344,66 +351,91 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
     texts_fit = max(map(len, ids + sources)) <= 0xFFFF
     if not texts_fit or not (np.abs(gallery.offsets) <= np.finfo(np.float32).max).all():
         raise IoError("feature files hold ids of at most 65535 UTF-8 bytes and f32 offsets")
-    vectors = gallery.vectors.astype("<f4", copy=False)
-    n, d = vectors.shape
-    parts = [_FEATURE_MAGIC, struct.pack("<IIQ", _FEATURE_VERSION, d, n)]
-    for id_bytes, source_bytes, offset, vector in zip(
-        ids, sources, gallery.offsets.astype("<f4"), vectors
-    ):
-        parts += (
-            struct.pack("<H", len(id_bytes)),
-            id_bytes,
-            struct.pack("<H", len(source_bytes)),
-            source_bytes,
-            offset.tobytes(),
-            vector.tobytes(),
-        )
+    n, d = gallery.vectors.shape
+    row_bytes = 4 * d
+    vectors = np.ascontiguousarray(gallery.vectors, dtype="<f4")
+    vectors = memoryview(vectors.reshape(-1).view(np.uint8))
+    offsets = memoryview(gallery.offsets.astype("<f4").view(np.uint8))
+    size = _HEADER.size + sum(map(len, ids + sources)) + n * (8 + row_bytes)
+    buffer = np.empty(size, dtype=np.uint8)
+    out = memoryview(buffer)
+    _HEADER.pack_into(out, 0, _FEATURE_MAGIC, _FEATURE_VERSION, d, n)
+    pos = _HEADER.size
+    for row, (id_bytes, source_bytes) in enumerate(zip(ids, sources)):
+        for text in (id_bytes, source_bytes):
+            out[pos : pos + 2] = len(text).to_bytes(2, "little")
+            out[pos + 2 : pos + 2 + len(text)] = text
+            pos += 2 + len(text)
+        out[pos : pos + 4] = offsets[4 * row : 4 * row + 4]
+        out[pos + 4 : pos + 4 + row_bytes] = vectors[row * row_bytes : (row + 1) * row_bytes]
+        pos += 4 + row_bytes
     try:
-        write_atomic(path, b"".join(parts))
+        write_atomic(path, buffer)
     except OSError as exc:
         raise IoError(f"cannot write feature file {path}: {exc}") from exc
 
 
 def read_features(path: str | Path) -> Gallery:
-    """Read an AMCF v1 feature file back into a gallery."""
+    """Read an AMCF v1 feature file back into a gallery.
+
+    The file is read once, into one buffer of its size; bytes past the
+    size its fstat gave (a pipe's, or those of a file that grew) are read
+    to the end and appended.  Each row's vector is then moved forward to its place in the (n, d) matrix at
+    the buffer's start, which becomes ``Gallery.vectors``.  A row's
+    target never reaches an unread byte, so one forward pass is safe.
+
+    Raises:
+        IoError: The file cannot be read, or is not a whole AMCF v1 file.
+    """
     try:
-        raw = memoryview(Path(path).read_bytes())
+        with open(path, "rb") as handle:
+            buffer = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
+            size = handle.readinto(buffer)
+            # A pipe reports size 0, and a file may grow after the fstat.
+            rest = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read feature file {path}: {exc}") from exc
-    if len(raw) < 20 or raw[:4] != _FEATURE_MAGIC:
+    if rest:
+        buffer = np.concatenate((buffer[:size], np.frombuffer(rest, dtype=np.uint8)))
+        size = len(buffer)
+    raw = memoryview(buffer)[:size]
+    if size < _HEADER.size or raw[:4] != _FEATURE_MAGIC:
         raise IoError(f"{path} is not a feature file")
-    version, d, count = struct.unpack_from("<IIQ", raw, 4)
+    _, version, d, count = _HEADER.unpack_from(raw)
     if version != _FEATURE_VERSION:
         raise IoError(f"unsupported feature file version {version}")
-    pos = 4 + struct.calcsize("<IIQ")
+    pos = _HEADER.size
     # Every row holds at least two lengths, an offset and d components.
-    if count * (8 + 4 * d) > len(raw) - pos:
+    if count * (8 + 4 * d) > size - pos:
         raise IoError(f"feature file {path} is too short for its {count} rows of dimension {d}")
 
     ids: list[str] = []
     source_ids: list[str] = []
     offsets = np.empty(count, dtype="<f4")
-    vectors = np.empty((count, d), dtype="<f4")
     offset_bytes = memoryview(offsets.view(np.uint8))
-    vector_bytes = memoryview(vectors.reshape(-1).view(np.uint8))
     row_bytes = 4 * d
     try:
         for row in range(count):
-            for column in (ids, source_ids):
-                (length,) = struct.unpack_from("<H", raw, pos)
-                column.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
-                pos += 2 + length
+            # Indexing past the end raises IndexError.  A slice past the end
+            # comes back short, so the copy after it raises ValueError.
+            length = raw[pos] | raw[pos + 1] << 8
+            ids.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
+            pos += 2 + length
+            length = raw[pos] | raw[pos + 1] << 8
+            source_ids.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
+            pos += 2 + length
             offset_bytes[4 * row : 4 * row + 4] = raw[pos : pos + 4]
             pos += 4
-            vector_bytes[row * row_bytes : (row + 1) * row_bytes] = raw[pos : pos + row_bytes]
+            # A memoryview assignment is a memmove: a row may overlap its target.
+            raw[row * row_bytes : (row + 1) * row_bytes] = raw[pos : pos + row_bytes]
             pos += row_bytes
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise IoError(f"truncated or corrupt feature file {path}") from exc
-    if pos != len(raw):
-        raise IoError(f"feature file {path} has {len(raw) - pos} trailing bytes")
+    if pos != size:
+        raise IoError(f"feature file {path} has {size - pos} trailing bytes")
     return Gallery(
         ids=tuple(ids),
         source_ids=tuple(source_ids),
         offsets=offsets.astype(np.float64),
-        vectors=vectors.astype(np.float32, copy=False),
+        vectors=buffer[: count * row_bytes].view("<f4").reshape(count, d),
     )

@@ -700,6 +700,37 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    def test_repeated_label_names_file_and_both_lines(self, tmp_path, segmented, capsys):
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        label = {"query_id": "alpha@0.000", "gallery_id": "alpha@1.000", "relevance": 1}
+        other = {**label, "gallery_id": "alpha@2.000"}
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("\n".join([json.dumps(label), "", json.dumps(other), json.dumps(label)]))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        argv = ["eval", "--features", str(features), "--labels", str(labels), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: labels {labels} line 4 repeats the query_id and gallery_id of line 1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["1,x", "0", ",", "", "2,-1", "1,2,", "1.5"])
+    def test_bad_ks_fails_before_reading_any_file(self, tmp_path, capsys, ks):
+        out = tmp_path / "report.json"
+        argv = [
+            "eval", "--features", str(tmp_path / "missing.amcf"),
+            "--labels", str(tmp_path / "missing.jsonl"), "--ks", ks, "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --ks needs comma-separated integers >= 1, got {ks!r}\n"
+        )
+        assert not out.exists()
+
+
 class TestSynthCommand:
     def test_tone_families(self, tmp_path):
         out = tmp_path / "fam"

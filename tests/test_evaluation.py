@@ -243,6 +243,22 @@ class TestLabeledSetIo:
         with pytest.raises(AudioMatchError, match=expected):
             LabeledSet.load(path)
 
+    def test_load_names_the_line_repeating_a_pair(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        rows = [
+            {"query_id": "q", "gallery_id": "g", "relevance": 1},
+            {"query_id": "q", "gallery_id": "h", "relevance": 0},
+            {"query_id": "r", "gallery_id": "g", "relevance": 1},
+            {"query_id": "q", "gallery_id": "g", "relevance": 0},
+        ]
+        lines = [json.dumps(row) for row in rows]
+        path.write_text("\n".join(lines[:3] + ["", lines[3]]))
+        expected = (
+            f"^labels {re.escape(str(path))} line 5 repeats the query_id and gallery_id of line 1$"
+        )
+        with pytest.raises(AudioMatchError, match=expected):
+            LabeledSet.load(path)
+
     def test_load_rejects_empty_binary_and_missing_files(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")

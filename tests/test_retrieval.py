@@ -1,11 +1,14 @@
 """Gallery index exactness, feature files, and the featurize pipeline."""
 
+import hashlib
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +49,81 @@ def gallery_from(rows, ids=None, sources="src", offsets=None):
         offsets=np.arange(n, dtype=np.float64) if offsets is None else offsets,
         vectors=rows,
     )
+
+
+def parse_amcf(raw):
+    """Independent AMCF v1 parser, one struct read per field, row by row.
+
+    Returns ids, source ids, the f32 offset bytes, the f32 vector bytes
+    and (n, d); a file that is not whole AMCF v1 raises ValueError or
+    struct.error.
+    """
+    magic, version, d, n = struct.unpack_from("<4sIIQ", raw, 0)
+    if magic != b"AMCF" or version != 1:
+        raise ValueError("not AMCF v1")
+    pos = 20
+    ids, sources, offsets, vectors = [], [], [], []
+    for _ in range(n):
+        for column in (ids, sources):
+            (length,) = struct.unpack_from("<H", raw, pos)
+            text = raw[pos + 2 : pos + 2 + length]
+            if len(text) != length:
+                raise ValueError("truncated text")
+            column.append(text.decode("utf-8"))
+            pos += 2 + length
+        (offset,) = struct.unpack_from("<4s", raw, pos)
+        (vector,) = struct.unpack_from(f"<{4 * d}s", raw, pos + 4)
+        offsets.append(offset)
+        vectors.append(vector)
+        pos += 4 + 4 * d
+    if pos != len(raw):
+        raise ValueError("trailing bytes")
+    return tuple(ids), tuple(sources), b"".join(offsets), b"".join(vectors), (n, d)
+
+
+def assert_reads_as_oracle(gallery, raw):
+    assert isinstance(gallery, Gallery)
+    ids, sources, offsets, vectors, shape = parse_amcf(raw)
+    assert gallery.ids == ids and gallery.source_ids == sources
+    assert gallery.offsets.astype("<f4").tobytes() == offsets
+    assert gallery.vectors.shape == shape and gallery.vectors.tobytes() == vectors
+    assert gallery.vectors.dtype == np.float32 and gallery.vectors.flags.c_contiguous
+    assert not gallery.vectors.flags.writeable
+
+
+def golden_gallery():
+    """A fixed gallery with empty, NUL, non-ASCII and 306-byte texts and fractional offsets."""
+    n, d = 5, 7
+    vectors = (np.arange(n * d, dtype=np.float32) * np.float32(0.37) % 3 - 1.5).reshape(n, d)
+    return Gallery(
+        ids=["", "a", "é\0x", "frame-" + "y" * 300, "日本@1.500"],
+        source_ids=["s", "", "src\0", "s", "ü"],
+        offsets=[0.0, 1.0, 2.5, 1e-3, 12345.678],
+        vectors=vectors,
+    )
+
+
+# sha256 of golden_gallery() as written by the row-by-row writer this one replaced.
+_GOLDEN_SHA256 = "17a1b7a23916ecfa3b85401643981f9c73dd80bc1749e863ea15756edcda17f7"
+
+
+@pytest.fixture(scope="module")
+def three_row_file(tmp_path_factory):
+    """A valid 3-row AMCF file (d = 4): its bytes, the places of its u32 d, u64 count and
+    u16 lengths, and a scratch path to write mutants to."""
+    directory = tmp_path_factory.mktemp("amcf")
+    path = directory / "three.amcf"
+    # Texts long enough that a cut in the last row passes the header's size check.
+    ids, sources = ["a", "bé" * 10, ""], ["s" * 30, "", "t\0"]
+    rows = unit_rows(np.random.default_rng(7), 3, 4)
+    write_features(path, gallery_from(rows, ids=ids, sources=sources))
+    fields, pos = [8, 12], 20
+    for texts in zip(ids, sources):
+        for text in texts:
+            fields.append(pos)
+            pos += 2 + len(text.encode())
+        pos += 4 + 16
+    return path.read_bytes(), fields, directory / "mutant.amcf"
 
 
 def oracle_ranking(gallery, z_q, k, exclude_source=None):
@@ -394,6 +472,111 @@ class TestFeatureFile:
             (tmp_path / f"{name}.amcf").write_bytes(data)
             with pytest.raises(IoError):
                 read_features(tmp_path / f"{name}.amcf")
+
+    @pytest.mark.parametrize("d", [1, 7, 512])
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["", "", "x", ""],
+            ["a\0b", "\0", "é", "日本語@1.000", "\U0001f3b5\0"],
+            ["x", "y" * 300, "é" * 150, "z", "w" * 300, "v"],
+        ],
+        ids=["empty", "nul-non-ascii", "1-and-300-bytes"],
+    )
+    def test_reads_as_an_independent_parser(self, tmp_path, rng, ids, d):
+        sources = [text[::-1] + "\0" * (i % 2) for i, text in enumerate(ids)]
+        offsets = np.arange(len(ids)) * 0.25 + 1e-3
+        rows = unit_rows(rng, len(ids), d)
+        gallery = gallery_from(rows, ids=ids, sources=sources, offsets=offsets)
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery)
+        loaded = read_features(path)
+        assert_reads_as_oracle(loaded, path.read_bytes())
+        assert loaded.vectors.tobytes() == gallery.vectors.tobytes()
+
+    def test_read_peak_memory_is_about_one_file(self, tmp_path, rng):
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 2000, 512)))
+        tracemalloc.start()
+        try:
+            loaded = read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 2000
+        assert peak < 1.2 * path.stat().st_size
+
+    @pytest.mark.parametrize("appended", [b"", b"\0junk"], ids=["whole", "trailing"])
+    def test_reads_past_a_stale_size(self, tmp_path, rng, monkeypatch, appended):
+        # The file grew after its size was taken: fstat reports 10 bytes too few.
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))
+        good = path.read_bytes()
+        path.write_bytes(good + appended)
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(good) - 10))
+        if appended:
+            with pytest.raises(IoError, match="5 trailing bytes"):
+                read_features(path)
+        else:
+            assert_reads_as_oracle(read_features(path), good)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path, rng):
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))
+        good = path.read_bytes()  # smaller than a pipe's buffer, so the writer never blocks
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(good,))
+        writer.start()
+        try:
+            assert_reads_as_oracle(read_features(pipe), good)
+        finally:
+            writer.join(timeout=10)
+
+    def test_writer_bytes_match_golden_digest(self, tmp_path):
+        gallery = golden_gallery()
+        path = tmp_path / "golden.amcf"
+        write_features(path, gallery)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_SHA256
+        # A column-major matrix is written as the same rows.
+        columns = Gallery(gallery.ids, gallery.source_ids, gallery.offsets,
+                          np.asfortranarray(gallery.vectors))
+        write_features(path, columns)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_SHA256
+
+    def test_every_prefix_raises_io_error(self, three_row_file):
+        good, _, path = three_row_file
+        for cut in range(len(good)):
+            path.write_bytes(good[:cut])
+            with pytest.raises(IoError):
+                read_features(path)
+        path.write_bytes(good)
+        assert_reads_as_oracle(read_features(path), good)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_mutated_file_reads_or_raises_io_error(self, three_row_file, data):
+        good, fields, path = three_row_file
+        whole = st.just(len(good))  # each mutation is skipped about half the time
+        raw = bytearray(good[: data.draw(st.one_of(whole, st.integers(0, len(good))), label="cut")])
+        for _ in range(data.draw(st.integers(0, 2), label="overwrites")):
+            start = data.draw(st.one_of(st.integers(0, len(raw)), st.sampled_from(fields)))
+            patch = data.draw(st.binary(min_size=1, max_size=12), label="patch")
+            raw[start : start + len(patch)] = patch
+        raw += data.draw(st.one_of(st.just(b""), st.binary(max_size=8)), label="appended")
+        path.write_bytes(raw)
+        try:  # any exception but IoError escapes and fails the test
+            gallery = read_features(path)
+        except IoError:
+            gallery = None
+        try:
+            oracle = parse_amcf(bytes(raw))
+        except (struct.error, ValueError):
+            oracle = None
+        assert (gallery is None) == (oracle is None)
+        if gallery is not None:
+            assert_reads_as_oracle(gallery, bytes(raw))
 
     def test_huge_header_count_fails_before_allocating(self, tmp_path):
         path = tmp_path / "huge.amcf"
