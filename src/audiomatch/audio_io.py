@@ -216,12 +216,14 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-# What each kind of JSON-lines field accepts.  Types are exact: a JSON true is no number.
+# What each kind of JSON-lines field accepts: the exact types (a JSON true is no
+# number) and, when not None, the values.
 _FIELD_KINDS = {
-    "a string": lambda value: type(value) is str,
-    "a number": lambda value: type(value) in (int, float),
-    "a 0 or 1": lambda value: type(value) is int and value in (0, 1),
+    "a string": ((str,), None),
+    "a number": ((int, float), None),
+    "a 0 or 1": ((int,), (0, 1)),
 }
+_JSON_DECODER = json.JSONDecoder()
 
 
 def read_json_lines(
@@ -235,7 +237,8 @@ def read_json_lines(
     the first row that is not JSON, not an object or lacks a key of its
     kind, and, when ``unique`` names keys of ``fields``, the first row
     repeating an earlier row's values of them, raise AudioMatchError
-    naming ``what``, the file and the 1-based line.
+    naming ``what``, the file and the 1-based line.  Each line is read
+    as ``json.loads`` reads it.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -243,20 +246,28 @@ def read_json_lines(
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise AudioMatchError(f"{what} {path} is not UTF-8: {exc}") from None
-    checks = [(key, kind, _FIELD_KINDS[kind]) for key, kind in fields.items()]
+    checks = [(key, kind, *_FIELD_KINDS[kind]) for key, kind in fields.items()]
     rows = []
     line_of: dict[tuple, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        # One scan reads a line that is exactly one value; json.loads reads any other
+        # line (surrounding whitespace, a BOM, extra data) and gives its error text.
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AudioMatchError(f"{what} {path} line {number} is not JSON: {exc}") from None
+            row, end = _JSON_DECODER.raw_decode(line)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(line):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise AudioMatchError(f"{what} {path} line {number} is not JSON: {exc}") from None
         if type(row) is not dict:
             raise AudioMatchError(f"{what} {path} line {number} is not a JSON object")
-        for key, kind, accepts in checks:
-            if not accepts(row.get(key)):
+        for key, kind, types, values in checks:
+            value = row.get(key)
+            if type(value) not in types or values is not None and value not in values:
                 raise AudioMatchError(f"{what} {path} line {number} needs {kind} {key!r}")
         if unique:
             first = line_of.setdefault(tuple(row[key] for key in unique), number)

@@ -81,7 +81,9 @@ def _load_frame(row: dict) -> np.ndarray:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    rows = audio_io.read_json_lines(args.manifest, {"id": "a string", **_FRAME_FIELDS})
+    rows = audio_io.read_json_lines(
+        args.manifest, {"id": "a string", **_FRAME_FIELDS}, unique=("id",)
+    )
     head = ProjectionHead.load(args.head) if args.head else None
     kind = FeatureKind(args.kind)
     out_path = Path(args.out)
@@ -132,17 +134,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     exclude = query_source if not args.include_same_source else None
     candidates = index.query(query_vector, args.k, exclude_source=exclude, query_id=query_id)
-    if args.render_dir:  # every WAV is located, and the query's loaded, before any output
-        fields = {"id": "a string", "path": "a string"}
-        paths = {row["id"]: row["path"] for row in audio_io.read_json_lines(args.manifest, fields)}
-        if query_clip is None:
-            if query_id not in paths:
-                raise AudioMatchError(f"query id {query_id!r} not in manifest {args.manifest}")
-            query_clip = audio_io.load_audio(paths[query_id])
-        missing = [c.gallery_id for c in candidates if c.gallery_id not in paths]
-        if missing:
-            raise AudioMatchError(f"candidate id {missing[0]!r} not in manifest {args.manifest}")
-
     result = {
         "query_id": query_id,
         "k": args.k,
@@ -158,6 +149,18 @@ def cmd_query(args: argparse.Namespace) -> int:
             for c in candidates
         ],
     }
+    del index  # frees the gallery, so it is not held while WAVs are loaded and rendered
+    if args.render_dir:  # every WAV is located, and the query's loaded, before any output
+        fields = {"id": "a string", "path": "a string"}
+        paths = {row["id"]: row["path"] for row in audio_io.read_json_lines(args.manifest, fields)}
+        if query_clip is None:
+            if query_id not in paths:
+                raise AudioMatchError(f"query id {query_id!r} not in manifest {args.manifest}")
+            query_clip = audio_io.load_audio(paths[query_id])
+        missing = [c.gallery_id for c in candidates if c.gallery_id not in paths]
+        if missing:
+            raise AudioMatchError(f"candidate id {missing[0]!r} not in manifest {args.manifest}")
+
     text = json.dumps(result, indent=2)
     if args.out:
         audio_io.write_atomic(args.out, (text + "\n").encode())
@@ -171,17 +174,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def _render_candidates(args, query_clip, candidates, paths: dict[str, str]) -> None:
     """Write one blended WAV per candidate, named by rank and score."""
+    match_clips = [audio_io.load_audio(paths[c.gallery_id]) for c in candidates]
+    match_plans = transition.make_plan(
+        query_clip, match_clips, transition.Strategy(args.strategy),
+        phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max,
+    )
     render_dir = Path(args.render_dir)
     render_dir.mkdir(parents=True, exist_ok=True)
-    strategy = transition.Strategy(args.strategy)
-
     plans = []
-    for c in candidates:
-        match_clip = audio_io.load_audio(paths[c.gallery_id])
-        plan = transition.make_plan(
-            query_clip, match_clip, strategy,
-            phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max,
-        )
+    for c, match_clip, plan in zip(candidates, match_clips, match_plans):
         rendered = transition.render(query_clip, match_clip, plan)
         name = f"rank{c.rank:02d}_score{c.score:+.4f}_{_safe_name(c.gallery_id)}.wav"
         audio_io.write_audio(rendered, render_dir / name)
@@ -193,8 +194,8 @@ def _render_candidates(args, query_clip, candidates, paths: dict[str, str]) -> N
 def cmd_render(args: argparse.Namespace) -> int:
     query_clip = audio_io.load_audio(args.query_wav)
     match_clip = audio_io.load_audio(args.match_wav)
-    plan = transition.make_plan(
-        query_clip, match_clip, transition.Strategy(args.strategy),
+    (plan,) = transition.make_plan(
+        query_clip, [match_clip], transition.Strategy(args.strategy),
         phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max,
         query_frame_offset_s=args.query_offset, match_frame_offset_s=args.match_offset,
     )

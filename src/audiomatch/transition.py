@@ -201,7 +201,7 @@ def step_to_sample(step: int) -> int:
 
 def make_plan(
     query: AudioClip,
-    match: AudioClip,
+    matches: list[AudioClip],
     strategy: Strategy,
     *,
     phi: float = DEFAULT_PHI,
@@ -210,12 +210,14 @@ def make_plan(
     l_max: float = DEFAULT_L_MAX,
     query_frame_offset_s: float = 0.0,
     match_frame_offset_s: float = 0.0,
-) -> TransitionPlan:
-    """Choose cut points and crossfade length for a strategy.
+) -> list[TransitionPlan]:
+    """Choose cut points and crossfade length for a strategy, one plan per match.
 
     The sub-spectrogram search runs over the 1-second windows starting
-    at the given offsets within each clip; audio outside those windows
-    (when present) only widens the room available to the crossfade.
+    at the given offsets within the query and within each match; audio
+    outside those windows (when present) only widens the room available
+    to the crossfade.  The query window is analysed once and the match
+    windows as one block, bit for bit what each pair alone gives.
     Boundary strategies cut at the end of the query window and the
     start of the match window; for a fixed crossfade the overlap covers
     the last fade-length of the query window and the first of the
@@ -226,7 +228,8 @@ def make_plan(
     Raises:
         ValueError: A setting out of range or an offset that is not
             finite, checked before any analysis.
-        TooShort: Either clip lacks a full 1-second window at its offset.
+        TooShort: The query or a match lacks a full 1-second window at
+            its offset, checked before any analysis.
     """
     check_settings(phi=phi, fixed_s=fixed_s, l_min=l_min, l_max=l_max)
     for name, offset in (("query_frame_offset_s", query_frame_offset_s),
@@ -237,63 +240,69 @@ def make_plan(
     off_m = int(round(match_frame_offset_s * CANONICAL_RATE))
     if off_q < 0 or off_q + FRAME_LENGTH > len(query):
         raise TooShort("query clip lacks a full 1-second window at the requested offset")
-    if off_m < 0 or off_m + FRAME_LENGTH > len(match):
-        raise TooShort("match clip lacks a full 1-second window at the requested offset")
+    for number, match in enumerate(matches):
+        if off_m < 0 or off_m + FRAME_LENGTH > len(match):
+            raise TooShort(
+                f"match clip {number} lacks a full 1-second window at the requested offset"
+            )
 
     if strategy is Strategy.CONCAT:
-        return TransitionPlan(
-            strategy=strategy,
-            cut_query=off_q + FRAME_LENGTH,
-            cut_match=off_m,
-            crossfade_s=0.0,
-        )
+        return [
+            TransitionPlan(
+                strategy=strategy, cut_query=off_q + FRAME_LENGTH, cut_match=off_m,
+                crossfade_s=0.0,
+            )
+            for _ in matches
+        ]
 
     if strategy is Strategy.FIXED_CROSSFADE:
         # Overlap spans the query-window tail and match-window head; the
         # nominal cut sits at the center of that overlap.
-        overlap = min(
-            int(round(fixed_s * CANONICAL_RATE)), off_q + FRAME_LENGTH, len(match) - off_m
-        )
-        return TransitionPlan(
-            strategy=strategy,
-            cut_query=off_q + FRAME_LENGTH - (overlap - overlap // 2),
-            cut_match=off_m + overlap // 2,
-            crossfade_s=overlap / CANONICAL_RATE,
-        )
+        plans = []
+        for match in matches:
+            overlap = min(
+                int(round(fixed_s * CANONICAL_RATE)), off_q + FRAME_LENGTH, len(match) - off_m
+            )
+            plans.append(TransitionPlan(
+                strategy=strategy,
+                cut_query=off_q + FRAME_LENGTH - (overlap - overlap // 2),
+                cut_match=off_m + overlap // 2,
+                crossfade_s=overlap / CANONICAL_RATE,
+            ))
+        return plans
 
-    query_window = query.slice(off_q, off_q + FRAME_LENGTH)
-    match_window = match.slice(off_m, off_m + FRAME_LENGTH)
-    raw, cosine = similarity_matrix(
-        mel_spectrogram(query_window, log_compress=False),
-        mel_spectrogram(match_window, log_compress=False),
+    if not matches:
+        return []
+    query_mel = mel_spectrogram(query.samples[off_q : off_q + FRAME_LENGTH], log_compress=False)
+    match_mels = mel_spectrogram(
+        np.stack([match.samples[off_m : off_m + FRAME_LENGTH] for match in matches]),
+        log_compress=False,
     )
-    cut_i, cut_j = max_ss(raw)
-    cut_q = off_q + step_to_sample(cut_i)
-    cut_m = off_m + step_to_sample(cut_j)
-    var = float(np.var(cosine))
-
-    if strategy is Strategy.MAX_SS:
-        return TransitionPlan(
-            strategy=strategy,
+    plans = []
+    for match, match_mel in zip(matches, match_mels):
+        raw, cosine = similarity_matrix(query_mel, match_mel)
+        cut_i, cut_j = max_ss(raw)
+        cut_q = off_q + step_to_sample(cut_i)
+        cut_m = off_m + step_to_sample(cut_j)
+        var = float(np.var(cosine))
+        if strategy is Strategy.MAX_SS:
+            plans.append(TransitionPlan(
+                strategy=strategy, cut_query=cut_q, cut_match=cut_m, crossfade_s=0.0,
+                cut_i=cut_i, cut_j=cut_j, var=var,
+            ))
+            continue
+        length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
+        # Shrink the fade to the largest overlap that fits both clips around the cuts.
+        room = min(cut_q, cut_m, len(query) - cut_q, len(match) - cut_m)
+        overlap = min(int(round(length_s * CANONICAL_RATE)), 2 * room)
+        plans.append(TransitionPlan(
+            strategy=Strategy.MAX_SS_ADAPTIVE,
             cut_query=cut_q,
             cut_match=cut_m,
-            crossfade_s=0.0,
+            crossfade_s=overlap / CANONICAL_RATE,
             cut_i=cut_i,
             cut_j=cut_j,
             var=var,
-        )
-
-    length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
-    # Shrink the fade to the largest overlap that fits both clips around the cuts.
-    room = min(cut_q, cut_m, len(query) - cut_q, len(match) - cut_m)
-    overlap = min(int(round(length_s * CANONICAL_RATE)), 2 * room)
-    return TransitionPlan(
-        strategy=Strategy.MAX_SS_ADAPTIVE,
-        cut_query=cut_q,
-        cut_match=cut_m,
-        crossfade_s=overlap / CANONICAL_RATE,
-        cut_i=cut_i,
-        cut_j=cut_j,
-        var=var,
-        phi=phi,
-    )
+            phi=phi,
+        ))
+    return plans

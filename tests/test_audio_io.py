@@ -1,5 +1,6 @@
 """WAV parsing, writing, resampling, and segmentation."""
 
+import json
 import os
 import struct
 import subprocess
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import audiomatch
 from audiomatch import AudioClip, audio_io, load_audio, segment, write_audio
-from audiomatch.errors import CorruptFile, IoError, TooShort, UnsupportedFormat
+from audiomatch.errors import AudioMatchError, CorruptFile, IoError, TooShort, UnsupportedFormat
 
 
 def wav_bytes(samples: np.ndarray, rate: int, fmt: str) -> bytes:
@@ -312,3 +315,150 @@ class TestAudioClip:
         clip = AudioClip(np.zeros(10), 48000)
         with pytest.raises(ValueError):
             clip.samples[0] = 1.0
+
+
+# One key of each kind, and the key no two rows may share, for the JSON-lines reader tests.
+_FIELDS = {"id": "a string", "offset_s": "a number", "relevance": "a 0 or 1"}
+
+
+def oracle_rows(path, raw: bytes) -> list[dict] | str:
+    """The rows ``read_json_lines(path, _FIELDS, unique=("id",))`` must give, or its error text.
+
+    Written apart from the reader: ``json.loads`` of each non-blank line
+    and ``isinstance`` checks that set bools (and, for 0 or 1, floats) aside.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"manifest {path} is not UTF-8: {exc}"
+    rows, line_of_id = [], {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip() == "":
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"manifest {path} line {number} is not JSON: {exc}"
+        if not isinstance(row, dict):
+            return f"manifest {path} line {number} is not a JSON object"
+        for key, kind in _FIELDS.items():
+            value = row.get(key)
+            accepted = {
+                "a string": isinstance(value, str),
+                "a number": isinstance(value, (int, float)) and not isinstance(value, bool),
+                "a 0 or 1": isinstance(value, int) and not isinstance(value, bool)
+                and value in (0, 1),
+            }[kind]
+            if not accepted:
+                return f"manifest {path} line {number} needs {kind} {key!r}"
+        if row["id"] in line_of_id:
+            return f"manifest {path} line {number} repeats the id of line {line_of_id[row['id']]}"
+        line_of_id[row["id"]] = number
+        rows.append(row)
+    return rows or f"manifest {path} is empty"
+
+
+def assert_reads_as_oracle(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    expected = oracle_rows(path, raw)
+    try:
+        rows = audio_io.read_json_lines(path, _FIELDS, unique=("id",))
+    except AudioMatchError as exc:  # IoError included; anything else escapes
+        assert str(exc) == expected
+    else:
+        assert repr(rows) == repr(expected)  # repr tells 1 from 1.0 and True, and shows NaN
+
+
+@pytest.fixture(scope="module")
+def jsonl_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl") / "m.jsonl"
+
+
+# Text and bytes the fuzz test splices in: JSON syntax, JSON and non-JSON whitespace,
+# line breaks str.splitlines honours, non-finite numbers and bytes that are not UTF-8.
+_SPLICES = [
+    b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\xc2\x85", b"\xc2\xa0",
+    "\u2028".encode(), b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\", b"\\u00e9",
+    b'"id": "a", ', b'"relevance": 1', b"NaN", b"-Infinity", b"1e999", b"true", b"null", b"0",
+    b"1.0", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00",
+]
+_VALUES = ["NaN", "Infinity", "-Infinity", "true", "null", "1", "0", "2", "-1", "1.0", "-0",
+           '"0"', '{"a": [1, {"b": null}]}', "[1, 2]", '"x\u2028y"', '"dup"']
+
+
+@st.composite
+def manifest_lines(draw) -> list[str]:
+    """A valid manifest's lines, some then altered as JSON text: other values (NaN, nested,
+    a raw line separator inside a string), padding, duplicate keys, copied rows, arrays."""
+    ids = draw(st.lists(st.text("ab\u00e9 ", max_size=4), min_size=1, max_size=4,
+                        unique=True))
+    ensure_ascii = draw(st.booleans())
+    lines = []
+    for row_id in ids:
+        row = {"id": row_id, "path": f"{row_id}.wav",
+               "offset_s": draw(st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))),
+               "relevance": draw(st.sampled_from([0, 1]))}
+        replaced = draw(st.sampled_from([None, None, None, "id", "offset_s", "relevance"]))
+        if replaced:
+            row[replaced] = "@"
+        lines.append(json.dumps(row, ensure_ascii=ensure_ascii).replace(
+            '"@"', draw(st.sampled_from(_VALUES))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(["pad", "duplicate", "copy", "wrap", "blank"]))
+        if change == "pad":
+            pad = st.text(" \t\x0b\xa0", max_size=3)
+            lines[at] = draw(pad) + lines[at] + draw(pad)
+        elif change == "duplicate":
+            key = draw(st.sampled_from(["id", "offset_s", "relevance"]))
+            value = draw(st.sampled_from(_VALUES))
+            lines[at] = lines[at].rstrip().removesuffix("}") + f', "{key}": {value}}}'
+        elif change == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif change == "wrap":
+            lines[at] = f"[{lines[at]}]"
+        else:
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\x0b"])))
+    return lines
+
+
+class TestReadJsonLines:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_mutated_manifest_reads_as_oracle(self, jsonl_path, data):
+        lines = data.draw(manifest_lines(), label="lines")
+        raw = bytearray("\n".join(lines).encode() + data.draw(st.sampled_from([b"", b"\n"])))
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2, 3]), label="edits")):
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            edit = data.draw(st.sampled_from(["insert", "delete", "overwrite"]), label="edit")
+            if edit == "insert":
+                raw[at:at] = data.draw(st.sampled_from(_SPLICES), label="splice")
+            elif edit == "delete":
+                del raw[at : at + data.draw(st.integers(1, 8), label="length")]
+            else:
+                patches = st.one_of(st.sampled_from(_SPLICES), st.binary(min_size=1, max_size=6))
+                patch = data.draw(patches, label="patch")
+                raw[at : at + len(patch)] = patch
+        assert_reads_as_oracle(jsonl_path, bytes(raw))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Joined into one JSON array these would read as three rows; each alone is no JSON.
+            '{"a":[1\n2]},{"c":0},{"b":[3\n4]}\n',
+            ' {"id": "a", "offset_s": 0, "relevance": 1}\t\n\t{"id": "b", "offset_s": 1.5, '
+            '"relevance": 0} \n',
+            '{"id": "a", "offset_s": 0, "relevance": 1} {"id": "b"}\n',
+            '\ufeff{"id": "a", "offset_s": 0, "relevance": 1}\n',
+            '{"id": "a\u2028b", "offset_s": 0, "relevance": 1}\n',
+            '{"id": "a", "offset_s": NaN, "relevance": 1, "offset_s": -Infinity}\n\n\n'
+            '{"id": "b", "offset_s": 2, "relevance": 1, "id": "a"}\n',
+            '{"id": "a", "offset_s": 0, "relevance": 1.0}\n',
+            '{"id": "a", "offset_s": true, "relevance": 1}\n',
+            ' \t\n\x0b\n',
+        ],
+        ids=["spanning", "padded", "extra-data", "bom", "line-separator", "duplicate-keys",
+             "float-relevance", "bool-offset", "blank"],
+    )
+    def test_examples_read_as_oracle(self, tmp_path, text):
+        assert_reads_as_oracle(tmp_path / "m.jsonl", text.encode())

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, run in-process via cli.main()."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ import pytest
 
 import audiomatch
 from audiomatch import (
-    AudioClip, ProjectionHead, audio_io, embed, flatten, load_audio, mel_spectrogram, normalize,
-    read_features, retrieval, write_audio,
+    AudioClip, ProjectionHead, audio_io, dsp, embed, flatten, load_audio, mel_spectrogram,
+    normalize, read_features, retrieval, write_audio,
 )
 from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
@@ -294,6 +296,20 @@ class TestManifestErrors:
                 "--frames-per-sequence", "4", "--out", str(tmp_path / "head.ssch")]
         assert main(argv) == 0
 
+    def test_featurize_repeated_id_fails_before_any_wav(
+        self, tmp_path, segmented, capsys, monkeypatch
+    ):
+        lines = segmented.read_text().splitlines()
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(line + "\n" for line in [*lines, "", lines[1]]))
+        loaded = []
+        monkeypatch.setattr(audio_io, "load_audio", loaded.append)
+        out = tmp_path / "g.amcf"
+        assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest} line 10 repeats the id of line 2\n"
+        assert loaded == [] and not out.exists()
+
     def test_render_manifest_error_leaves_no_output(self, tmp_path, segmented, capsys):
         features = tmp_path / "g.amcf"
         main(["featurize", "--manifest", str(segmented), "--out", str(features)])
@@ -449,6 +465,79 @@ class TestQueryCommand:
         features.write_bytes(b"AMCF" + struct.pack("<IIQ", 1, 4, 3) + body)
         assert main(["query", "--features", str(features), "--query-id", "x"]) == 1
         assert capsys.readouterr().err.startswith("error: gallery row 'y' is not finite")
+
+
+@pytest.fixture(scope="module")
+def drift_features(drift_manifest):
+    features = drift_manifest.parent / "gallery.amcf"
+    assert main(["featurize", "--manifest", str(drift_manifest), "--out", str(features)]) == 0
+    return features
+
+
+def audition(features, manifest, render_dir, *flags):
+    """``query --k 3 --render-dir`` for a drift frame; returns the sha256 of every output."""
+    out_json = render_dir.with_suffix(".json")
+    argv = ["query", "--features", str(features), "--query-id", "seq0000@1.000", "--k", "3",
+            "--manifest", str(manifest), "--render-dir", str(render_dir),
+            "--out", str(out_json), *flags]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out_json.read_bytes())
+    for path in sorted(render_dir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+# Outputs of the per-candidate planner that analysed the query window once per match.
+_AUDITION_SHA256 = {
+    "concat": "ad880ec5202ba5a5c542608eaf14d2d3ef46c435b38bdfd265a9d0e5a3e1b8ac",
+    "crossfade": "ee6cd8879640d2deb10b20a7003512de69ac62c821df92461ab2203b836a0c69",
+    "max-ss": "6c73c378d5c37663c48df59373011615df433a4d3b8b2ec900ddea609069ddb0",
+    "max-ss-adaptive": "4ae5b4df0ac752bac05a5ea517637bd7a70c33675773c2bb19d924c0077ebaac",
+}
+
+
+class TestAuditionRequest:
+    @pytest.mark.parametrize("strategy", sorted(_AUDITION_SHA256))
+    def test_outputs_equal_the_per_candidate_planner(
+        self, tmp_path, drift_manifest, drift_features, capsys, strategy
+    ):
+        digest = audition(drift_features, drift_manifest, tmp_path / "r", "--strategy", strategy)
+        assert digest == _AUDITION_SHA256[strategy]
+        assert capsys.readouterr().out.endswith(f"rendered 3 candidates into {tmp_path / 'r'}\n")
+
+    def test_each_window_is_analysed_once(
+        self, tmp_path, drift_manifest, drift_features, monkeypatch
+    ):
+        frames = []
+        power_stft = dsp.power_stft
+
+        def counting(samples):
+            frames.append(int(np.prod(np.shape(samples)[:-1])))
+            return power_stft(samples)
+
+        monkeypatch.setattr(dsp, "power_stft", counting)
+        audition(drift_features, drift_manifest, tmp_path / "r")
+        assert sum(frames) == 4  # the query window and 3 match windows
+
+    def test_gallery_is_freed_before_any_wav_is_loaded(
+        self, tmp_path, drift_manifest, drift_features, monkeypatch
+    ):
+        indexes, alive = [], []
+        build_index, load = retrieval.build_index, audio_io.load_audio
+
+        def tracked_build(gallery):
+            index = build_index(gallery)
+            indexes.append(weakref.ref(index))
+            return index
+
+        def tracked_load(path):
+            alive.append(indexes[0]() is not None)
+            return load(path)
+
+        monkeypatch.setattr(retrieval, "build_index", tracked_build)
+        monkeypatch.setattr(audio_io, "load_audio", tracked_load)
+        audition(drift_features, drift_manifest, tmp_path / "r")
+        assert len(indexes) == 1 and alive == [False] * 4  # the query's WAV, then 3 matches
 
 
 class TestRenderCommand:

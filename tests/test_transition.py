@@ -238,21 +238,21 @@ def click_clip(step, amp=0.9, seconds=1.0, source="click"):
 
 class TestMakePlan:
     def test_concat_cuts_at_clip_boundary(self, tone_clip):
-        p = make_plan(tone_clip(), tone_clip(freq=660), Strategy.CONCAT)
+        (p,) = make_plan(tone_clip(), [tone_clip(freq=660)], Strategy.CONCAT)
         assert p.crossfade_s == 0.0
         assert p.cut_query == 48000
         assert p.cut_match == 0
 
     def test_fixed_crossfade_keeps_requested_length(self, tone_clip):
-        p = make_plan(
-            tone_clip(), tone_clip(freq=660), Strategy.FIXED_CROSSFADE, fixed_s=0.25
+        (p,) = make_plan(
+            tone_clip(), [tone_clip(freq=660)], Strategy.FIXED_CROSSFADE, fixed_s=0.25
         )
         assert p.crossfade_s == pytest.approx(0.25)
         out = render(tone_clip(), tone_clip(freq=660), p)
         assert len(out) == 2 * 48000 - 12000
 
     def test_max_ss_finds_click_alignment(self):
-        p = make_plan(click_clip(30, source="q"), click_clip(10, source="m"), Strategy.MAX_SS)
+        (p,) = make_plan(click_clip(30, source="q"), [click_clip(10, source="m")], Strategy.MAX_SS)
         assert (p.cut_i, p.cut_j) == (30, 10)
         assert p.cut_query == step_to_sample(30)
         assert p.cut_match == step_to_sample(10)
@@ -261,7 +261,7 @@ class TestMakePlan:
     def test_adaptive_composes_cut_and_length(self, rng):
         query = AudioClip(rng.normal(0, 0.2, 48000), 48000, "q")
         match = AudioClip(rng.normal(0, 0.2, 48000), 48000, "m")
-        p = make_plan(query, match, Strategy.MAX_SS_ADAPTIVE, phi=8.0, l_min=0.0, l_max=1.0)
+        (p,) = make_plan(query, [match], Strategy.MAX_SS_ADAPTIVE, phi=8.0, l_min=0.0, l_max=1.0)
         raw, cosine = similarity_matrix(
             mel_spectrogram(query, log_compress=False),
             mel_spectrogram(match, log_compress=False),
@@ -303,8 +303,8 @@ class TestMakePlan:
         # fade that bare 1-second frames cannot.
         query = tone_clip(seconds=3.0, freq=300.0)
         match = tone_clip(seconds=3.0, freq=300.0)
-        p = make_plan(
-            query, match, Strategy.MAX_SS_ADAPTIVE, l_min=0.0, l_max=1.0,
+        (p,) = make_plan(
+            query, [match], Strategy.MAX_SS_ADAPTIVE, l_min=0.0, l_max=1.0,
             query_frame_offset_s=1.0, match_frame_offset_s=1.0,
         )
         assert p.crossfade_s == pytest.approx(1.0)
@@ -315,12 +315,12 @@ class TestMakePlan:
         from audiomatch.errors import TooShort
 
         with pytest.raises(TooShort):
-            make_plan(tone_clip(seconds=0.5), tone_clip(), Strategy.CONCAT)
+            make_plan(tone_clip(seconds=0.5), [tone_clip()], Strategy.CONCAT)
         with pytest.raises(TooShort):
-            make_plan(tone_clip(), tone_clip(), Strategy.CONCAT, query_frame_offset_s=0.5)
+            make_plan(tone_clip(), [tone_clip()], Strategy.CONCAT, query_frame_offset_s=0.5)
 
     def test_plan_describe_fields(self, tone_clip):
-        p = make_plan(tone_clip(), tone_clip(freq=500), Strategy.MAX_SS_ADAPTIVE)
+        (p,) = make_plan(tone_clip(), [tone_clip(freq=500)], Strategy.MAX_SS_ADAPTIVE)
         d = p.describe()
         assert set(d) == {
             "strategy", "cut_i", "cut_j", "cut_query_s", "cut_match_s",
@@ -352,9 +352,59 @@ class TestPlanSettings:
         analysed = []
         monkeypatch.setattr(transition, "mel_spectrogram", lambda *a, **k: analysed.append(a))
         with pytest.raises(ValueError, match=f"^{named} must"):
-            make_plan(tone_clip(), tone_clip(freq=660), strategy, **settings)
+            make_plan(tone_clip(), [tone_clip(freq=660)], strategy, **settings)
         assert analysed == []
 
     def test_unbounded_l_max_is_accepted(self, tone_clip):
-        p = make_plan(tone_clip(), tone_clip(freq=660), Strategy.MAX_SS_ADAPTIVE, l_max=np.inf)
+        (p,) = make_plan(tone_clip(), [tone_clip(freq=660)], Strategy.MAX_SS_ADAPTIVE, l_max=np.inf)
         assert 0.0 < p.crossfade_s <= 1.0
+
+
+def noise_clip(seconds, seed, source):
+    rng = np.random.default_rng(seed)
+    return AudioClip(rng.normal(0.0, 0.2, int(seconds * 48000)), 48000, source)
+
+
+class TestBatchedPlan:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_equals_one_match_calls(self, tone_clip, strategy):
+        query = noise_clip(3.0, 1, "q")
+        matches = [
+            noise_clip(2.5, 2, "m1"),
+            tone_clip(seconds=4.0, freq=330.0, source_id="m2"),
+            AudioClip(np.clip(noise_clip(3.0, 3, "m3").samples * 3.0, -1.0, 1.0), 48000, "m3"),
+        ]
+        settings = dict(phi=6.0, fixed_s=0.3, l_min=0.01, l_max=0.8,
+                        query_frame_offset_s=1.25, match_frame_offset_s=0.5)
+        batched = make_plan(query, matches, strategy, **settings)
+        single = [make_plan(query, [match], strategy, **settings)[0] for match in matches]
+        assert batched == single
+
+        if strategy in (Strategy.MAX_SS, Strategy.MAX_SS_ADAPTIVE):
+            # Each plan is the pair's own analysis of its two windows, bit for bit.
+            query_window = AudioClip(query.samples[60000:108000], 48000)
+            for plan_, match in zip(batched, matches):
+                raw, cosine = similarity_matrix(
+                    mel_spectrogram(query_window, log_compress=False),
+                    mel_spectrogram(AudioClip(match.samples[24000:72000], 48000),
+                                    log_compress=False),
+                )
+                assert (plan_.cut_i, plan_.cut_j) == max_ss(raw)
+                assert plan_.var == float(np.var(cosine))
+                assert plan_.cut_query == 60000 + step_to_sample(plan_.cut_i)
+                assert plan_.cut_match == 24000 + step_to_sample(plan_.cut_j)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_no_matches_gives_no_plans(self, tone_clip, strategy):
+        assert make_plan(tone_clip(), [], strategy) == []
+
+    def test_short_match_raises_before_any_analysis(self, tone_clip, monkeypatch):
+        from audiomatch.errors import TooShort
+
+        calls = []
+        monkeypatch.setattr(transition, "mel_spectrogram", lambda *a, **k: calls.append(a))
+        matches = [tone_clip(seconds=2.0), tone_clip(seconds=3.0), tone_clip(seconds=1.4)]
+        with pytest.raises(TooShort, match="^match clip 2 lacks"):
+            make_plan(tone_clip(seconds=2.0), matches, Strategy.MAX_SS_ADAPTIVE,
+                      query_frame_offset_s=0.5, match_frame_offset_s=0.5)
+        assert calls == []

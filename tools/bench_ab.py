@@ -1,7 +1,7 @@
 """Paired A/B benchmark runs: a parent revision against the working tree.
 
     python3 tools/bench_ab.py PARENT --workload W [--workload W2 ...] \\
-        --seeds A-B --out BENCH_<n>.json
+        --seeds A-B --out BENCH_<n>.json [--append]
 
 PARENT (any git revision) and the working tree (tracked and untracked,
 not ignored, files) are each copied into a fresh sibling directory, so
@@ -21,7 +21,9 @@ own.
 median and interquartile range of the four gated metrics, the
 per-seed change/parent ratios, how many seeds the change was better
 on, the failed request counts and whether the output digests were
-equal.
+equal.  With ``--append`` the workloads already in ``--out`` are kept,
+and a workload already there is added again as a series named by its
+seeds (say ``audition seeds 11-20``).
 """
 
 from __future__ import annotations
@@ -173,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("ingest", "search", "audition", "train"))
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--append", action="store_true",
+                        help="add to the workloads already in --out; a workload already there "
+                             "is added as another series, named by its seeds")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -183,6 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     dirty = bool(_git("status", "--porcelain", capture_output=True, text=True).stdout.strip())
 
     report: dict = {"workloads": {}}
+    if args.append:
+        report["workloads"] = json.loads(args.out.read_text())["workloads"]
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as scratch:
         copies = {side: Path(scratch) / side for side in SIDES}
         for copy in copies.values():
@@ -193,7 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload:
             result, environment = compare(workload, args.seeds, copies, spec["run_seconds"],
                                           better)
-            report["workloads"][workload] = {"bank_shared": shared, **result}
+            name = workload
+            if name in report["workloads"]:
+                name = f"{workload} seeds {args.seeds.start}-{args.seeds.stop - 1}"
+            report["workloads"][name] = {"bank_shared": shared, **result}
     for key in ("workload", "seed", "git_commit"):
         environment.pop(key, None)
     report.update(
