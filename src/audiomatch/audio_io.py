@@ -6,14 +6,24 @@ in [-1, 1] at 48 kHz, cut by :func:`segment` into 1-second frames of
 FRAME_LENGTH samples.  These two constants are the only definition of
 the rate and the frame; no other module carries either.  Input must be
 RIFF/WAV holding 16- or 24-bit integer PCM or 32-bit IEEE float, 1-8
-channels, at any rate; compressed formats are out of scope and callers
+channels, at 1-768 kHz; compressed formats are out of scope and callers
 pre-convert.  Output is always 16-bit PCM mono at 48 kHz.
 
 Multi-channel input is mixed down by arithmetic mean.  Non-48 kHz input
 is resampled with a polyphase windowed-sinc filter (Kaiser beta 8.6,
-roughly 87 dB stopband).  The module also holds the file helpers every
-command shares: atomic writes and the JSON-lines reader of manifests
-and labels.
+roughly 87 dB stopband) whose length grows with the reduced ratio
+48000/g : rate/g (g their gcd), so a rate is accepted only when both
+terms are at most 1000: 44.1 kHz (160:147) and the common rates pass,
+47999 Hz does not.
+
+Decode and encode are single-pass: samples are read from the file's
+bytes in place, scaled to float64 in one operation per format, and
+written back into the one buffer that becomes the file.  Clipping and
+finiteness checks run only where values can leave [-1, 1] or be
+non-finite: float input is checked for finiteness and, like resampled
+input, clipped; integer PCM at 48 kHz, and any mean of it, already lies
+in [-1, 1).  The module also holds the file helpers every command
+shares: atomic writes and the JSON-lines reader of manifests and labels.
 """
 
 from __future__ import annotations
@@ -37,6 +47,12 @@ _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
 
 _RESAMPLE_WINDOW = ("kaiser", 8.6)
+
+# Source rates load_audio accepts, and the largest term of the reduced ratio
+# 48000/g : rate/g it resamples by: resample_poly's filter has about 20 taps per
+# unit of the larger term, so this bounds its size and the work per sample.
+_MIN_RATE, _MAX_RATE = 1000, 768000
+_MAX_RATIO_TERM = 1000
 
 # Bytes per sample of each supported (format code, bits per sample).
 _SAMPLE_BYTES = {(_FORMAT_PCM, 16): 2, (_FORMAT_PCM, 24): 3, (_FORMAT_IEEE_FLOAT, 32): 4}
@@ -77,46 +93,76 @@ class AudioClip:
     def __len__(self) -> int:
         return len(self.samples)
 
+    @classmethod
+    def _trusted(cls, samples: np.ndarray, source_id: str, offset_s: float) -> "AudioClip":
+        """A clip of ``samples``, built without the constructor's checks.
+
+        Only for samples this module knows to be a 1-D finite float64
+        array: a slice of a clip, or a buffer ``load_audio`` decoded.
+        The array is made read-only in place.
+        """
+        samples.flags.writeable = False
+        clip = object.__new__(cls)
+        clip.__dict__.update(
+            samples=samples, sample_rate=CANONICAL_RATE, source_id=source_id, offset_s=offset_s
+        )
+        return clip
+
     def slice(self, start: int, stop: int) -> "AudioClip":
         """Sub-clip of samples[start:stop], a view of these, offset ``start`` samples further."""
-        return AudioClip(
-            self.samples[start:stop], CANONICAL_RATE, self.source_id,
-            self.offset_s + start / CANONICAL_RATE,
+        return AudioClip._trusted(
+            self.samples[start:stop], self.source_id, self.offset_s + start / CANONICAL_RATE
         )
 
 
-def _read_exact(buf: bytes, pos: int, count: int, what: str) -> bytes:
-    if pos + count > len(buf):
+def _require(raw: bytes, pos: int, count: int, what: str) -> None:
+    if pos + count > len(raw):
         raise CorruptFile(f"truncated WAV: expected {count} bytes for {what}")
-    return buf[pos : pos + count]
 
 
-def _parse_wav(raw: bytes) -> tuple[np.ndarray, int]:
-    """Parse RIFF/WAVE bytes into a (samples, rate) pair.
+def _check_rate(rate: int) -> None:
+    if not _MIN_RATE <= rate <= _MAX_RATE:
+        raise UnsupportedFormat(
+            f"unsupported sample rate {rate} Hz: accepted rates are {_MIN_RATE}-{_MAX_RATE} Hz"
+        )
+    g = gcd(CANONICAL_RATE, rate)
+    if max(CANONICAL_RATE // g, rate // g) > _MAX_RATIO_TERM:
+        raise UnsupportedFormat(
+            f"unsupported sample rate {rate} Hz: resampling to {CANONICAL_RATE} Hz needs the "
+            f"ratio {CANONICAL_RATE // g}:{rate // g}, whose terms may not exceed {_MAX_RATIO_TERM}"
+        )
+
+
+def _parse_wav(raw: bytes) -> tuple[np.ndarray, int, bool]:
+    """Parse RIFF/WAVE bytes into a (samples, rate, is_float) triple.
 
     Returns float64 samples shaped (frames, channels), unscaled beyond
-    the normalization of each sample format to [-1, 1].
+    the normalization of each sample format to [-1, 1], and whether the
+    data was IEEE float, whose finite values may lie outside [-1, 1].
+    The data chunk is decoded from ``raw`` in place, never copied.
     """
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise CorruptFile("not a RIFF/WAVE file")
 
     fmt = None
-    data = None
+    data_pos = data_size = None
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
         body_pos = pos + 8
         if chunk_id == b"fmt ":
-            fmt = _read_exact(raw, body_pos, min(chunk_size, 40), "fmt chunk")
+            _require(raw, body_pos, min(chunk_size, 40), "fmt chunk")
+            fmt = raw[body_pos : body_pos + min(chunk_size, 40)]
             if chunk_size < 16:
                 raise CorruptFile("fmt chunk too small")
         elif chunk_id == b"data":
-            data = _read_exact(raw, body_pos, chunk_size, "data chunk")
+            _require(raw, body_pos, chunk_size, "data chunk")
+            data_pos, data_size = body_pos, chunk_size
         # Chunks are word-aligned: odd sizes carry a pad byte.
         pos = body_pos + chunk_size + (chunk_size & 1)
 
-    if fmt is None or data is None:
+    if fmt is None or data_pos is None:
         raise CorruptFile("missing fmt or data chunk")
 
     audio_format, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
@@ -129,6 +175,7 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int]:
         raise UnsupportedFormat(f"unsupported channel count {channels}")
     if rate <= 0:
         raise CorruptFile("non-positive sample rate")
+    _check_rate(rate)
 
     sample_bytes = _SAMPLE_BYTES.get((audio_format, bits))
     if sample_bytes is None:
@@ -138,26 +185,27 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int]:
     frame_bytes = sample_bytes * channels
     if block_align and block_align != frame_bytes:
         raise CorruptFile(f"block align {block_align} does not match frame size {frame_bytes}")
-    if len(data) % frame_bytes:
+    if data_size % frame_bytes:
         raise CorruptFile("data chunk is not a whole number of frames")
 
+    # The scales are powers of two, so each product equals the integer divided by full scale.
+    count = data_size // sample_bytes
     if sample_bytes == 2:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
-        samples /= 32768.0
+        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=data_pos)
+        samples = np.multiply(ints, 2.0**-15, dtype=np.float64)
     elif sample_bytes == 3:
-        # Each 3-byte sample goes in the top of a little-endian int32, and
-        # an arithmetic shift right by 8 sign-extends it in one pass.
-        words = np.zeros((len(data) // 3, 4), dtype=np.uint8)
-        words[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        ints = words.view("<i4").reshape(-1)
-        ints >>= 8
-        samples = ints.astype(np.float64)
-        samples /= 8388608.0
+        # Sample i is the top three bytes of the little-endian int32 that starts one
+        # byte before it (for the first, the last byte of the chunk's size field): an
+        # overlapping stride-3 view, whose arithmetic shift right by 8 drops the byte
+        # below and sign-extends.
+        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=data_pos - 1, strides=(3,))
+        samples = np.multiply(words >> 8, 2.0**-23, dtype=np.float64)
     else:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=data_pos)
+        if not np.isfinite(floats).all():
             raise CorruptFile("non-finite samples in float WAV data")
-    return samples.reshape(-1, channels), rate
+        samples = floats.astype(np.float64)
+    return samples.reshape(-1, channels), rate, sample_bytes == 4
 
 
 def resample_to_canonical(samples: np.ndarray, rate: int) -> np.ndarray:
@@ -176,14 +224,32 @@ def resample_to_canonical(samples: np.ndarray, rate: int) -> np.ndarray:
     )
 
 
+def _mixdown(frames: np.ndarray, is_float: bool) -> np.ndarray:
+    """The mean over channels of (frames, channels) samples, bit for bit ``mean(axis=1)``."""
+    channels = frames.shape[1]
+    if channels == 1:
+        return frames[:, 0]
+    if is_float:
+        return frames.mean(axis=1)
+    # Integer PCM: a sum of at most 8 samples of 24 bits is exact in float64 in any
+    # order, so adding the channel columns and dividing once is numpy's mean.
+    mono = frames[:, 0] + frames[:, 1]
+    for channel in range(2, channels):
+        mono += frames[:, channel]
+    mono /= channels
+    return mono
+
+
 def load_audio(path: str | Path) -> AudioClip:
     """Load a WAV file as a canonical 48 kHz mono clip.
 
-    Multi-channel input is averaged to mono, non-48 kHz input is
-    resampled, and the result is clipped to [-1, 1] in place.
+    Multi-channel input is averaged to mono and non-48 kHz input is
+    resampled.  Float or resampled input is then clipped to [-1, 1] in
+    place; integer PCM at 48 kHz needs no clip.
 
     Raises:
-        UnsupportedFormat: Wrong container, codec, or bit depth.
+        UnsupportedFormat: Wrong container, codec, or bit depth, or a
+            sample rate outside the accepted range or ratio.
         CorruptFile: Truncated or malformed header/data.
         IoError: The file cannot be read.
     """
@@ -193,11 +259,13 @@ def load_audio(path: str | Path) -> AudioClip:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    frames, rate = _parse_wav(raw)
-    mono = frames[:, 0] if frames.shape[1] == 1 else frames.mean(axis=1)
-    mono = resample_to_canonical(mono, rate)
-    np.clip(mono, -1.0, 1.0, out=mono)
-    return AudioClip(mono, CANONICAL_RATE, source_id=path.stem, offset_s=0.0)
+    frames, rate, is_float = _parse_wav(raw)
+    mono = resample_to_canonical(_mixdown(frames, is_float), rate)
+    if is_float or rate != CANONICAL_RATE:
+        np.clip(mono, -1.0, 1.0, out=mono)
+    # Finite by construction: _parse_wav rejects non-finite float data, and means and
+    # the resampling filter of finite float32-range values stay finite.
+    return AudioClip._trusted(mono, path.stem, 0.0)
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -292,22 +360,20 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
     Raises:
         IoError: The file cannot be written; an older file at ``path`` is kept.
     """
-    scaled = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767)
-    pcm = scaled.astype("<i2").tobytes()
-
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(pcm)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, _FORMAT_PCM, 1, CANONICAL_RATE, 2 * CANONICAL_RATE, 2, 16),
-            b"data",
-            struct.pack("<I", len(pcm)),
-        ]
+    pcm_bytes = 2 * len(clip)
+    wav = bytearray(44 + pcm_bytes)
+    struct.pack_into(
+        "<4sI4s4sIHHIIHH4sI", wav, 0, b"RIFF", 36 + pcm_bytes, b"WAVE", b"fmt ",
+        16, _FORMAT_PCM, 1, CANONICAL_RATE, 2 * CANONICAL_RATE, 2, 16, b"data", pcm_bytes,
     )
+    # np.clip(np.rint(x * 32768), -32768, 32767) in one buffer, cast into the file's bytes.
+    scaled = np.multiply(clip.samples, 32768.0)
+    np.rint(scaled, out=scaled)
+    np.minimum(scaled, 32767.0, out=scaled)
+    np.maximum(scaled, -32768.0, out=scaled)
+    np.copyto(np.frombuffer(wav, dtype="<i2", offset=44), scaled, casting="unsafe")
     try:
-        write_atomic(path, header + pcm)
+        write_atomic(path, wav)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

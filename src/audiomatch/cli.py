@@ -15,6 +15,7 @@ the manifest.  Clips are always 48 kHz and frames always 1 second
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -295,7 +296,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="audiomatch",
         description="Find audio match cut candidates and render blended transitions.",

@@ -289,6 +289,38 @@ def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     return features
 
 
+# Entries per Adam chunk: the chunk of the parameter, its gradient, both moments and
+# the two scratch buffers (6 x 256 KB) stay in cache across the 13 operations.
+_ADAM_CHUNK = 32768
+
+
+def _adam_update(
+    param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+    scratch: np.ndarray, step: int, config: TrainConfig,
+) -> None:
+    """One Adam step on ``param`` in place, chunk by chunk over the flattened arrays.
+
+    m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2; param -= lr * (m / (1 - b1^t))
+    / (sqrt(v / (1 - b2^t)) + eps): each operation as written, for equal bits.  Every
+    operation is elementwise, so the chunking changes no result.
+    """
+    b1, b2 = config.beta1, config.beta2
+    param, grad, m, v = (array.reshape(-1) for array in (param, grad, m, v))
+    for start in range(0, param.size, _ADAM_CHUNK):
+        chunk = slice(start, start + _ADAM_CHUNK)
+        p, g, m_c, v_c = param[chunk], grad[chunk], m[chunk], v[chunk]
+        update, denom = scratch[0, : len(p)], scratch[1, : len(p)]
+        m_c *= b1
+        m_c += np.multiply(g, 1.0 - b1, out=update)
+        v_c *= b2
+        v_c += np.multiply(np.square(g, out=denom), 1.0 - b2, out=denom)
+        np.sqrt(np.divide(v_c, 1.0 - b2**step, out=denom), out=denom)
+        denom += config.eps
+        np.divide(m_c, 1.0 - b1**step, out=update)
+        update *= config.learning_rate
+        p -= np.divide(update, denom, out=update)
+
+
 def train(
     head: ProjectionHead,
     corpus: np.ndarray | Sequence[np.ndarray],
@@ -316,12 +348,10 @@ def train(
         )
 
     rng = np.random.default_rng(config.seed)
-    b1, b2 = config.beta1, config.beta2
     params = (head.weight.copy(), head.bias.copy())
-    # Per parameter array: Adam's moments m and v, and two scratch buffers.
-    buffers = [
-        (np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p)) for p in params
-    ]
+    # Per parameter array: Adam's moments m and v.  Two scratch buffers of one chunk serve all.
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    scratch = np.empty((2, min(_ADAM_CHUNK, max(p.size for p in params))))
     step = 0
     history: list[dict] = []
 
@@ -336,18 +366,8 @@ def train(
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
 
             step += 1
-            for param, grad, (m, v, update, denom) in zip(params, grads, buffers):
-                # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2; param -= lr * (m / (1 - b1^t))
-                # / (sqrt(v / (1 - b2^t)) + eps): each operation as written, for equal bits.
-                m *= b1
-                m += np.multiply(grad, 1.0 - b1, out=update)
-                v *= b2
-                v += np.multiply(np.square(grad, out=denom), 1.0 - b2, out=denom)
-                np.sqrt(np.divide(v, 1.0 - b2**step, out=denom), out=denom)
-                denom += config.eps
-                np.divide(m, 1.0 - b1**step, out=update)
-                update *= config.learning_rate
-                param -= np.divide(update, denom, out=update)
+            for param, grad, (m, v) in zip(params, grads, moments):
+                _adam_update(param, grad, m, v, scratch, step, config)
 
     return TrainResult(head=ProjectionHead(*params), history=history)
 

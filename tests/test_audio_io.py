@@ -1,10 +1,12 @@
 """WAV parsing, writing, resampling, and segmentation."""
 
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +114,10 @@ class TestLoadAudio:
             body = data[: len(data) // (3 * channels) * 3 * channels]
             wav = (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE" + b"fmt "
                    + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(body)) + body)
-            samples, rate = audio_io._parse_wav(wav)
+            samples, rate, is_float = audio_io._parse_wav(wav)
             expected = ints[: len(body) // 3].astype(np.float64) / 8388608.0
-            assert rate == 48000 and samples.shape == (len(body) // (3 * channels), channels)
+            assert rate == 48000 and not is_float
+            assert samples.shape == (len(body) // (3 * channels), channels)
             assert np.array_equal(samples.reshape(-1), expected)
 
     def test_mixdown_is_linear(self, tmp_path, rng):
@@ -315,6 +318,278 @@ class TestAudioClip:
         clip = AudioClip(np.zeros(10), 48000)
         with pytest.raises(ValueError):
             clip.samples[0] = 1.0
+
+
+def oracle_decode(data: bytes, fmt: str) -> list[float]:
+    """Each sample of a WAV data chunk by ``struct.unpack``, over full scale for integers."""
+    if fmt == "float32":
+        return [struct.unpack("<f", data[i : i + 4])[0] for i in range(0, len(data), 4)]
+    if fmt == "pcm16":
+        return [struct.unpack("<h", data[i : i + 2])[0] / 32768 for i in range(0, len(data), 2)]
+    # 24-bit: pad the three bytes with a copy of their sign, then read a signed int32.
+    return [
+        struct.unpack("<i", data[i : i + 3] + (b"\xff" if data[i + 2] & 0x80 else b"\x00"))[0]
+        / 8388608 for i in range(0, len(data), 3)
+    ]
+
+
+def wav_with_padded_chunk(data: bytes, channels: int, fmt: str, rate: int = 48000) -> bytes:
+    """A WAV whose data follows a 1-byte chunk and its pad byte, 2 bytes off 4-byte alignment."""
+    code, bits = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}[fmt]
+    block = channels * bits // 8
+    body = (b"fmt " + struct.pack("<IHHIIHH", 16, code, channels, rate, rate * block, block, bits)
+            + b"junk" + struct.pack("<I", 1) + b"j\x00"
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def float32_samples(rng, count: int) -> np.ndarray:
+    """Finite float32 values over most of the exponent range, with signed zeros."""
+    values = rng.standard_normal(count) * np.exp2(rng.integers(-140, 120, count))
+    values[rng.random(count) < 0.05] = -0.0
+    return values.astype("<f4")
+
+
+class TestCodecOracles:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+    def test_decode_matches_per_sample_struct_formula(self, rng, fmt, channels):
+        count = 999 * channels
+        if fmt == "float32":
+            data = float32_samples(rng, count).tobytes()
+        else:
+            # Random bytes behind 0, -1 and the most negative and most positive values.
+            width = 2 if fmt == "pcm16" else 3
+            edges = b"".join(
+                v.to_bytes(width, "little", signed=True)
+                for v in (0, -1, -(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1)
+            )
+            data = edges + rng.integers(0, 256, width * count, dtype=np.uint8).tobytes()
+            data = data[: width * count]
+        wav = wav_with_padded_chunk(data, channels, fmt)
+        assert (wav.index(b"data") + 8) % 4 == 2  # float32 and 24-bit samples are unaligned
+        samples, rate, is_float = audio_io._parse_wav(wav)
+        assert (rate, is_float, samples.dtype) == (48000, fmt == "float32", np.float64)
+        assert samples.shape == (999, channels)
+        assert samples.reshape(-1).tolist() == oracle_decode(data, fmt)
+
+    @pytest.mark.parametrize("channels", range(1, 9))
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+    def test_mixdown_matches_numpy_mean_bit_for_bit(self, tmp_path, rng, fmt, channels):
+        n = 4801
+        if fmt == "float32":
+            data = float32_samples(rng, n * channels).tobytes()
+        else:
+            data = rng.integers(0, 256, (2 if fmt == "pcm16" else 3) * n * channels,
+                                dtype=np.uint8).tobytes()
+        wav = wav_with_padded_chunk(data, channels, fmt)
+        frames, _, is_float = audio_io._parse_wav(wav)
+        # One channel is taken as it is (numpy's mean would turn -0.0 into 0.0).
+        mean = frames[:, 0] if channels == 1 else frames.mean(axis=1)
+        assert audio_io._mixdown(frames, is_float).tobytes() == mean.tobytes()
+        # load_audio clips only float input, the one kind that can leave [-1, 1].
+        path = tmp_path / "mix.wav"
+        path.write_bytes(wav)
+        expected = np.clip(mean, -1.0, 1.0) if is_float else mean
+        assert load_audio(path).samples.tobytes() == expected.tobytes()
+
+    def test_write_audio_matches_clip_rint_formula(self, tmp_path):
+        # Every half-integer tie of the int16 scale, +-1, the values next to them and beyond.
+        ties = (np.arange(-32770, 32770) + 0.5) / 32768
+        edges = [1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 32767.5 / 32768,
+                 -32768.5 / 32768, 1.5, -1.5, 0.0, -0.0, 2**-16, -(2**-16), 3 * 2**-16]
+        x = np.concatenate([ties, edges])
+        path = tmp_path / "ties.wav"
+        write_audio(AudioClip(x, 48000), path)
+        # wav_bytes encodes by np.clip(np.rint(x * 32768), -32768, 32767).astype("<i2").
+        assert path.read_bytes() == wav_bytes(x[:, None], 48000, "pcm16")
+
+    def test_frames_of_a_loaded_clip_are_read_only_views(self, tmp_path, rng):
+        path = write_wav(tmp_path / "src.wav", rng.uniform(-1, 1, (3 * 48000 + 100, 2)), 48000)
+        clip = load_audio(path)
+        assert not clip.samples.flags.writeable
+        frames = segment(clip)
+        assert [f.offset_s for f in frames] == [0.0, 1.0, 2.0]
+        for index, frame in enumerate(frames):
+            assert frame.source_id == "src" and frame.sample_rate == 48000
+            assert np.shares_memory(frame.samples, clip.samples)
+            assert not frame.samples.flags.writeable
+            whole = clip.samples[index * 48000 : (index + 1) * 48000]
+            assert frame.samples.tobytes() == whole.tobytes()
+        later = clip.slice(48000, 96000).slice(100, 200)
+        assert later.offset_s == 1.0 + 100 / 48000 and len(later) == 100
+        # The public constructor keeps every check.
+        with pytest.raises(ValueError, match="finite"):
+            AudioClip([np.nan], 48000)
+        with pytest.raises(ValueError, match="finite"):
+            AudioClip(np.array([0.0, np.inf]), 48000)
+
+
+
+def with_rate(wav: bytes, rate: int) -> bytes:
+    """``wav_bytes`` output whose header claims ``rate`` (byte rate left as it was)."""
+    raw = bytearray(wav)
+    struct.pack_into("<I", raw, 24, rate)
+    return bytes(raw)
+
+
+class TestSampleRateBounds:
+    # Outside 1-768 kHz, or a reduced ratio 48000/g : rate/g with a term above 1000.
+    @pytest.mark.parametrize("rate", [4294967295, 1000003, 768001, 999, 1, 47999, 44101, 12345])
+    def test_rejected_rate_fails_before_any_large_allocation(self, tmp_path, monkeypatch, rate):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(with_rate(wav_bytes(np.zeros((4800, 1)), 48000, "pcm16"), rate))
+
+        def refuse(samples, rate):
+            raise AssertionError(f"resampling from {rate} Hz was started")
+
+        monkeypatch.setattr(audio_io, "resample_to_canonical", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedFormat, match=f"^unsupported sample rate {rate} Hz"):
+                load_audio(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the 9.6 KB file and its parse; 47999 Hz once took 148 MB
+
+    @pytest.mark.parametrize("rate", [1000, 7350, 8000, 11025, 22050, 44100, 47250, 96000, 768000])
+    def test_accepted_rates_resample(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        n = rate // 10
+        path.write_bytes(wav_bytes(np.full((n, 2), 0.25), rate, "pcm24"))
+        clip = load_audio(path)
+        assert len(clip) == -(-n * 48000 // rate) and abs(clip.samples[2400] - 0.25) < 1e-3
+
+    def test_cli_reports_rejected_rate_without_traceback(self, tmp_path, capsys):
+        from audiomatch.cli import main
+
+        for rate in (4294967295, 47999):
+            path = tmp_path / f"r{rate}.wav"
+            path.write_bytes(with_rate(wav_bytes(np.zeros((4800, 1)), 48000, "pcm16"), rate))
+            assert main(["segment", str(path), "--out-dir", str(tmp_path / "frames")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: unsupported sample rate {rate} Hz")
+            assert "Traceback" not in err
+
+    # sha256 of load_audio's samples, recorded with the codec that scaled by astype then
+    # division, filled (n, 4) byte arrays for 24-bit data, mixed down with mean(axis=1)
+    # and clipped every clip: the single-pass codec must give the same bytes.
+    @pytest.mark.parametrize(
+        "rate, fmt, channels, digest",
+        [
+            (44100, "pcm24", 2,
+             "2af589f1dd5a0526c1b755ad32b06dfa34b94950b943bb53d9b8f0ec9a035fce"),
+            (48000, "pcm16", 1,
+             "0b264ccd43e6950b2262646369f8611d8d8a44bdcdd5bbc0ae688db5ea108f7f"),
+            (48000, "pcm24", 6,
+             "287b6d80336e01355b322d0375644891d11c21ac43ecaad5b24ac159e0b42717"),
+            (22050, "float32", 1,
+             "45c5b2d315af52073330adaaf1e5596f7210ce7fad8146db26f72e0464c52d6b"),
+            (96000, "pcm16", 8,
+             "7362bce2ca0159ab2a7afa261fe783b474672d73d14e698f1cbf7e3cf3738cf4"),
+        ],
+    )
+    def test_outputs_equal_the_recorded_ones(self, tmp_path, rate, fmt, channels, digest):
+        path = tmp_path / "a.wav"
+        path.write_bytes(recorded_input(rate, fmt, channels))
+        assert hashlib.sha256(load_audio(path).samples.tobytes()).hexdigest() == digest
+
+
+def recorded_input(rate: int, fmt: str, channels: int) -> bytes:
+    """Two seconds of seeded noise and tones, a little over full scale in float."""
+    rng = np.random.default_rng(rate + channels)
+    t = np.arange(2 * rate) / rate
+    tones = np.sin(2 * np.pi * 440.0 * t[:, None] * np.arange(1, channels + 1))
+    scale = 1.1 if fmt == "float32" else 0.9
+    return wav_bytes(scale * (0.7 * tones + 0.3 * rng.uniform(-1, 1, tones.shape)), rate, fmt)
+
+
+
+# Header values the fuzz test swaps in: edges of every check _parse_wav makes.
+_RATES = [0, 1, 999, 1000, 44100, 47999, 48000, 96000, 768000, 768001, 2**32 - 1]
+_SIZES = [0, 1, 2, 3, 15, 16, 17, 18, 39, 40, 41, 2**31, 2**32 - 1]
+
+
+@st.composite
+def mutated_wavs(draw) -> bytes:
+    """A valid WAV (any format, 1-8 channels, optional extensible fmt and padded odd-sized
+    chunks), then header fields swapped for edge values and bytes cut, overwritten or added."""
+    fmt = draw(st.sampled_from(["pcm16", "pcm24", "float32"]), label="fmt")
+    code, bits = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}[fmt]
+    channels = draw(st.integers(1, 8), label="channels")
+    count = draw(st.integers(0, 12), label="frames") * channels
+    if fmt == "float32":
+        data = np.array(draw(st.lists(st.floats(width=32), min_size=count, max_size=count)),
+                        dtype="<f4").tobytes()
+    else:
+        data = draw(st.binary(min_size=count * bits // 8, max_size=count * bits // 8))
+    rate = draw(st.sampled_from([48000] * 12 + [44100] * 4 + _RATES), label="rate")
+    channels = draw(st.sampled_from([channels] * 12 + [0, 9]), label="claimed channels")
+    block = draw(st.sampled_from([channels * bits // 8] * 12 + [0, 1, 3, 4, 6]), label="align")
+    bits = draw(st.sampled_from([bits] * 12 + [0, 8, 16, 24, 32]), label="bits")
+    extensible = draw(st.booleans(), label="extensible")
+    fmt_body = struct.pack("<HHIIHH", 0xFFFE if extensible else code, channels, rate,
+                           rate * block % 2**32, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, then the sub-format GUID
+        fmt_body += struct.pack("<HHIH", 22, bits, 0, code) + bytes(14)
+    chunks = [[b"fmt ", fmt_body], [b"data", data]]
+    for _ in range(draw(st.integers(0, 2), label="extra chunks")):
+        chunks.insert(draw(st.integers(0, len(chunks))),
+                      [b"LIST", draw(st.binary(max_size=5), label="extra")])
+    if draw(st.booleans(), label="data first"):
+        chunks.reverse()
+    sizes = [len(body) for _, body in chunks]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]), label="size edits")):
+        at = draw(st.integers(0, len(chunks) - 1))
+        sizes[at] = draw(st.sampled_from([*_SIZES, sizes[at] + 1, max(sizes[at] - 1, 0)]))
+    body = b"".join(
+        name + struct.pack("<I", size) + chunk + b"\x00" * (len(chunk) & 1)
+        for (name, chunk), size in zip(chunks, sizes)
+    )
+    raw = bytearray(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]), label="byte edits")):
+        at = draw(st.integers(0, len(raw)), label="at")
+        edit = draw(st.sampled_from(["truncate", "overwrite", "insert"]), label="edit")
+        if edit == "truncate":
+            del raw[at:]
+        elif edit == "overwrite":
+            patch = draw(st.binary(min_size=1, max_size=4), label="patch")
+            raw[at : at + len(patch)] = patch
+        else:
+            raw[at:at] = draw(st.binary(min_size=1, max_size=3), label="insert")
+    return bytes(raw)
+
+
+@pytest.fixture(scope="module")
+def wav_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav") / "f.wav"
+
+
+class TestParseWavFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(raw=mutated_wavs())
+    def test_mutated_wav_decodes_or_raises_audiomatch_error(self, wav_path, raw):
+        try:
+            samples, rate, is_float = audio_io._parse_wav(raw)
+        except AudioMatchError as exc:  # anything else escapes
+            parsed = exc
+        else:
+            parsed = None
+            assert samples.dtype == np.float64 and samples.ndim == 2
+            assert 1 <= samples.shape[1] <= 8 and 1000 <= rate <= 768000
+            assert np.isfinite(samples).all()
+            if not is_float:
+                assert ((samples >= -1.0) & (samples < 1.0)).all()
+        # load_audio fails as the parser did, or gives a canonical clip.
+        wav_path.write_bytes(raw)
+        try:
+            clip = load_audio(wav_path)
+        except AudioMatchError as exc:
+            assert parsed is not None and (type(exc), str(exc)) == (type(parsed), str(parsed))
+        else:
+            assert parsed is None and not clip.samples.flags.writeable
+            assert ((clip.samples >= -1.0) & (clip.samples <= 1.0)).all()
 
 
 # One key of each kind, and the key no two rows may share, for the JSON-lines reader tests.

@@ -18,7 +18,7 @@ import pytest
 import audiomatch
 from audiomatch import (
     AudioClip, ProjectionHead, audio_io, dsp, embed, flatten, load_audio, mel_spectrogram,
-    normalize, read_features, retrieval, write_audio,
+    normalize, read_features, retrieval, transition, write_audio,
 )
 from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
@@ -726,6 +726,40 @@ def test_every_flag_is_read():
             if action.dest != "help" and f"args.{action.dest}" not in source
         ]
     assert unread == []
+
+
+def test_one_parser_serves_successive_calls(tmp_path, tone_wav, capsys):
+    assert build_parser() is build_parser()
+    # A parse error exits 2 with argparse's usage text, a failed command returns 1,
+    # and neither leaves state behind for the next call.
+    with pytest.raises(SystemExit) as exited:
+        main(["query", "--k", "3"])
+    assert exited.value.code == 2
+    assert "the following arguments are required: --features" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["nonsense"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    assert main(["segment", str(tmp_path / "missing.wav"), "--out-dir", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    frames = tmp_path / "frames"
+    assert main(["segment", str(tone_wav("a", seconds=2.0)), "--out-dir", str(frames)]) == 0
+    assert "wrote 2 frames" in capsys.readouterr().out
+    features = tmp_path / "g.amcf"
+    assert main(["featurize", "--manifest", str(frames / "manifest.jsonl"),
+                 "--out", str(features), "--kind", "mfcc"]) == 0
+    capsys.readouterr()
+    # Flags set by one call fall back to their defaults in the next.
+    args = build_parser().parse_args(["query", "--features", "a", "--k", "3", "--kind", "mfcc",
+                                      "--include-same-source", "--phi", "0.5"])
+    assert (args.k, args.kind, args.include_same_source, args.phi) == (3, "mfcc", True, 0.5)
+    args = build_parser().parse_args(["query", "--features", "b"])
+    assert (args.features, args.k, args.kind, args.include_same_source, args.query_id) == (
+        "b", 5, "mel", False, None)
+    assert args.phi == transition.DEFAULT_PHI
+    assert main(["query", "--features", str(features), "--query-id", "a@0.000", "--k", "1",
+                 "--kind", "mfcc", "--include-same-source"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 class TestEvalCommand:

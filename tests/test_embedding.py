@@ -14,6 +14,7 @@ from audiomatch import (
     split_and_contrast_loss,
     train,
 )
+from audiomatch import embedding
 from audiomatch.errors import DegenerateBatch, DimensionMismatch
 from audiomatch.synthetic import drift_corpus_features
 
@@ -306,6 +307,18 @@ class TestTrain:
     def test_matches_out_of_place_adam_bit_for_bit(self, rng, config):
         features = rng.normal(size=(7, 4, 6))
         head = ProjectionHead.initialize(6, d=5, seed=3)
+        result = train(head, features, config)
+        weight, bias, history = reference_train(head, features, config)
+        assert np.array_equal(result.head.weight, weight)
+        assert np.array_equal(result.head.bias, bias)
+        assert result.history == history
+
+    def test_chunked_adam_matches_out_of_place_adam_bit_for_bit(self, rng):
+        # 300 x 250 weights span several of train's Adam chunks and end in a partial one.
+        assert 300 * 250 % embedding._ADAM_CHUNK and 300 * 250 > 2 * embedding._ADAM_CHUNK
+        features = rng.normal(size=(7, 4, 300))
+        head = ProjectionHead.initialize(300, d=250, seed=3)
+        config = TrainConfig(epochs=2, learning_rate=3e-2, batch_size=3, seed=5)
         result = train(head, features, config)
         weight, bias, history = reference_train(head, features, config)
         assert np.array_equal(result.head.weight, weight)
