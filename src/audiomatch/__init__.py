@@ -39,7 +39,6 @@ from .retrieval import (
     GalleryIndex,
     MatchCandidate,
     base_features,
-    batch_featurize,
     build_index,
     featurize_clip,
     frame_id,

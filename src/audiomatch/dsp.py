@@ -77,12 +77,6 @@ def mel_filterbank() -> np.ndarray:
     return bank
 
 
-def filter_center_frequencies() -> np.ndarray:
-    """Center frequency in Hz of each mel filter."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(CANONICAL_RATE / 2.0), MEL_BINS + 2))
-    return edges[1:-1]
-
-
 _MEL_FILTERBANK = mel_filterbank()
 
 # Periodic Hann: one full cosine cycle over the window.
@@ -104,21 +98,30 @@ _DCT_BASIS = _dct_basis()
 
 
 def power_stft(samples: np.ndarray) -> np.ndarray:
-    """Magnitude-squared STFT without center padding of (..., n) samples, shape (..., bins, t)."""
+    """Magnitude-squared STFT without center padding of (..., n) samples, shape (..., bins, t).
+
+    The result is a transposed view of a time-major (..., t, bins) array.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     windows = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE, axis=-1)
     windows = windows[..., ::HOP_LENGTH, :]
     power = np.empty(windows.shape[:-1] + (WINDOW_SIZE // 2 + 1,))
-    # One frame's windows at a time: the windowed copy and its complex
-    # spectrum stay in cache and out of peak memory.
+    # One frame's windows at a time, through two buffers made once: the windowed
+    # copy and its complex spectrum stay in cache and out of peak memory.
+    windowed = np.empty(windows.shape[-2:])
+    spectrum = np.empty(power.shape[-2:], dtype=np.complex128)
     for frame in np.ndindex(windows.shape[:-2]):
-        np.abs(np.fft.rfft(windows[frame] * _HANN_WINDOW, axis=-1), out=power[frame])
+        np.multiply(windows[frame], _HANN_WINDOW, out=windowed)
+        np.abs(np.fft.rfft(windowed, axis=-1, out=spectrum), out=power[frame])
     power *= power  # the same bits as power ** 2
     return power.swapaxes(-1, -2)
 
 
 def mel_spectrogram(clip: AudioClip | np.ndarray, *, log_compress: bool = True) -> np.ndarray:
     """Mel-band power spectrogram, float64 of shape (MEL_BINS, t), or (m, MEL_BINS, t) for a block.
+
+    The time steps of every frame are projected by one GEMM, and the result
+    is C-contiguous.
 
     Args:
         clip: 48 kHz mono clip of at least one analysis window, or an
@@ -132,8 +135,14 @@ def mel_spectrogram(clip: AudioClip | np.ndarray, *, log_compress: bool = True) 
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
     if samples.shape[-1] < WINDOW_SIZE:
         raise TooShort(f"need at least {WINDOW_SIZE} samples, got {samples.shape[-1]}")
-    mel = np.matmul(_MEL_FILTERBANK, power_stft(samples))
-    return np.log(mel + LOG_EPS) if log_compress else mel
+    power = power_stft(samples).swapaxes(-1, -2)  # time-major, C-contiguous
+    mel = power.reshape(-1, power.shape[-1]) @ _MEL_FILTERBANK.T
+    mel = mel.reshape(power.shape[:-1] + (MEL_BINS,)).swapaxes(-1, -2)
+    # C-contiguous, as before: similarity_matrix's bits depend on the layout.
+    if not log_compress:
+        return np.ascontiguousarray(mel)
+    out = np.add(mel, LOG_EPS, order="C")
+    return np.log(out, out=out)
 
 
 def mfcc(clip: AudioClip | np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import write_atomic
-from .errors import DegenerateBatch, DimensionMismatch, IoError
+from .errors import DegenerateBatch, DimensionMismatch, InvalidValue, IoError
 
 DEFAULT_DIM = 512
 DEFAULT_TAU = 0.1
@@ -59,11 +59,12 @@ class ProjectionHead:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        weight, bias = _parameters(self.weight, self.bias)
+        # One float64 copy of each, whatever the input's dtype.
+        weight, bias = _parameters(
+            np.array(self.weight, dtype=np.float64), np.array(self.bias, dtype=np.float64)
+        )
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise ValueError("head parameters must be finite")
-        weight = weight.copy()
-        bias = bias.copy()
+            raise InvalidValue("head parameters must be finite")
         weight.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "weight", weight)
@@ -111,13 +112,16 @@ class ProjectionHead:
             raise IoError(f"{path} is not a projection head checkpoint")
         version, d_base, d = struct.unpack_from("<III", raw, 4)
         if version != _CHECKPOINT_VERSION:
-            raise IoError(f"unsupported checkpoint version {version}")
+            raise IoError(f"checkpoint {path} has unsupported version {version}")
         expected = 16 + 4 * (d_base * d + d)
         if len(raw) != expected:
             raise IoError(f"checkpoint {path} has {len(raw)} bytes, expected {expected}")
         weight = np.frombuffer(raw, dtype="<f4", count=d_base * d, offset=16)
         bias = np.frombuffer(raw, dtype="<f4", count=d, offset=16 + 4 * d_base * d)
-        return cls(weight=weight.reshape(d_base, d), bias=bias)
+        try:
+            return cls(weight=weight.reshape(d_base, d), bias=bias)
+        except InvalidValue as exc:
+            raise InvalidValue(f"checkpoint {path}: {exc}") from None
 
 
 def _project(weight: np.ndarray, bias: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -5,6 +5,10 @@ class AudioMatchError(Exception):
     """Base class for all audiomatch errors."""
 
 
+class InvalidValue(AudioMatchError, ValueError):
+    """A value or setting lies outside what the operation accepts; also a ValueError."""
+
+
 class UnsupportedFormat(AudioMatchError):
     """File container or codec is not a supported PCM/float WAV."""
 

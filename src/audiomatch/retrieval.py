@@ -26,11 +26,11 @@ import struct
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .audio_io import AudioClip, write_atomic
+from .audio_io import write_atomic
 from .dsp import FeatureKind, flatten, mel_spectrogram, mfcc
 from .embedding import ProjectionHead, embed
 from .errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
@@ -305,33 +305,6 @@ def map_blocks(
     while chunk := list(islice(frames, CHUNK_FRAMES)):
         parts.append(function(np.stack(chunk)))
     return np.concatenate(parts)
-
-
-def batch_featurize(
-    clips: Sequence[AudioClip],
-    head: ProjectionHead | None = None,
-    kind: FeatureKind = FeatureKind.MEL,
-) -> Gallery:
-    """Deterministic clip -> feature -> unit-vector pipeline.
-
-    Row ids follow :func:`frame_id` over each clip's source and offset.
-
-    Raises:
-        DimensionMismatch: The clips are not all of one length.
-    """
-    vectors = np.empty((0, 0), dtype=np.float32)
-    if clips:
-        if len({len(clip) for clip in clips}) != 1:
-            raise DimensionMismatch("batch_featurize needs clips of one length")
-        vectors = map_blocks(
-            lambda block: featurize_clip(block, head, kind), (clip.samples for clip in clips)
-        )
-    return Gallery(
-        ids=tuple(frame_id(clip.source_id, clip.offset_s) for clip in clips),
-        source_ids=tuple(clip.source_id for clip in clips),
-        offsets=np.array([clip.offset_s for clip in clips], dtype=np.float64),
-        vectors=vectors,
-    )
 
 
 def write_features(path: str | Path, gallery: Gallery) -> None:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioClip, write_atomic, write_audio
-from .retrieval import base_features, frame_id
+from .retrieval import frame_id
 
 DRIFT_LOW_AMP = 0.25
 DRIFT_HIGH_AMP = 0.5
@@ -47,26 +47,6 @@ def tone(
         out += weight * np.sin(2.0 * np.pi * freq * h * t + phase)
     peak = np.max(np.abs(out))
     return out * (amp / peak) if peak > 0 else out
-
-
-def noise_burst(seconds: float, amp: float = 0.3, seed: int = 0) -> np.ndarray:
-    """Seeded 48 kHz white noise clipped to [-amp, amp]."""
-    rng = np.random.default_rng(seed)
-    return np.clip(rng.normal(0.0, amp / 3.0, int(round(seconds * CANONICAL_RATE))), -amp, amp)
-
-
-def impulse_train(
-    seconds: float, rate_hz: float = 3.0, amp: float = 0.8, decay: float = 0.004
-) -> np.ndarray:
-    """48 kHz exponentially decaying clicks at a fixed repetition rate."""
-    n = int(round(seconds * CANONICAL_RATE))
-    out = np.zeros(n)
-    period = int(CANONICAL_RATE / rate_hz)
-    kernel = amp * np.exp(-np.arange(int(decay * CANONICAL_RATE) * 8) / (decay * CANONICAL_RATE))
-    for start in range(0, n, period):
-        end = min(n, start + len(kernel))
-        out[start:end] += kernel[: end - start]
-    return np.clip(out, -1.0, 1.0)
 
 
 def _family_fundamentals(n_families: int, base_hz: float = 220.0, semitones: float = 5.0):
@@ -180,16 +160,6 @@ def drift_sequence_audio(rng: np.random.Generator, n_frames: int = 10) -> np.nda
         )
         frames[i] = np.clip(low + high, -1.0, 1.0)
     return frames
-
-
-def drift_corpus_features(n_sequences: int, n_frames: int = 10, seed: int = 0) -> np.ndarray:
-    """In-memory training corpus of flattened log-mel base features.
-
-    Returns a (n_sequences, n_frames, d_base) float64 array.
-    """
-    rng = np.random.default_rng(seed)
-    sequences = [base_features(drift_sequence_audio(rng, n_frames)) for _ in range(n_sequences)]
-    return np.stack(sequences)
 
 
 def write_drift_corpus(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .audio_io import CANONICAL_RATE, FRAME_LENGTH, AudioClip
 from .dsp import HOP_LENGTH, WINDOW_SIZE, mel_spectrogram
-from .errors import CrossfadeTooLong, CutOutOfRange, ShapeMismatch, TooShort
+from .errors import CrossfadeTooLong, CutOutOfRange, InvalidValue, ShapeMismatch, TooShort
 
 DEFAULT_PHI = 8.0
 DEFAULT_L_MIN = 0.05
@@ -68,19 +68,19 @@ def max_ss(raw: np.ndarray) -> tuple[int, int]:
 
 
 def _check_fade_settings(phi: float, l_min: float, l_max: float) -> None:
-    """Raise ValueError naming a fade setting the rule cannot use; comparisons with NaN fail."""
+    """Raise InvalidValue naming a fade setting the rule cannot use; comparisons with NaN fail."""
     if not 0.0 < phi < np.inf:
-        raise ValueError(f"phi must be finite and > 0, got {phi}")
+        raise InvalidValue(f"phi must be finite and > 0, got {phi}")
     if not 0.0 <= l_min < np.inf:
-        raise ValueError(f"l_min must be finite and >= 0, got {l_min}")
+        raise InvalidValue(f"l_min must be finite and >= 0, got {l_min}")
     if not l_min <= l_max:
-        raise ValueError(f"l_max must be >= l_min ({l_min}), got {l_max}")
+        raise InvalidValue(f"l_max must be >= l_min ({l_min}), got {l_max}")
 
 
 def check_settings(*, phi: float, fixed_s: float, l_min: float, l_max: float) -> None:
-    """Raise ValueError naming a :func:`make_plan` setting out of range."""
+    """Raise InvalidValue naming a :func:`make_plan` setting out of range."""
     if not 0.0 <= fixed_s < np.inf:
-        raise ValueError(f"fixed_s must be finite and >= 0, got {fixed_s}")
+        raise InvalidValue(f"fixed_s must be finite and >= 0, got {fixed_s}")
     _check_fade_settings(phi, l_min, l_max)
 
 
@@ -92,7 +92,7 @@ def adaptive_crossfade_length(var: float, *, phi: float, l_min: float, l_max: fl
     to l_max.
 
     Raises:
-        ValueError: phi not finite and > 0, l_min not finite and >= 0, or l_min > l_max.
+        InvalidValue: phi not finite and > 0, l_min not finite and >= 0, or l_min > l_max.
     """
     _check_fade_settings(phi, l_min, l_max)
     length = np.inf if var == 0.0 else 1.0 / (var * phi)
@@ -155,11 +155,12 @@ def render(query: AudioClip, match: AudioClip, plan: TransitionPlan) -> AudioCli
     cut_query + (len(match) - cut_match).
 
     Raises:
+        InvalidValue: A negative crossfade_s.
         CutOutOfRange: A cut point falls outside its clip.
         CrossfadeTooLong: The overlap does not fit the available audio.
     """
     if plan.crossfade_s < 0.0:
-        raise ValueError("crossfade_s must be >= 0")
+        raise InvalidValue("crossfade_s must be >= 0")
     cut_q, cut_m = plan.cut_query, plan.cut_match
     if not 0 <= cut_q <= len(query):
         raise CutOutOfRange(f"query cut {cut_q} outside clip of {len(query)} samples")
@@ -226,7 +227,7 @@ def make_plan(
     :func:`adaptive_crossfade_length`.
 
     Raises:
-        ValueError: A setting out of range or an offset that is not
+        InvalidValue: A setting out of range or an offset that is not
             finite, checked before any analysis.
         TooShort: The query or a match lacks a full 1-second window at
             its offset, checked before any analysis.
@@ -235,7 +236,7 @@ def make_plan(
     for name, offset in (("query_frame_offset_s", query_frame_offset_s),
                          ("match_frame_offset_s", match_frame_offset_s)):
         if not abs(offset) * CANONICAL_RATE < np.inf:  # false for NaN too
-            raise ValueError(f"{name} must be finite in seconds and in samples, got {offset}")
+            raise InvalidValue(f"{name} must be finite in seconds and in samples, got {offset}")
     off_q = int(round(query_frame_offset_s * CANONICAL_RATE))
     off_m = int(round(match_frame_offset_s * CANONICAL_RATE))
     if off_q < 0 or off_q + FRAME_LENGTH > len(query):

@@ -36,7 +36,7 @@ from audiomatch import (
 )
 from audiomatch.cli import main as cli_main
 from audiomatch.embedding import embed
-from audiomatch.synthetic import drift_corpus_features, tone_family_set
+from audiomatch.synthetic import tone_family_set
 from audiomatch.transition import TransitionPlan, Strategy
 
 from test_embedding import brute_force_loss, random_batch
@@ -94,10 +94,10 @@ class TestAcceptance:
             assert np.sqrt(np.sum(grad_weight**2) + np.sum(grad_bias**2)) < 1e-8
         report(3, "single-positive batch gives loss 0 and zero gradient")
 
-    def test_04_training_improves_adjacent_frame_retrieval(self):
+    def test_04_training_improves_adjacent_frame_retrieval(self, drift_features):
         start = time.perf_counter()
-        train_features = drift_corpus_features(200, 10, seed=0)
-        held_features = drift_corpus_features(50, 10, seed=1)
+        train_features = drift_features(200, 10, seed=0)
+        held_features = drift_features(50, 10, seed=1)
         d_base = train_features.shape[2]
 
         def adjacent_hit_rate(head, features, query_index=4):

@@ -193,17 +193,27 @@ class TestLoadAudio:
         assert result.stdout.strip() == "False"
 
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # MFCCs use an explicit DCT basis, so importing the CLI loads no scipy at all.
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # MFCCs use an explicit DCT basis and the resampler is numpy's, so neither
+        # importing the CLI nor segmenting a 44.1 kHz WAV loads any scipy.
         env = dict(os.environ)
         src = str(Path(audiomatch.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, audiomatch.cli; print([m for m in sys.modules if m[:5] == 'scipy'])"
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
-        )
-        assert result.stdout.strip() == "[]"
+        wav = tmp_path / "cd.wav"
+        wav.write_bytes(recorded_input(44100, "pcm24", 2))
+        scipy_modules = "print([m for m in sys.modules if m[:5] == 'scipy'])"
+        for code in (
+            f"import sys, audiomatch.cli; {scipy_modules}",
+            "import sys; from audiomatch.cli import main; "
+            f"main(['segment', {str(wav)!r}, '--out-dir', {str(tmp_path / 'frames')!r}]); "
+            f"{scipy_modules}",
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            assert result.stdout.strip().splitlines()[-1] == "[]"
+        assert len(list((tmp_path / "frames").glob("*.wav"))) == 2
 
 
 class TestWriteAudio:
@@ -478,14 +488,10 @@ class TestSampleRateBounds:
     @pytest.mark.parametrize(
         "rate, fmt, channels, digest",
         [
-            (44100, "pcm24", 2,
-             "2af589f1dd5a0526c1b755ad32b06dfa34b94950b943bb53d9b8f0ec9a035fce"),
             (48000, "pcm16", 1,
              "0b264ccd43e6950b2262646369f8611d8d8a44bdcdd5bbc0ae688db5ea108f7f"),
             (48000, "pcm24", 6,
              "287b6d80336e01355b322d0375644891d11c21ac43ecaad5b24ac159e0b42717"),
-            (22050, "float32", 1,
-             "45c5b2d315af52073330adaaf1e5596f7210ce7fad8146db26f72e0464c52d6b"),
             (96000, "pcm16", 8,
              "7362bce2ca0159ab2a7afa261fe783b474672d73d14e698f1cbf7e3cf3738cf4"),
         ],
@@ -494,6 +500,38 @@ class TestSampleRateBounds:
         path = tmp_path / "a.wav"
         path.write_bytes(recorded_input(rate, fmt, channels))
         assert hashlib.sha256(load_audio(path).samples.tobytes()).hexdigest() == digest
+
+    # Resampled samples agree with resample_poly within the stated tolerance, not bit for
+    # bit; the sha256 of the 16-bit frames segment writes was recorded with resample_poly.
+    @pytest.mark.parametrize(
+        "rate, fmt, channels, frames_digest",
+        [
+            (44100, "pcm24", 2,
+             "a7d676769b86028cce4e86c048691c47f5d2e022a285201a485471231624ea15"),
+            (22050, "float32", 1,
+             "1f24a13e7aa90e24b7559c89b0e6167612d35d87bde2ca50cd799fa4fae8155f"),
+        ],
+    )
+    def test_resampled_outputs_match_resample_poly(
+        self, tmp_path, rate, fmt, channels, frames_digest
+    ):
+        from scipy.signal import resample_poly
+
+        from audiomatch.cli import main
+
+        path = tmp_path / "a.wav"
+        path.write_bytes(recorded_input(rate, fmt, channels))
+        frames, _, _ = audio_io._parse_wav(path.read_bytes())
+        up, down = {44100: (160, 147), 22050: (320, 147)}[rate]
+        expected = resample_poly(frames.mean(axis=1), up, down, window=("kaiser", 8.6))
+        got = load_audio(path).samples
+        assert np.abs(got - np.clip(expected, -1.0, 1.0)).max() <= RESAMPLE_TOLERANCE
+
+        assert main(["segment", str(path), "--out-dir", str(tmp_path / "frames")]) == 0
+        digest = hashlib.sha256()
+        for frame in sorted((tmp_path / "frames").glob("*.wav")):
+            digest.update(frame.read_bytes())
+        assert digest.hexdigest() == frames_digest
 
 
 def recorded_input(rate: int, fmt: str, channels: int) -> bytes:
@@ -504,6 +542,69 @@ def recorded_input(rate: int, fmt: str, channels: int) -> bytes:
     scale = 1.1 if fmt == "float32" else 0.9
     return wav_bytes(scale * (0.7 * tones + 0.3 * rng.uniform(-1, 1, tones.shape)), rate, fmt)
 
+
+
+# The stated bound on |resample_to_canonical - resample_poly| for input in [-1, 1]:
+# each output sums about 21 products in another order (worst seen 8.9e-16).
+RESAMPLE_TOLERANCE = 1e-14
+
+# Accepted rates of every ratio class: integer up (6:1, 48:1), integer down (1:2,
+# 1:4, 1:16), 160:147, 320:147, 3:2, and terms near 1000 (1000:999, 960:961).
+_RESAMPLE_RATES = [8000, 1000, 96000, 192000, 768000, 44100, 22050, 32000, 47952, 48050]
+
+
+class TestResampler:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        rate=st.sampled_from(_RESAMPLE_RATES),
+        length=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 50_000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_resample_poly(self, rate, length, seed):
+        from math import gcd
+
+        from scipy.signal import resample_poly
+
+        g = gcd(48000, rate)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, length)
+        expected = resample_poly(x, 48000 // g, rate // g, window=("kaiser", 8.6))
+        got = audio_io.resample_to_canonical(x, rate)
+        assert got.shape == expected.shape
+        assert length == 0 or np.abs(got - expected).max() <= RESAMPLE_TOLERANCE
+        if rate in (96000, 192000):  # decimation by 2 and 4 sums in resample_poly's order
+            assert np.array_equal(got, expected)
+
+    def test_bytes_equal_at_one_and_two_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np; from audiomatch.audio_io import resample_to_canonical\n"
+            "x = np.random.default_rng(5).uniform(-1, 1, 200_003)\n"
+            f"for rate in {_RESAMPLE_RATES}:\n"
+            "    print(hashlib.sha256(resample_to_canonical(x, rate).tobytes()).hexdigest())"
+        )
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=300,
+            ).stdout)
+        assert len(outputs[0].split()) == len(_RESAMPLE_RATES)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("rate", [96000, 192000])
+    def test_memory_beyond_the_output_is_bounded(self, rate):
+        # 60 s of input; one full-length copy of its filter windows would take over 900 MB.
+        samples = np.zeros(60 * rate)
+        tracemalloc.start()
+        try:
+            out = audio_io.resample_to_canonical(samples, rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 60 * 48000
+        assert peak - out.nbytes < 4_000_000
 
 
 # Header values the fuzz test swaps in: edges of every check _parse_wav makes.

@@ -237,6 +237,39 @@ class TestFeaturizeCommand:
         assert peaks[1] - peaks[0] < 4 << 20
 
 
+class TestTypedErrors:
+    def test_non_finite_checkpoint_fails_with_its_name(self, tmp_path, segmented, capsys):
+        head = tmp_path / "nan.ssch"
+        ProjectionHead.initialize(2880, d=8, seed=0).save(head)
+        raw = bytearray(head.read_bytes())
+        raw[20:24] = struct.pack("<f", float("nan"))
+        head.write_bytes(bytes(raw))
+        with pytest.raises(AudioMatchError):
+            ProjectionHead.load(head)
+        out = tmp_path / "g.amcf"
+        argv = ["featurize", "--manifest", str(segmented), "--out", str(out), "--head", str(head)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {head}: head parameters must be finite")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_bad_transition_setting_is_an_audiomatch_error(self, tmp_path, segmented, capsys):
+        with pytest.raises(AudioMatchError, match="^phi must"):
+            transition.check_settings(phi=float("nan"), fixed_s=0.5, l_min=0.0, l_max=1.0)
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        capsys.readouterr()
+        argv = ["query", "--features", str(features), "--query-id", "alpha@0.000",
+                "--manifest", str(segmented), "--render-dir", str(tmp_path / "r"), "--phi", "nan"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phi must") and "Traceback" not in err
+
+    def test_clip_at_another_rate_is_an_audiomatch_error(self):
+        with pytest.raises(AudioMatchError, match="^sample_rate must be 48000, got 44100$"):
+            AudioClip(np.zeros(10), 44100)
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize(
         "line, error",

@@ -2,9 +2,12 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiomatch import (
     ProjectionHead,
@@ -15,8 +18,7 @@ from audiomatch import (
     train,
 )
 from audiomatch import embedding
-from audiomatch.errors import DegenerateBatch, DimensionMismatch
-from audiomatch.synthetic import drift_corpus_features
+from audiomatch.errors import AudioMatchError, DegenerateBatch, DimensionMismatch, InvalidValue
 
 
 def brute_force_loss(weight, bias, features, split, tau):
@@ -255,8 +257,8 @@ class TestTrain:
         assert np.array_equal(a.head.bias, b.head.bias)
         assert a.history == b.history
 
-    def test_loss_decreases_on_learnable_corpus(self):
-        features = drift_corpus_features(12, 6, seed=3)
+    def test_loss_decreases_on_learnable_corpus(self, drift_features):
+        features = drift_features(12, 6, seed=3)
         head = ProjectionHead.initialize(features.shape[2], d=64, seed=0)
         result = train(
             head, features, TrainConfig(epochs=6, learning_rate=1e-3, batch_size=3, seed=0)
@@ -388,3 +390,90 @@ class TestCheckpoint:
 
         with pytest.raises(IoError):
             ProjectionHead.load(tmp_path / "trunc.ssch")
+
+    def test_non_finite_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "nan.ssch"
+        ProjectionHead.initialize(6, d=4, seed=0).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidValue, match=f"^checkpoint {path}: head parameters must be finite"):
+            ProjectionHead.load(path)
+        assert issubclass(InvalidValue, ValueError)
+
+    def test_load_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        path = tmp_path / "big.ssch"
+        ProjectionHead.initialize(2880, d=64, seed=0).save(path)
+        tracemalloc.start()
+        try:
+            ProjectionHead.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size  # the bytes, float64 copies and a finite mask
+
+
+def checkpoint_oracle(raw: bytes):
+    """(weight, bias) of whole, finite SSCH v1 bytes, or None where load must raise."""
+    if len(raw) < 16 or raw[:4] != b"SSCH":
+        return None
+    version, d_base, d = struct.unpack_from("<III", raw, 4)
+    if version != 1 or d_base == 0 or d == 0 or len(raw) != 16 + 4 * (d_base * d + d):
+        return None
+    values = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
+    if not np.isfinite(values).all():
+        return None
+    return values[: d_base * d].reshape(d_base, d), values[d_base * d :]
+
+
+_HEADER_VALUES = [0, 1, 2, 3, 7, 2**16, 2**31, 2**32 - 1]
+
+
+@st.composite
+def mutated_checkpoints(draw) -> bytes:
+    """Bytes of a saved head, then header fields, payload floats and the length mutated."""
+    d_base, d = draw(st.integers(1, 6), label="d_base"), draw(st.integers(1, 6), label="d")
+    head = ProjectionHead.initialize(d_base, d=d, seed=draw(st.integers(0, 3)))
+    raw = bytearray(b"SSCH" + struct.pack("<III", 1, d_base, d)
+                    + head.weight.astype("<f4").tobytes() + head.bias.astype("<f4").tobytes())
+    for field in (4, 8, 12):  # version, d_base, d
+        if draw(st.integers(0, 5), label=f"edit field {field}") == 0:
+            value = struct.unpack_from("<I", raw, field)[0]
+            edge = draw(st.sampled_from([*_HEADER_VALUES, value + 1, value - 1]))
+            struct.pack_into("<I", raw, field, edge % 2**32)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]), label="payload edits")):
+        at = draw(st.integers(0, d_base * d + d - 1), label="float")
+        value = draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, 1e30]))
+        struct.pack_into("<f", raw, 16 + 4 * at, value)
+    edit = draw(st.sampled_from(["none", "none", "truncate", "append"]), label="length")
+    if edit == "truncate":
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    elif edit == "append":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ssch") / "head.ssch"
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(raw=mutated_checkpoints())
+    def test_mutated_checkpoint_loads_as_oracle_or_raises(self, checkpoint_path, raw):
+        checkpoint_path.write_bytes(raw)
+        expected = checkpoint_oracle(raw)
+        tracemalloc.start()
+        try:
+            if expected is None:
+                with pytest.raises(AudioMatchError):
+                    ProjectionHead.load(checkpoint_path)
+            else:
+                head = ProjectionHead.load(checkpoint_path)
+                assert np.array_equal(head.weight, expected[0])
+                assert np.array_equal(head.bias, expected[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(raw) + 64_000  # a claimed size is never allocated

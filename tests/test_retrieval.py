@@ -22,9 +22,10 @@ from audiomatch import (
     AudioClip,
     Gallery,
     ProjectionHead,
-    batch_featurize,
     build_index,
+    featurize_clip,
     frame_id,
+    map_blocks,
     normalize,
     read_features,
     write_audio,
@@ -644,42 +645,41 @@ class TestFeatureFile:
 
 
 class TestBatchFeaturize:
+    """A block of frames through featurize_clip, and frames drawn by map_blocks."""
+
     def test_deterministic(self, tone_clip):
-        clips = [tone_clip(source_id="a"), tone_clip(source_id="a")]
-        first, second = batch_featurize(clips).vectors
+        samples = tone_clip().samples
+        first, second = featurize_clip(np.stack([samples, samples]))
         assert np.array_equal(first, second)
 
     def test_silence_vs_tone_distinguishable(self, tone_clip):
-        silence = AudioClip(np.zeros(48000), 48000, "quiet")
-        tone = tone_clip(freq=440.0)
-        vectors = batch_featurize([silence, tone]).vectors.astype(np.float64)
-        cosine = float(np.dot(vectors[0], vectors[1]))
+        vectors = featurize_clip(np.stack([np.zeros(48000), tone_clip(freq=440.0).samples]))
+        cosine = float(np.dot(*vectors.astype(np.float64)))
         assert cosine < 0.99
 
     def test_steady_tone_cuts_match(self, tone_clip):
-        long_tone = tone_clip(freq=440.0, seconds=3.0)
-        first = AudioClip(long_tone.samples[:48000], 48000, "t", 0.0)
-        second = AudioClip(long_tone.samples[48000:96000], 48000, "t", 1.0)
-        vectors = batch_featurize([first, second]).vectors.astype(np.float64)
+        long_tone = tone_clip(freq=440.0, seconds=3.0).samples
+        vectors = featurize_clip(long_tone[:96000].reshape(2, 48000)).astype(np.float64)
         cosine = float(np.dot(vectors[0], vectors[1]))
         assert cosine > 0.99
 
     def test_head_changes_vectors(self, tone_clip):
-        clip = tone_clip()
-        without = batch_featurize([clip]).vectors[0]
-        head = ProjectionHead.initialize(len(without) and 2880, d=32, seed=0)
-        with_head = batch_featurize([clip], head=head).vectors[0]
+        block = tone_clip().samples[None]
+        without = featurize_clip(block)[0]
+        head = ProjectionHead.initialize(len(without), d=32, seed=0)
+        with_head = featurize_clip(block, head=head)[0]
         assert with_head.shape == (32,)
         assert not np.array_equal(without[:32], with_head)
 
     def test_mfcc_kind(self, tone_clip):
-        vector = batch_featurize([tone_clip()], kind=FeatureKind.MFCC).vectors[0]
+        vector = featurize_clip(tone_clip().samples[None], kind=FeatureKind.MFCC)[0]
         assert vector.shape == (20 * 45,)
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-6)
 
     def test_clips_must_share_length(self, tone_clip):
-        with pytest.raises(DimensionMismatch):
-            batch_featurize([tone_clip(), tone_clip(seconds=1.5)])
+        frames = [tone_clip().samples, tone_clip(seconds=1.5).samples]
+        with pytest.raises(ValueError):
+            map_blocks(featurize_clip, frames)
 
     def test_normalize_rows_equal_one_vector_at_a_time(self, rng):
         # Oracle: each vector divided by np.linalg.norm of it alone, bit for bit.
@@ -689,10 +689,5 @@ class TestBatchFeaturize:
         assert np.array_equal(normalize(rows), expected)
         assert np.array_equal(normalize(rows[5]), expected[5])
 
-    def test_no_clips_give_an_empty_gallery(self):
-        assert len(batch_featurize([])) == 0
-
-    def test_ids_follow_frame_convention(self, tone_clip):
-        clip = tone_clip(source_id="movie", offset_s=3.0)
-        gallery = batch_featurize([clip])
-        assert gallery.ids[0] == frame_id("movie", 3.0) == "movie@3.000"
+    def test_ids_follow_frame_convention(self):
+        assert frame_id("movie", 3.0) == "movie@3.000"

@@ -4,28 +4,14 @@ import json
 
 import numpy as np
 
-from audiomatch.synthetic import (
-    drift_corpus_features,
-    impulse_train,
-    noise_burst,
-    tone,
-    tone_family_set,
-    write_drift_corpus,
-)
+from audiomatch.retrieval import base_features
+from audiomatch.synthetic import drift_sequence_audio, tone, tone_family_set, write_drift_corpus
 
 
 class TestPrimitives:
     def test_tone_peak_amplitude(self):
         wave = tone(440.0, 0.1, amp=0.4, harmonics=(1.0, 0.5))
         assert np.max(np.abs(wave)) <= 0.4 + 1e-12
-
-    def test_noise_burst_seeded(self):
-        assert np.array_equal(noise_burst(0.1, seed=5), noise_burst(0.1, seed=5))
-        assert not np.array_equal(noise_burst(0.1, seed=5), noise_burst(0.1, seed=6))
-
-    def test_impulse_train_click_count(self):
-        train = impulse_train(1.0, rate_hz=4.0)
-        assert np.sum(np.abs(np.diff((train > 0.5).astype(int))) == 1) >= 4
 
 
 class TestToneFamilySet:
@@ -52,10 +38,13 @@ class TestToneFamilySet:
 
 class TestDriftCorpus:
     def test_feature_shape_and_determinism(self):
-        feats = drift_corpus_features(3, 5, seed=2)
-        assert feats.shape == (3, 5, 64 * 45)
-        assert np.array_equal(feats, drift_corpus_features(3, 5, seed=2))
-        assert not np.array_equal(feats, drift_corpus_features(3, 5, seed=3))
+        def features(seed):
+            return base_features(drift_sequence_audio(np.random.default_rng(seed), 5))
+
+        feats = features(2)
+        assert feats.shape == (5, 64 * 45)
+        assert np.array_equal(feats, features(2))
+        assert not np.array_equal(feats, features(3))
 
     def test_wav_corpus_matches_frame_count(self, tmp_path):
         paths = write_drift_corpus(tmp_path, n_sequences=2, n_frames=4, seed=0)

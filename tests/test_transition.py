@@ -277,7 +277,16 @@ class TestMakePlan:
     def test_stationary_pair_gets_longer_fade_than_impulsive_pair(self):
         # Impulsive pairs produce a peaky (high-variance) cosine matrix
         # and therefore a short fade; stationary noise the opposite.
-        from audiomatch.synthetic import impulse_train, noise_burst
+        def clicks(rate_hz, seed):
+            # Decaying clicks at rate_hz over a faint seeded noise floor.
+            out = np.random.default_rng(seed).normal(0.0, 0.02 / 3, 48000)
+            kernel = 0.8 * np.exp(-np.arange(1536) / 192.0)
+            for start in range(0, 48000, int(48000 / rate_hz)):
+                out[start : start + 1536] += kernel[: 48000 - start]
+            return AudioClip(np.clip(out, -1, 1), 48000)
+
+        def noise(seed):
+            return AudioClip(np.clip(np.random.default_rng(seed).normal(0, 0.4 / 3, 48000), -0.4, 0.4), 48000)
 
         def pair_length(a, b):
             _, cosine = similarity_matrix(
@@ -288,14 +297,8 @@ class TestMakePlan:
                 np.var(cosine), phi=DEFAULT_PHI, l_min=0.0, l_max=np.inf
             )
 
-        impulsive = pair_length(
-            AudioClip(np.clip(impulse_train(1.0, rate_hz=4.0) + noise_burst(1.0, amp=0.02, seed=1), -1, 1), 48000),
-            AudioClip(np.clip(impulse_train(1.0, rate_hz=3.0) + noise_burst(1.0, amp=0.02, seed=2), -1, 1), 48000),
-        )
-        stationary = pair_length(
-            AudioClip(noise_burst(1.0, amp=0.4, seed=3), 48000),
-            AudioClip(noise_burst(1.0, amp=0.4, seed=4), 48000),
-        )
+        impulsive = pair_length(clicks(4.0, seed=1), clicks(3.0, seed=2))
+        stationary = pair_length(noise(3), noise(4))
         assert stationary > impulsive
 
     def test_context_widens_the_fit(self, tone_clip):
