@@ -324,7 +324,11 @@ def load_audio(path: str | Path) -> AudioClip:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
     frames, rate, is_float = _parse_wav(raw)
-    mono = resample_to_canonical(_mixdown(frames, is_float), rate)
+    # The bytes, and a multichannel array once mixed down, are freed before resampling.
+    del raw
+    mono = _mixdown(frames, is_float)
+    del frames
+    mono = resample_to_canonical(mono, rate)
     if is_float or rate != CANONICAL_RATE:
         np.clip(mono, -1.0, 1.0, out=mono)
     # Finite by construction: _parse_wav rejects non-finite float data, and means and

@@ -49,6 +49,27 @@ def _iter_input_wavs(inputs: list[str]) -> list[Path]:
     return paths
 
 
+def _segment_source(wav: Path, out_dir: Path) -> list[dict]:
+    """Write one WAV's 1-second frames into ``out_dir``; their manifest rows.
+
+    The clip lives only in this call, so it is freed before the next source loads.
+    """
+    clip = audio_io.load_audio(wav)
+    rows = []
+    for index, frame in enumerate(audio_io.segment(clip)):
+        frame_path = out_dir / f"{clip.source_id}_{index:05d}.wav"
+        audio_io.write_audio(frame, frame_path)
+        rows.append(
+            {
+                "id": frame_id(frame.source_id, frame.offset_s),
+                "path": str(frame_path),
+                "source_id": frame.source_id,
+                "offset_s": frame.offset_s,
+            }
+        )
+    return rows
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     wavs = _iter_input_wavs(args.inputs)
     if not wavs:
@@ -56,20 +77,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for wav in wavs:
-        clip = audio_io.load_audio(wav)
-        for index, frame in enumerate(audio_io.segment(clip)):
-            frame_path = out_dir / f"{clip.source_id}_{index:05d}.wav"
-            audio_io.write_audio(frame, frame_path)
-            rows.append(
-                {
-                    "id": frame_id(frame.source_id, frame.offset_s),
-                    "path": str(frame_path),
-                    "source_id": frame.source_id,
-                    "offset_s": frame.offset_s,
-                }
-            )
+    rows = [row for wav in wavs for row in _segment_source(wav, out_dir)]
     manifest = out_dir / "manifest.jsonl"
     audio_io.write_atomic(manifest, ("\n".join(json.dumps(row) for row in rows) + "\n").encode())
     print(f"wrote {len(rows)} frames and {manifest}")

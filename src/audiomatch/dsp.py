@@ -13,6 +13,13 @@ Every transform takes one clip or an (m, n) block of m equal-length
 bit: one stacked filterbank ``matmul`` (and DCT ``matmul``) over the
 block replaces m per-frame products.
 
+The float64 mel values depend on the BLAS thread count: with OpenBLAS
+0.3.31 they differ in the last bits between 1 and 2 threads, because the
+GEMM splits the 1025-long inner dimension at other points.  The float32
+feature files featurize writes are the same at any thread count, since
+float32 rounding hides those bits; the float64 spectrograms, MFCCs and
+transition similarity values are not guaranteed thread-invariant.
+
 Energies are power-domain.  Feature extraction log-compresses them as
 log(x + 1e-10); the transition search consumes the raw (pre-log) mel
 energies so inner products stay monotone in energy, selected with the

@@ -172,14 +172,14 @@ def split_and_contrast_loss(
         terms are a subset of the denominator terms.
 
     Raises:
-        ValueError: tau is not positive.
+        InvalidValue: tau is not positive.
         DegenerateBatch: Features not 3-D, N < 1, n < 2, or split_index
             outside 1..n-1.
         DimensionMismatch: Inconsistent weight and bias, or features of
             another dimension than the head's d_base.
     """
     if not tau > 0.0:
-        raise ValueError("tau must be positive")
+        raise InvalidValue("tau must be positive")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3:
         raise DegenerateBatch(f"expected (N, n, d_base) features, got {features.shape}")
@@ -237,7 +237,7 @@ def split_and_contrast_loss(
 
 @dataclass
 class TrainConfig:
-    """Adam training schedule for the projection head; raises ValueError for an unusable setting."""
+    """Adam training schedule for the projection head; an unusable setting raises InvalidValue."""
 
     epochs: int = 20
     learning_rate: float = 1e-4
@@ -267,7 +267,7 @@ class TrainResult:
 
 
 def _check_config(config: TrainConfig) -> None:
-    """Raise ValueError for a setting train cannot use; comparisons with NaN fail."""
+    """Raise InvalidValue for a setting train cannot use; comparisons with NaN fail."""
     for ok, rule in (
         (config.epochs >= 1 and config.batch_size >= 1, "epochs and batch_size must be >= 1"),
         (0.0 <= config.learning_rate < np.inf, "learning_rate must be finite and >= 0"),
@@ -276,7 +276,7 @@ def _check_config(config: TrainConfig) -> None:
         (0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0, "beta1, beta2 must be in [0, 1)"),
     ):
         if not ok:
-            raise ValueError(f"{rule}, got {config}")
+            raise InvalidValue(f"{rule}, got {config}")
 
 
 def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
@@ -337,7 +337,7 @@ def train(
     The input head is not mutated; the same seed gives the same bits.
 
     Raises:
-        ValueError: A TrainConfig setting out of range.
+        InvalidValue: A TrainConfig setting out of range.
         DegenerateBatch: Empty corpus, sequences shorter than 2 frames
             or of unequal shape, a non-finite feature (found before the
             first step), or a non-finite batch loss.

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio_io import read_json_lines
-from .errors import MissingId, NoPositives
+from .errors import InvalidValue, MissingId, NoPositives
 from .retrieval import GalleryIndex
 
 
@@ -34,10 +34,10 @@ class QueryLabels:
 
     def __post_init__(self) -> None:
         if not self.relevance:
-            raise ValueError(f"query {self.query_id!r} has no labeled items")
+            raise InvalidValue(f"query {self.query_id!r} has no labeled items")
         bad = {r for r in self.relevance.values() if r not in (0, 1)}
         if bad:
-            raise ValueError(f"non-binary relevance values {bad} for query {self.query_id!r}")
+            raise InvalidValue(f"non-binary relevance values {bad} for query {self.query_id!r}")
 
     @property
     def positives(self) -> set[str]:
@@ -57,7 +57,7 @@ class LabeledSet:
             labels = by_query.setdefault(str(row["query_id"]), {})
             gallery_id = str(row["gallery_id"])
             if gallery_id in labels:
-                raise ValueError(
+                raise InvalidValue(
                     f"duplicate label for query {row['query_id']!r}, gallery {gallery_id!r}"
                 )
             labels[gallery_id] = int(row["relevance"])
@@ -83,7 +83,7 @@ def average_precision(ranked_ids: Sequence[str], positives: set[str]) -> float:
     if not positives:
         raise NoPositives("average precision needs at least one positive")
     if not ranked_ids:
-        raise ValueError("ranking is empty")
+        raise InvalidValue("ranking is empty")
     hits = 0
     precision_sum = 0.0
     for rank, item in enumerate(ranked_ids, start=1):
@@ -96,14 +96,14 @@ def average_precision(ranked_ids: Sequence[str], positives: set[str]) -> float:
 def hit_rate_at_k(ranked_ids: Sequence[str], positives: set[str], k: int) -> int:
     """1 iff any positive appears in the first k items."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidValue("k must be >= 1")
     return int(any(item in positives for item in ranked_ids[:k]))
 
 
 def precision_at_k(ranked_ids: Sequence[str], positives: set[str], k: int) -> float:
     """Fraction of the first k items that are positive."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidValue("k must be >= 1")
     return sum(1 for item in ranked_ids[:k] if item in positives) / k
 
 

@@ -553,6 +553,56 @@ RESAMPLE_TOLERANCE = 1e-14
 _RESAMPLE_RATES = [8000, 1000, 96000, 192000, 768000, 44100, 22050, 32000, 47952, 48050]
 
 
+class TestSegmentMemory:
+    """segment and load_audio hold one source, mixed down, at a time."""
+
+    @pytest.fixture
+    def sources(self, tmp_path):
+        # 10 s of 44.1 kHz stereo 24-bit: 2.6 MB of file, 7.1 MB decoded, 3.8 MB at 48 kHz.
+        rng = np.random.default_rng(5)
+        paths = []
+        for index in range(3):
+            path = tmp_path / f"source{index}.wav"
+            path.write_bytes(wav_bytes(rng.uniform(-0.5, 0.5, (441000, 2)), 44100, "pcm24"))
+            paths.append(path)
+        load_audio(paths[0])  # caches the 160:147 filter outside the traced runs
+        return paths
+
+    def test_three_sources_peak_as_one_does(self, tmp_path, sources):
+        from audiomatch.cli import main
+
+        peaks = []
+        for count in (1, 3):
+            tracemalloc.start()
+            try:
+                argv = ["segment", *map(str, sources[:count]), "--out-dir", str(tmp_path / "f")]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A clip kept alive while the next source loads would add its 3.8 MB.
+        assert peaks[1] - peaks[0] < 1 << 20
+
+    def test_only_the_mono_mix_is_held_while_resampling(self, monkeypatch, sources):
+        held = []
+        resample = audio_io.resample_to_canonical
+
+        def traced(samples, rate):
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            return resample(samples, rate)
+
+        monkeypatch.setattr(audio_io, "resample_to_canonical", traced)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clip = load_audio(sources[0])
+        finally:
+            tracemalloc.stop()
+        assert len(clip) == 480000
+        # The 3.5 MB mix, not the file's bytes (2.6 MB) or the stereo array (7.1 MB).
+        assert 441000 * 8 <= held[0] < 441000 * 8 + (256 << 10)
+
+
 class TestResampler:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(

@@ -33,7 +33,7 @@ from audiomatch import (
 )
 from audiomatch.dsp import FeatureKind
 from audiomatch.retrieval import _score_error_bound
-from audiomatch.errors import DimensionMismatch, DuplicateId, EmptyIndex, IoError
+from audiomatch.errors import DimensionMismatch, DuplicateId, EmptyIndex, InvalidValue, IoError
 
 
 def unit_rows(rng, n, d):
@@ -691,3 +691,66 @@ class TestBatchFeaturize:
 
     def test_ids_follow_frame_convention(self):
         assert frame_id("movie", 3.0) == "movie@3.000"
+
+
+class TestMapBlocks:
+    """map_blocks against its oracle: ``function`` of np.stack of each block, concatenated."""
+
+    @staticmethod
+    def stacked(function, frames, chunk):
+        return np.concatenate([function(np.stack(frames[i : i + chunk]))
+                               for i in range(0, len(frames), chunk)])
+
+    @pytest.mark.parametrize("chunk", [1, 5, 16])
+    def test_blocks_match_stacked_frames(self, rng, monkeypatch, chunk):
+        # 37 frames leave a partial last block for each chunk size but 1.
+        monkeypatch.setattr(audiomatch.retrieval, "CHUNK_FRAMES", chunk)
+        frames = list(rng.normal(size=(37, 300)))
+        drawn, calls = [], []
+
+        def function(block):
+            calls.append((len(block), len(drawn)))
+            return block @ np.arange(300.0)[:, None] + block[:, :1] ** 2
+
+        def lazy():
+            for frame in frames:
+                drawn.append(frame)
+                yield frame
+
+        got = map_blocks(function, lazy())
+        # Each block is mapped as soon as its last frame is drawn, not later.
+        ends = list(range(chunk, 37, chunk)) + [37]
+        assert calls == [(end - start, end) for start, end in zip([0] + ends, ends)]
+        assert np.array_equal(got, self.stacked(function, frames, chunk))
+
+    @pytest.mark.parametrize("view", [lambda b: b, lambda b: b[:, :4], lambda b: b[::-1, 1::2]])
+    def test_a_result_viewing_the_block_keeps_its_rows(self, rng, view):
+        frames = list(rng.normal(size=(40, 10)))
+        got = map_blocks(view, iter(frames))
+        assert np.array_equal(got, self.stacked(view, frames, 16))
+
+    def test_float32_frames_give_what_stacking_gave(self, rng):
+        frames = list(rng.normal(size=(20, 2048)).astype(np.float32))
+        function = lambda b: b * np.float32(3.0) + b[:, ::-1]  # noqa: E731
+        got = map_blocks(function, iter(frames))
+        expected = self.stacked(function, frames, 16)
+        assert got.dtype == expected.dtype == np.float32
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("position", [1, 15, 16, 17, 39])
+    @pytest.mark.parametrize("length", [1, 299, 301])
+    def test_a_frame_of_another_length_raises(self, rng, position, length):
+        # A 1-sample frame is the case numpy would broadcast into a whole row.
+        frames = list(rng.normal(size=(40, 300)))
+        frames[position] = rng.normal(size=length)
+        with pytest.raises(InvalidValue, match=f"frames differ in shape: \\({length},\\)"):
+            map_blocks(np.asarray, iter(frames))
+
+    def test_frames_of_another_rank_raise(self):
+        for frames in ([np.zeros(3), np.zeros((1, 3))], [np.zeros(3), 0.0]):
+            with pytest.raises(InvalidValue):
+                map_blocks(np.asarray, frames)
+
+    def test_no_frames_raise(self):
+        with pytest.raises(InvalidValue, match="no frames"):
+            map_blocks(np.asarray, iter([]))

@@ -20,10 +20,13 @@ own.
 ``--out`` receives the environment, and per workload: each side's
 median and interquartile range of the four gated metrics, the
 per-seed change/parent ratios, how many seeds the change was better
-on, the failed request counts and whether the output digests were
-equal.  With ``--append`` the workloads already in ``--out`` are kept,
-and a workload already there is added again as a series named by its
-seeds (say ``audition seeds 11-20``).
+on, the failed request counts, whether the output digests were equal,
+and two verdicts per gated metric (see :func:`verdict`): whether a
+claimed gain would hold, and whether the change stays within the
+metric's ``bound`` in ``BENCHMARK.json``.  With ``--append`` the
+workloads already in ``--out`` are kept, and a workload already there
+is added again as a series named by its seeds (say ``audition seeds
+11-20``).
 """
 
 from __future__ import annotations
@@ -115,8 +118,27 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
+            bound: float) -> dict:
+    """The two verdicts on one gated metric, from each side's :func:`summary`.
+
+    ``claim_rule_met``: the change was better in at least 9 of every 10
+    pairs (``wins`` of ``pairs``), and its median is better than the
+    parent's by more than the parent's interquartile range.
+    ``within_bound``: the change's median is worse than the parent's by
+    at most ``bound`` times the parent's median.
+    """
+    gain = parent["median"] - change["median"]
+    if better != "lower":
+        gain = -gain
+    return {
+        "claim_rule_met": 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"],
+        "within_bound": -gain <= bound * abs(parent["median"]),
+    }
+
+
 def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float,
-            better: dict[str, str]) -> tuple[dict, dict]:
+            gates: dict[str, dict]) -> tuple[dict, dict]:
     """Alternated runs of both copies per seed; returns the workload's report and an env."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for turn, seed in enumerate(seeds):
@@ -136,24 +158,29 @@ def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float
             "digests": change["digests"],
         })
     wins = {
-        name: sum(ratio < 1 if better[name] == "lower" else ratio > 1
+        name: sum(ratio < 1 if gates[name]["better"] == "lower" else ratio > 1
                   for ratio in (pair["ratios"][name] for pair in pairs))
         for name in GATED
     }
+    sides = {
+        side: {
+            **{name: summary([run["metrics"][name] for run in runs[side]]) for name in GATED},
+            "failed": [run["failed"] for run in runs[side]],
+            "attempted": [run["attempted"] for run in runs[side]],
+        }
+        for side in SIDES
+    }
     report = {
         "seeds": [seeds.start, seeds.stop - 1],
-        "sides": {
-            side: {
-                **{name: summary([run["metrics"][name] for run in runs[side]])
-                   for name in GATED},
-                "failed": [run["failed"] for run in runs[side]],
-                "attempted": [run["attempted"] for run in runs[side]],
-            }
-            for side in SIDES
-        },
+        "sides": sides,
         "median_ratio": {name: statistics.median(pair["ratios"][name] for pair in pairs)
                          for name in GATED},
         "change_better": {name: f"{wins[name]}/{len(pairs)}" for name in GATED},
+        "verdicts": {
+            name: verdict(sides["parent"][name], sides["change"][name], wins[name], len(pairs),
+                          gates[name]["better"], gates[name]["bound"])
+            for name in GATED
+        },
         "digests_equal": all(pair["digests_equal"] for pair in pairs),
         "pairs": pairs,
     }
@@ -181,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    gates = {entry["name"]: entry for entry in spec["end_to_end"]}
     parent_commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}",
                          capture_output=True, text=True).stdout.strip()
     head = _git("rev-parse", "HEAD", capture_output=True, text=True).stdout.strip()
@@ -199,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         shared = share_bank(parent_commit, list(copies.values()))
         for workload in args.workload:
             result, environment = compare(workload, args.seeds, copies, spec["run_seconds"],
-                                          better)
+                                          gates)
             name = workload
             if name in report["workloads"]:
                 name = f"{workload} seeds {args.seeds.start}-{args.seeds.stop - 1}"
