@@ -67,6 +67,8 @@ _CHUNK_BYTES = 1 << 20
 
 # Bytes per sample of each supported (format code, bits per sample).
 _SAMPLE_BYTES = {(_FORMAT_PCM, 16): 2, (_FORMAT_PCM, 24): 3, (_FORMAT_IEEE_FLOAT, 32): 4}
+# 24-bit samples shifted per chunk of the decode: a 256 KB int32 buffer.
+_DECODE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -208,9 +210,14 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int, bool]:
         # Sample i is the top three bytes of the little-endian int32 that starts one
         # byte before it (for the first, the last byte of the chunk's size field): an
         # overlapping stride-3 view, whose arithmetic shift right by 8 drops the byte
-        # below and sign-extends.
+        # below and sign-extends.  The shift goes through one chunk-sized buffer.
         words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=data_pos - 1, strides=(3,))
-        samples = np.multiply(words >> 8, 2.0**-23, dtype=np.float64)
+        samples = np.empty(count)
+        shifted = np.empty(min(count, _DECODE_CHUNK), dtype=np.int32)
+        for start in range(0, count, _DECODE_CHUNK):
+            part = words[start : start + _DECODE_CHUNK]
+            part = np.right_shift(part, 8, out=shifted[: len(part)])
+            np.multiply(part, 2.0**-23, out=samples[start : start + len(part)])
     else:
         floats = np.frombuffer(raw, dtype="<f4", count=count, offset=data_pos)
         if not np.isfinite(floats).all():

@@ -14,6 +14,15 @@ the batch (positives included):
 Gradients are exact analytic derivatives through the projection and the
 normalization, with log-sum-exp stabilization.  Training runs plain
 Adam, in place on float64 arrays, with one split index per batch.
+
+A training step allocates nothing the size of the parameters or of a
+batch.  ``train`` makes a weight-gradient and a batch buffer once: each
+batch is gathered into the batch buffer (the last, partial one into its
+first rows) and the loss writes its weight gradient into the other.
+The loss's own temporaries are a batch's rows of embeddings, not of
+features: ``_project`` normalizes in place, and the step back through
+the normalization goes through one buffer.  Every elementwise operation
+is the one written, so the bits are those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -91,14 +100,19 @@ class ProjectionHead:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the head as a little-endian SSCH checkpoint (f32 payload)."""
-        header = _CHECKPOINT_MAGIC + struct.pack("<III", _CHECKPOINT_VERSION, self.d_base, self.d)
-        body = (
-            self.weight.astype("<f4").tobytes()  # row-major
-            + self.bias.astype("<f4").tobytes()
-        )
+        """Write the head as a little-endian SSCH checkpoint (f32 payload).
+
+        The file is assembled in one buffer of its exact size: the header,
+        then the row-major weight and the bias, each rounded to float32.
+        """
+        buffer = np.empty(16 + 4 * (self.weight.size + self.d), dtype=np.uint8)
+        struct.pack_into("<4sIII", buffer, 0, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+                         self.d_base, self.d)
+        payload = buffer[16:].view("<f4")
+        payload[: self.weight.size].reshape(self.weight.shape)[...] = self.weight
+        payload[self.weight.size :] = self.bias
         try:
-            write_atomic(path, header + body)
+            write_atomic(path, buffer)
         except OSError as exc:
             raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -126,12 +140,14 @@ class ProjectionHead:
 
 def _project(weight: np.ndarray, bias: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Project ``rows`` through (weight, bias) and L2-normalize; returns (z, norms)."""
-    pre = rows @ weight + bias
+    pre = rows @ weight
+    pre += bias
     norms = np.linalg.norm(pre, axis=1)
-    z = np.zeros_like(pre)
     nonzero = norms > 0.0
-    z[nonzero] = pre[nonzero] / norms[nonzero, None]
-    z[~nonzero, 0] = 1.0  # zero vectors map to the first basis vector
+    z = np.divide(pre, norms[:, None], out=pre, where=nonzero[:, None])
+    # Zero vectors, and tiny ones whose squares underflow, map to the first basis vector.
+    z[~nonzero] = 0.0
+    z[~nonzero, 0] = 1.0
     return z, norms
 
 
@@ -157,7 +173,7 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def split_and_contrast_loss(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
-    tau: float = DEFAULT_TAU,
+    tau: float = DEFAULT_TAU, *, out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Contrastive split loss of a batch and its exact gradients.
 
@@ -169,7 +185,8 @@ def split_and_contrast_loss(
 
     Returns:
         (loss, grad_weight, grad_bias); loss >= 0 because the positive
-        terms are a subset of the denominator terms.
+        terms are a subset of the denominator terms.  ``grad_weight`` is
+        ``out`` when given, a (d_base, d) float64 array it is written into.
 
     Raises:
         InvalidValue: tau is not positive.
@@ -226,13 +243,17 @@ def split_and_contrast_loss(
     dz_seq[:, n_left:, :] = d_right.reshape(n_seq, n_right, d)
     dz = dz_seq.reshape(n_seq * n_frames, d)
 
-    # Through z = pre / ||pre||: d_pre = (dz - (z . dz) z) / ||pre||.
+    # Through z = pre / ||pre||: d_pre = (dz - (z . dz) z) / ||pre||, and 0 where
+    # ||pre|| = 0.  Those rows take the first steps on finite values, then are zeroed.
     nonzero = norms > 0.0
-    d_pre = np.zeros_like(dz)
-    inner = np.sum(z[nonzero] * dz[nonzero], axis=1, keepdims=True)
-    d_pre[nonzero] = (dz[nonzero] - inner * z[nonzero]) / norms[nonzero, None]
+    d_pre = np.multiply(z, dz)
+    inner = np.sum(d_pre, axis=1, keepdims=True)
+    np.multiply(inner, z, out=d_pre)
+    np.subtract(dz, d_pre, out=d_pre)
+    np.divide(d_pre, norms[:, None], out=d_pre, where=nonzero[:, None])
+    d_pre[~nonzero] = 0.0
 
-    return float(loss), flat.T @ d_pre, d_pre.sum(axis=0)
+    return float(loss), np.matmul(flat.T, d_pre, out=out), d_pre.sum(axis=0)
 
 
 @dataclass
@@ -356,6 +377,10 @@ def train(
     # Per parameter array: Adam's moments m and v.  Two scratch buffers of one chunk serve all.
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     scratch = np.empty((2, min(_ADAM_CHUNK, max(p.size for p in params))))
+    # Made once and reused by every step: freed blocks this large would go back to
+    # the OS and fault in again on the next step.
+    grad_weight = np.empty_like(params[0])
+    batch = np.empty((min(config.batch_size, n_total), n_frames, d_base))
     step = 0
     history: list[dict] = []
 
@@ -363,16 +388,23 @@ def train(
         order = rng.permutation(n_total)
         for batch_index, start in enumerate(range(0, n_total, config.batch_size)):
             chosen = order[start : start + config.batch_size]
+            # The indices are a permutation's, so "clip" clips nothing; it lets take
+            # write straight into the buffer, where "raise" copies through a temporary.
+            rows = np.take(features, chosen, axis=0, out=batch[: len(chosen)], mode="clip")
             split = int(rng.integers(1, n_frames))
-            loss, *grads = split_and_contrast_loss(*params, features[chosen], split, config.tau)
+            loss, _, grad_bias = split_and_contrast_loss(
+                *params, rows, split, config.tau, out=grad_weight
+            )
             if not np.isfinite(loss):
                 raise DegenerateBatch(f"loss is {loss} at epoch {epoch}, batch {batch_index}")
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
 
             step += 1
-            for param, grad, (m, v) in zip(params, grads, moments):
+            for param, grad, (m, v) in zip(params, (grad_weight, grad_bias), moments):
                 _adam_update(param, grad, m, v, scratch, step, config)
 
+    # ProjectionHead copies the parameters: let that copy take the buffers' place.
+    del moments, scratch, grad_weight, batch, rows
     return TrainResult(head=ProjectionHead(*params), history=history)
 
 

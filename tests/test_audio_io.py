@@ -120,6 +120,20 @@ class TestLoadAudio:
             assert samples.shape == (len(body) // (3 * channels), channels)
             assert np.array_equal(samples.reshape(-1), expected)
 
+    @pytest.mark.parametrize("chunk", [7, 65536])
+    def test_24_bit_decode_is_the_same_in_chunks(self, monkeypatch, rng, chunk):
+        # Stereo frames whose samples fill five chunks and two samples of a sixth,
+        # against one shift of the whole overlapping int32 view.
+        count = 5 * chunk // 2 + 1
+        body = rng.integers(0, 256, size=3 * 2 * count, dtype=np.uint8).tobytes()
+        fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 6, 6, 24)
+        wav = (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE" + b"fmt "
+               + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(body)) + body)
+        words = np.ndarray((2 * count,), dtype="<i4", buffer=wav, offset=43, strides=(3,))
+        monkeypatch.setattr(audio_io, "_DECODE_CHUNK", chunk)
+        samples, _, _ = audio_io._parse_wav(wav)
+        assert np.array_equal(samples.reshape(-1), (words >> 8) * 2.0**-23)
+
     def test_mixdown_is_linear(self, tmp_path, rng):
         left = rng.uniform(-0.8, 0.8, 4800)
         right = rng.uniform(-0.8, 0.8, 4800)
@@ -582,6 +596,20 @@ class TestSegmentMemory:
                 tracemalloc.stop()
         # A clip kept alive while the next source loads would add its 3.8 MB.
         assert peaks[1] - peaks[0] < 1 << 20
+
+    def test_24_bit_decode_shifts_through_a_chunk(self, tmp_path, sources):
+        # The peak is the stereo samples and their mono mix (10.6 MB).  An int32 shift
+        # of every sample (3.5 MB) beside the file's bytes and the samples would make
+        # it 13.3 MB.
+        from audiomatch.cli import main
+
+        tracemalloc.start()
+        try:
+            assert main(["segment", str(sources[0]), "--out-dir", str(tmp_path / "f")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 441000 * 2 * 8 + 441000 * 8 + (512 << 10)
 
     def test_only_the_mono_mix_is_held_while_resampling(self, monkeypatch, sources):
         held = []

@@ -87,6 +87,43 @@ def reference_train(head, features, config):
     return weight, bias, history
 
 
+def reference_project(weight, bias, rows):
+    """_project through boolean-mask copies: the bit-for-bit reference."""
+    pre = rows @ weight + bias
+    norms = np.linalg.norm(pre, axis=1)
+    z = np.zeros_like(pre)
+    nonzero = norms > 0.0
+    z[nonzero] = pre[nonzero] / norms[nonzero, None]
+    z[~nonzero, 0] = 1.0
+    return z, norms
+
+
+def reference_loss(weight, bias, features, split, tau=0.1):
+    """split_and_contrast_loss with the masked-copy projection and d_pre formulas."""
+    n_seq, n_frames, d_base = features.shape
+    d, n_left, n_right = weight.shape[1], split, n_frames - split
+    flat = features.reshape(-1, d_base)
+    z, norms = reference_project(weight, bias, flat)
+    z_seq = z.reshape(n_seq, n_frames, d)
+    left = z_seq[:, :n_left].reshape(-1, d)
+    right = z_seq[:, n_left:].reshape(-1, d)
+    scores = (left @ right.T) / tau
+    pos = np.arange(n_seq) * n_left + (n_left - 1), np.arange(n_seq) * n_right
+    lse_all, lse_pos = embedding._logsumexp(scores), embedding._logsumexp(scores[pos])
+    coeff = np.exp(scores - lse_all)
+    coeff[pos] -= np.exp(scores[pos] - lse_pos)
+    coeff /= tau
+    dz_seq = np.empty_like(z_seq)
+    dz_seq[:, :n_left] = (coeff @ right).reshape(n_seq, n_left, d)
+    dz_seq[:, n_left:] = (coeff.T @ left).reshape(n_seq, n_right, d)
+    dz = dz_seq.reshape(-1, d)
+    nonzero = norms > 0.0
+    d_pre = np.zeros_like(dz)
+    inner = np.sum(z[nonzero] * dz[nonzero], axis=1, keepdims=True)
+    d_pre[nonzero] = (dz[nonzero] - inner * z[nonzero]) / norms[nonzero, None]
+    return float(lse_all - lse_pos), flat.T @ d_pre, d_pre.sum(axis=0)
+
+
 class TestEmbed:
     def test_identity_head_normalizes(self):
         head = ProjectionHead(weight=np.eye(4), bias=np.zeros(4))
@@ -200,6 +237,49 @@ class TestSplitAndContrastLoss:
         head = ProjectionHead.initialize(6, d=4, seed=0)
         with pytest.raises(ValueError):
             split_and_contrast_loss(head.weight, head.bias, *random_batch(rng, d_base=6), tau=0.0)
+
+
+class TestLossOracle:
+    """The loss's buffers and where= masks give the masked-copy formulas' bits."""
+
+    @staticmethod
+    def batch(rng, zero_rows):
+        # 5 sequences x 6 frames x 40 features into d = 24.  With a zero bias, a zero
+        # row projects to zero, and a row of 1e-170s to entries whose squares
+        # underflow: both have norm 0 and map to the first basis vector.
+        features = rng.normal(size=(5, 6, 40))
+        weight = rng.normal(size=(40, 24)) / 6.0
+        bias = np.zeros(24) if zero_rows else rng.normal(size=24) / 6.0
+        if zero_rows:
+            features[1, 2] = 0.0
+            features[3, 5] = 1e-170
+        return weight, bias, features
+
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_project_matches_masked_reference(self, rng, zero_rows):
+        weight, bias, features = self.batch(rng, zero_rows)
+        rows = features.reshape(-1, 40)
+        z, norms = embedding._project(weight, bias, rows)
+        z_ref, norms_ref = reference_project(weight, bias, rows)
+        assert np.array_equal(z, z_ref) and np.array_equal(norms, norms_ref)
+        zero = norms == 0.0
+        assert zero.sum() == (2 if zero_rows else 0)
+        assert (z[zero] == np.eye(24)[0]).all()
+
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    @pytest.mark.parametrize("split", [1, 3, 5])
+    @pytest.mark.parametrize("use_out", [False, True])
+    def test_loss_and_gradients_match_masked_reference(self, rng, zero_rows, split, use_out):
+        weight, bias, features = self.batch(rng, zero_rows)
+        out = np.full_like(weight, np.nan) if use_out else None
+        loss, grad_weight, grad_bias = split_and_contrast_loss(
+            weight, bias, features, split, out=out
+        )
+        expected = reference_loss(weight, bias, features, split)
+        assert loss == expected[0]
+        assert np.array_equal(grad_weight, expected[1])
+        assert np.array_equal(grad_bias, expected[2])
+        assert grad_weight is out if use_out else grad_weight.shape == weight.shape
 
 
 class TestGradients:
@@ -327,6 +407,26 @@ class TestTrain:
         assert np.array_equal(result.head.bias, bias)
         assert result.history == history
 
+    def test_memory_holds_one_gradient_and_one_batch(self, rng):
+        # The 300 x 250 head as above.  Beyond the parameters, Adam's two moments, one
+        # weight gradient, one batch and Adam's two chunk-sized scratch buffers, the
+        # peak may hold 256 KB: the loss's temporaries for 12 rows and Python objects.
+        # A second live gradient (600 KB) would exceed it.
+        features = rng.normal(size=(7, 4, 300))
+        head = ProjectionHead.initialize(300, d=250, seed=3)
+        config = TrainConfig(epochs=2, learning_rate=3e-2, batch_size=3, seed=5)
+        train(head, features[:2], TrainConfig(epochs=1, batch_size=2))  # first-call caches
+        tracemalloc.start()
+        try:
+            train(head, features, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        parameters = head.weight.nbytes + head.bias.nbytes
+        scratch = 2 * 8 * min(embedding._ADAM_CHUNK, head.weight.size)
+        batch = features[:3].nbytes
+        assert peak < 4 * parameters + batch + scratch + (256 << 10)
+
     def test_non_finite_corpus_raises_degenerate_batch(self, rng):
         corpus = rng.normal(size=(6, 4, 6))
         corpus[4, 2, 1] = np.inf
@@ -411,6 +511,19 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size  # the bytes, float64 copies and a finite mask
+
+    def test_save_memory_is_one_file(self, tmp_path):
+        # 2880 x 512: a 5.9 MB file.  Joining float32 copies of the parameters would
+        # hold two files' worth.
+        head = ProjectionHead.initialize(2880, d=512, seed=0)
+        path = tmp_path / "head.ssch"
+        tracemalloc.start()
+        try:
+            head.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + (64 << 10)
 
 
 def checkpoint_oracle(raw: bytes):
