@@ -35,6 +35,7 @@ from .evaluation import (
     precision_at_k,
 )
 from .retrieval import (
+    FeatureFile,
     Gallery,
     GalleryIndex,
     MatchCandidate,
@@ -44,6 +45,7 @@ from .retrieval import (
     frame_id,
     map_blocks,
     normalize,
+    open_features,
     read_features,
     write_features,
 )

@@ -22,12 +22,14 @@ x·32768 lies within 3.3e-10 of a half-integer.
 
 Decode and encode are single-pass: samples are read from the file's
 bytes in place, scaled to float64 in one operation per format, and
-written back into the one buffer that becomes the file.  Clipping and
-finiteness checks run only where values can leave [-1, 1] or be
-non-finite: float input is checked for finiteness and, like resampled
-input, clipped; integer PCM at 48 kHz, and any mean of it, already lies
-in [-1, 1).  The module also holds the file helpers every command
-shares: atomic writes and the JSON-lines reader of manifests and labels.
+written back into the one buffer that becomes the file.  Integer PCM is
+mixed down chunk by chunk as it is decoded, so no (frames, channels)
+array is made.  Clipping and finiteness checks run only where values can
+leave [-1, 1] or be non-finite: float input is checked for finiteness
+and, like resampled input, clipped; integer PCM at 48 kHz, and any mean
+of it, already lies in [-1, 1).  The module also holds the file helpers
+every command shares: atomic writes and the JSON-lines reader of
+manifests and labels.
 """
 
 from __future__ import annotations
@@ -146,12 +148,15 @@ def _check_rate(rate: int) -> None:
         )
 
 
-def _parse_wav(raw: bytes) -> tuple[np.ndarray, int, bool]:
+def _parse_wav(raw: bytes, mix: bool = False) -> tuple[np.ndarray, int, bool]:
     """Parse RIFF/WAVE bytes into a (samples, rate, is_float) triple.
 
     Returns float64 samples shaped (frames, channels), unscaled beyond
     the normalization of each sample format to [-1, 1], and whether the
     data was IEEE float, whose finite values may lie outside [-1, 1].
+    With ``mix`` the samples are their (frames,) mean over channels, bit
+    for bit ``mean(axis=1)`` (one channel is taken as it is), and integer
+    PCM is mixed as it is decoded, with no (frames, channels) array.
     The data chunk is decoded from ``raw`` in place, never copied.
     """
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -201,29 +206,46 @@ def _parse_wav(raw: bytes) -> tuple[np.ndarray, int, bool]:
     if data_size % frame_bytes:
         raise CorruptFile("data chunk is not a whole number of frames")
 
-    # The scales are powers of two, so each product equals the integer divided by full scale.
-    count = data_size // sample_bytes
+    frames = data_size // frame_bytes
+    if sample_bytes == 4:
+        floats = np.frombuffer(raw, dtype="<f4", count=frames * channels, offset=data_pos)
+        if not np.isfinite(floats).all():
+            raise CorruptFile("non-finite samples in float WAV data")
+        samples = floats.astype(np.float64).reshape(frames, channels)
+        if mix:
+            samples = samples[:, 0] if channels == 1 else samples.mean(axis=1)
+        return samples, rate, True
+
     if sample_bytes == 2:
-        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=data_pos)
-        samples = np.multiply(ints, 2.0**-15, dtype=np.float64)
-    elif sample_bytes == 3:
+        ints = np.frombuffer(raw, dtype="<i2", count=frames * channels, offset=data_pos)
+        ints = ints.reshape(frames, channels)
+    else:
         # Sample i is the top three bytes of the little-endian int32 that starts one
         # byte before it (for the first, the last byte of the chunk's size field): an
         # overlapping stride-3 view, whose arithmetic shift right by 8 drops the byte
         # below and sign-extends.  The shift goes through one chunk-sized buffer.
-        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=data_pos - 1, strides=(3,))
-        samples = np.empty(count)
-        shifted = np.empty(min(count, _DECODE_CHUNK), dtype=np.int32)
-        for start in range(0, count, _DECODE_CHUNK):
-            part = words[start : start + _DECODE_CHUNK]
+        ints = np.ndarray((frames, channels), dtype="<i4", buffer=raw, offset=data_pos - 1,
+                          strides=(frame_bytes, 3))
+        shifted = np.empty((min(frames, _DECODE_CHUNK // channels), channels), dtype=np.int32)
+    # Full scale is a power of two, so a sample over it is exact.  A sum of at most
+    # 8 samples of 24 bits is exact in float64 in any order, so a frame's sum over
+    # its channels, divided once by channels times full scale, is numpy's mean.
+    full_scale = 2.0 ** (8 * sample_bytes - 1)
+    samples = np.empty(frames if mix else (frames, channels))
+    step = max(_DECODE_CHUNK // channels, 1)
+    for start in range(0, frames, step):
+        part = ints[start : start + step]
+        if sample_bytes == 3:
             part = np.right_shift(part, 8, out=shifted[: len(part)])
-            np.multiply(part, 2.0**-23, out=samples[start : start + len(part)])
-    else:
-        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=data_pos)
-        if not np.isfinite(floats).all():
-            raise CorruptFile("non-finite samples in float WAV data")
-        samples = floats.astype(np.float64)
-    return samples.reshape(-1, channels), rate, sample_bytes == 4
+        out = samples[start : start + len(part)]
+        if mix and channels > 1:
+            np.add(part[:, 0], part[:, 1], out=out, dtype=np.float64)
+            for channel in range(2, channels):
+                out += part[:, channel]
+            out /= channels * full_scale
+        else:
+            np.divide(part[:, 0] if mix else part, full_scale, out=out)
+    return samples, rate, False
 
 
 @lru_cache(maxsize=4)
@@ -295,22 +317,6 @@ def resample_to_canonical(samples: np.ndarray, rate: int) -> np.ndarray:
     return out.reshape(-1)[:n_out]
 
 
-def _mixdown(frames: np.ndarray, is_float: bool) -> np.ndarray:
-    """The mean over channels of (frames, channels) samples, bit for bit ``mean(axis=1)``."""
-    channels = frames.shape[1]
-    if channels == 1:
-        return frames[:, 0]
-    if is_float:
-        return frames.mean(axis=1)
-    # Integer PCM: a sum of at most 8 samples of 24 bits is exact in float64 in any
-    # order, so adding the channel columns and dividing once is numpy's mean.
-    mono = frames[:, 0] + frames[:, 1]
-    for channel in range(2, channels):
-        mono += frames[:, channel]
-    mono /= channels
-    return mono
-
-
 def load_audio(path: str | Path) -> AudioClip:
     """Load a WAV file as a canonical 48 kHz mono clip.
 
@@ -330,11 +336,8 @@ def load_audio(path: str | Path) -> AudioClip:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    frames, rate, is_float = _parse_wav(raw)
-    # The bytes, and a multichannel array once mixed down, are freed before resampling.
-    del raw
-    mono = _mixdown(frames, is_float)
-    del frames
+    mono, rate, is_float = _parse_wav(raw, mix=True)
+    del raw  # freed before resampling
     mono = resample_to_canonical(mono, rate)
     if is_float or rate != CANONICAL_RATE:
         np.clip(mono, -1.0, 1.0, out=mono)

@@ -7,7 +7,10 @@ OPENBLAS_NUM_THREADS or the like); outputs are byte-identical at any
 BLAS thread count.  featurize and train stream manifest frames through
 one block path, ``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM
 and one head GEMM per block), so memory is bounded by a block, not by
-the manifest.  Clips are always 48 kHz and frames always 1 second
+the manifest.  query reads a regular feature file in spans of about
+``retrieval.SPAN_BYTES`` of vectors (:func:`retrieval.open_features`), so
+memory is bounded by a span and the id column, not by the catalog; a
+pipe is read whole.  Clips are always 48 kHz and frames always 1 second
 (:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in
 :mod:`audiomatch.dsp`; none of them has a flag.
 """
@@ -120,7 +123,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         transition.check_settings(
             phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max
         )
-    index = retrieval.build_index(retrieval.read_features(args.features))
+    index = retrieval.open_features(args.features)
 
     query_clip = None
     if args.query_id:

@@ -17,13 +17,26 @@ one buffer of its size, and moves each row's components forward into
 the (n, d) matrix at the buffer's start, which becomes the gallery's
 vectors: reading costs about one file of memory, not two.
 :func:`write_features` fills one buffer of the file's exact size.
+
+:func:`open_features` serves a query without holding the file.  A first
+pass over a regular file reads only what precedes each vector: it checks
+the file's layout, decodes the id, source and offset columns, and finds
+each row's place (:class:`FeatureFile`).  A query then reads the vectors
+in spans of whole rows of about SPAN_BYTES, straight into one matrix,
+indexes and queries each span with :func:`build_index`, and merges the
+spans' exact top-k by (-score, id), which is the file's exact top-k with
+the same score bits.  Memory is one span plus the columns, whatever the
+file's size.  A pipe cannot be read twice, so it is read whole.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,6 +53,19 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, version, d, count
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-149  # smallest float32 subnormal, twice any underflow error
+
+# Bytes of rows a streamed query reads at a time (FeatureFile.query).  Chosen
+# by measurement on the 2000x2880 audition gallery: at 4 MB a warm request
+# takes no page faults.  Smaller spans leave glibc's dynamic mmap threshold
+# low, so each request maps its 0.4-2 MB audio buffers afresh: at 1 MB a warm
+# request took 2280 minor faults and ran 20-24% slower (2-core VM).
+SPAN_BYTES = 4 << 20
+# The first pass over a file reads the bytes before each vector _HEAD_BYTES at
+# a time, or _SCAN_BYTES at a time over short rows.  One preadv reads
+# _IOV_ROWS rows into two buffers each (IOV_MAX is 1024).
+_HEAD_BYTES = 256
+_SCAN_BYTES = 1 << 16
+_IOV_ROWS = 512
 
 # Frames featurized per block: enough to batch the head GEMM, few enough
 # that a block's samples and power spectra stay near 12 MB.
@@ -225,16 +251,29 @@ class GalleryIndex(Gallery):
         return rows[top], scores[top]
 
 
-def _finite_squared_norms(gallery: Gallery, error: type[Exception]) -> np.ndarray:
+def _finite_squared_norms(
+    ids: tuple[str, ...], vectors: np.ndarray, error: type[Exception]
+) -> np.ndarray:
     """Each row's float32 squared norm; ``error`` names the first row where it is not finite."""
-    squared_norms = np.einsum("ij,ij->i", gallery.vectors, gallery.vectors)
+    squared_norms = np.einsum("ij,ij->i", vectors, vectors)
     bad = ~np.isfinite(squared_norms)
     if bad.any():
         raise error(
-            f"gallery row {gallery.ids[int(np.argmax(bad))]!r} is not finite "
+            f"gallery row {ids[int(np.argmax(bad))]!r} is not finite "
             "or its squared norm overflows float32"
         )
     return squared_norms
+
+
+def _row_of(ids: tuple[str, ...]) -> dict[str, int]:
+    """Each id's row.  Raises EmptyIndex for no ids and DuplicateId for a repeated one."""
+    if not ids:
+        raise EmptyIndex("cannot build an index from zero vectors")
+    row_of = {entry_id: row for row, entry_id in enumerate(ids)}
+    if len(row_of) != len(ids):
+        duplicate = next(entry_id for row, entry_id in enumerate(ids) if row_of[entry_id] != row)
+        raise DuplicateId(f"duplicate gallery id {duplicate!r}")
+    return row_of
 
 
 def build_index(gallery: Gallery) -> GalleryIndex:
@@ -242,21 +281,16 @@ def build_index(gallery: Gallery) -> GalleryIndex:
 
     Raises:
         EmptyIndex: No rows.
-        DuplicateId: Repeated entry id.
         InvalidValue: A row is not finite or its squared norm overflows float32.
+        DuplicateId: Repeated entry id.
     """
-    if not len(gallery):
-        raise EmptyIndex("cannot build an index from zero vectors")
     ids = gallery.ids
-    squared_norms = _finite_squared_norms(gallery, InvalidValue)
+    squared_norms = _finite_squared_norms(ids, gallery.vectors, InvalidValue)
+    row_of = _row_of(ids)
     # The float32 sum of d squares is at least (1 - gamma_d) times the true
     # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
     d = gallery.vectors.shape[1]
     norm_bound = np.sqrt((float(squared_norms.max()) + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
-    row_of = {entry_id: row for row, entry_id in enumerate(ids)}
-    if len(row_of) != len(ids):
-        duplicate = next(entry_id for row, entry_id in enumerate(ids) if row_of[entry_id] != row)
-        raise DuplicateId(f"duplicate gallery id {duplicate!r}")
     # Sources are numbered with exact str equality: numpy's fixed-width
     # strings would drop trailing NULs and merge distinct sources.
     code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
@@ -344,7 +378,7 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
     """
     if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
-    _finite_squared_norms(gallery, IoError)
+    _finite_squared_norms(gallery.ids, gallery.vectors, IoError)
     ids = [entry_id.encode("utf-8") for entry_id in gallery.ids]
     sources = [source_id.encode("utf-8") for source_id in gallery.source_ids]
     texts_fit = max(map(len, ids + sources)) <= 0xFFFF
@@ -374,18 +408,40 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
         raise IoError(f"cannot write feature file {path}: {exc}") from exc
 
 
-def read_features(path: str | Path) -> Gallery:
-    """Read an AMCF v1 feature file back into a gallery.
+def _check_header(header: bytes, size: int, path: str | Path) -> tuple[int, int]:
+    """(d, count) of an AMCF v1 file of ``size`` bytes; IoError unless they can hold count rows."""
+    if size < _HEADER.size or header[:4] != _FEATURE_MAGIC:
+        raise IoError(f"{path} is not a feature file")
+    _, version, d, count = _HEADER.unpack_from(header)
+    if version != _FEATURE_VERSION:
+        raise IoError(f"unsupported feature file version {version}")
+    # Every row holds at least two lengths, an offset and d components.
+    if count * (8 + 4 * d) > size - _HEADER.size:
+        raise IoError(f"feature file {path} is too short for its {count} rows of dimension {d}")
+    return d, count
+
+
+def read_features(path: str | Path, span: FeatureFile | None = None) -> Gallery:
+    """Read an AMCF v1 feature file, or the vectors of a span of its rows, into a gallery.
 
     The file is read once, into one buffer of its size; bytes past the
     size its fstat gave (a pipe's, or those of a file that grew) are read
-    to the end and appended.  Each row's vector is then moved forward to its place in the (n, d) matrix at
-    the buffer's start, which becomes ``Gallery.vectors``.  A row's
-    target never reaches an unread byte, so one forward pass is safe.
+    to the end and appended.  Each row's vector is then moved forward to
+    its place in the (n, d) matrix at the buffer's start, which becomes
+    ``Gallery.vectors``.  A row's target never reaches an unread byte, so
+    one forward pass is safe.
+
+    With ``span``, rows of ``path`` that :func:`open_features` located
+    (a :class:`FeatureFile`), only their vectors are read, each straight
+    into its row of the matrix (one ``preadv`` per _IOV_ROWS rows), and
+    the other columns are the span's.
 
     Raises:
-        IoError: The file cannot be read, or is not a whole AMCF v1 file.
+        IoError: The file cannot be read, is not a whole AMCF v1 file, or
+            changed since ``span`` was located.
     """
+    if span is not None:
+        return _read_span(path, span)
     try:
         with open(path, "rb") as handle:
             buffer = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
@@ -398,15 +454,8 @@ def read_features(path: str | Path) -> Gallery:
         buffer = np.concatenate((buffer[:size], np.frombuffer(rest, dtype=np.uint8)))
         size = len(buffer)
     raw = memoryview(buffer)[:size]
-    if size < _HEADER.size or raw[:4] != _FEATURE_MAGIC:
-        raise IoError(f"{path} is not a feature file")
-    _, version, d, count = _HEADER.unpack_from(raw)
-    if version != _FEATURE_VERSION:
-        raise IoError(f"unsupported feature file version {version}")
+    d, count = _check_header(raw[: _HEADER.size], size, path)
     pos = _HEADER.size
-    # Every row holds at least two lengths, an offset and d components.
-    if count * (8 + 4 * d) > size - pos:
-        raise IoError(f"feature file {path} is too short for its {count} rows of dimension {d}")
 
     ids: list[str] = []
     source_ids: list[str] = []
@@ -438,3 +487,201 @@ def read_features(path: str | Path) -> Gallery:
         offsets=offsets.astype(np.float64),
         vectors=buffer[: count * row_bytes].view("<f4").reshape(count, d),
     )
+
+
+def _version(status: os.stat_result) -> tuple[int, int, int, int]:
+    """What identifies a file's contents: its device, inode, size and modification time."""
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _read_span(path: str | Path, span: FeatureFile) -> Gallery:
+    """The span's rows, with their vectors read from ``path`` straight into one matrix."""
+    vectors = np.empty((len(span), span.d), dtype="<f4")
+    # Each row's id, source and offset bytes are read into one scratch buffer and
+    # dropped; its vector into its row of the matrix.
+    heads = (np.diff(span.starts) - 4 * span.d).tolist()
+    scratch = memoryview(bytearray(max(heads)))
+    prefixes = {head: scratch[:head] for head in set(heads)}
+    parts = [scratch] * (2 * len(heads))
+    parts[::2] = [prefixes[head] for head in heads]
+    parts[1::2] = vectors.view(np.uint8)  # one buffer per row
+    starts = span.starts.tolist()
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            if _version(os.fstat(handle.fileno())) != span.version:
+                raise IoError(f"feature file {path} changed while it was read")
+            for first in range(0, len(heads), _IOV_ROWS):
+                last = min(first + _IOV_ROWS, len(heads))
+                done = os.preadv(handle.fileno(), parts[2 * first : 2 * last], starts[first])
+                if done != starts[last] - starts[first]:
+                    raise IoError(f"truncated or corrupt feature file {path}")
+    except OSError as exc:
+        raise IoError(f"cannot read feature file {path}: {exc}") from exc
+    return Gallery(span.ids, span.source_ids, span.offsets, vectors)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class FeatureFile:
+    """Rows of a seekable AMCF v1 file, located but with their vectors left on disk.
+
+    Made by :func:`open_features`: the id, source and offset columns,
+    ``starts`` (each row's byte position in the file, then the end of the
+    last row) and the ``version`` of the file they were read from.  It
+    answers a :class:`GalleryIndex`'s lookups (``in``, ``vector``,
+    ``source_of``, ``offsets``, ``row_of``) and its exact :meth:`query`,
+    which reads the vectors in spans of whole rows of about SPAN_BYTES.
+    """
+
+    path: str | Path
+    d: int
+    ids: tuple[str, ...]
+    source_ids: tuple[str, ...]
+    offsets: np.ndarray
+    starts: np.ndarray
+    version: tuple[int, int, int, int]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        return _row_of(self.ids)
+
+    def __contains__(self, entry_id: str) -> bool:
+        return entry_id in self.row_of
+
+    def source_of(self, entry_id: str) -> str:
+        return self.source_ids[self.row_of[entry_id]]
+
+    def _span(self, first: int, last: int) -> FeatureFile:
+        """Rows first .. last - 1."""
+        return replace(
+            self, ids=self.ids[first:last], source_ids=self.source_ids[first:last],
+            offsets=self.offsets[first:last], starts=self.starts[first : last + 1],
+        )
+
+    def vector(self, entry_id: str) -> np.ndarray:
+        """The row's float32 vector, read from the file.
+
+        Raises:
+            InvalidValue: The row is not finite or its squared norm
+                overflows float32, as :func:`build_index` would raise.
+        """
+        row = self.row_of[entry_id]
+        vector = read_features(self.path, span=self._span(row, row + 1)).vectors
+        _finite_squared_norms((entry_id,), vector, InvalidValue)
+        return vector[0]
+
+    def query(
+        self,
+        z_q: np.ndarray,
+        k: int,
+        exclude_source: str | None = None,
+        query_id: str = "",
+    ) -> list[MatchCandidate]:
+        """:meth:`GalleryIndex.query` over every row, read one span at a time.
+
+        Each span of about SPAN_BYTES is read, indexed and queried on its
+        own, and freed before the next is read.  Merging the exact top-k
+        of every span by (-score, id) gives the exact top-k of the file,
+        with the same score bits.  Raises what ``build_index`` and
+        ``GalleryIndex.query`` raise, and EmptyIndex when no span holds an
+        eligible row.
+        """
+        starts = self.starts
+        cuts = np.searchsorted(starts, np.arange(starts[0], starts[-1], SPAN_BYTES))
+        bounds = np.unique(np.append(cuts, len(self))).tolist()
+        found: list[MatchCandidate] = []
+        for first, last in zip(bounds, bounds[1:]):
+            index = build_index(read_features(self.path, span=self._span(first, last)))
+            try:
+                found += index.query(z_q, k, exclude_source=exclude_source, query_id=query_id)
+            except EmptyIndex as exc:  # every row of this span is excluded
+                empty = exc
+            del index  # so the next span's matrix takes its place
+            found = sorted(found, key=lambda c: (-c.score, c.gallery_id))[:k]
+        if not found:
+            raise empty
+        return [replace(candidate, rank=rank) for rank, candidate in enumerate(found, start=1)]
+
+
+def _scan(path: str | Path) -> FeatureFile:
+    """Locate every row of a regular AMCF v1 file, reading only what precedes each vector.
+
+    Rows of over about _SCAN_BYTES / 16 bytes take one ``pread`` each.  Raises what
+    :func:`read_features` raises for the file's layout, and what
+    :func:`build_index` raises for its ids (EmptyIndex, DuplicateId).
+    """
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            fd = handle.fileno()
+            version = _version(os.fstat(fd))
+            size = version[2]
+            d, count = _check_header(os.pread(fd, _HEADER.size, 0), size, path)
+            row_bytes = 4 * d
+            ids: list[str] = []
+            source_ids: list[str] = []
+            offsets = bytearray()
+            starts = array("q")
+            # Local names: this loop runs once per row.
+            pread, add_start = os.pread, starts.append
+            add_id, add_source = ids.append, source_ids.append
+            # One read per row where rows are long; windows over many rows where a
+            # read costs more than copying the short vectors between.
+            reach = _SCAN_BYTES if 16 * (row_bytes + _HEAD_BYTES) <= _SCAN_BYTES else _HEAD_BYTES
+            window, base, have = b"", 0, 0  # bytes [base, base + have) of the file
+            pos = _HEADER.size
+            for _ in range(count):
+                add_start(pos)
+                # Past the end a read comes back short: an index raises IndexError,
+                # or the last row takes ``pos`` past ``size``.  A row's texts past
+                # the window are read again from ``pos``.
+                at = pos - base
+                if at + _HEAD_BYTES > have:
+                    window = pread(fd, reach, pos)
+                    base, at, have = pos, 0, len(window)
+                id_end = at + 2 + (window[at] | window[at + 1] << 8)
+                if id_end + 2 > have:
+                    window = pread(fd, id_end - at + 2, pos)
+                    base, at, have, id_end = pos, 0, len(window), id_end - at
+                end = id_end + 6 + (window[id_end] | window[id_end + 1] << 8)
+                if end > have:
+                    window = pread(fd, end - at, pos)
+                    base, at, have, id_end, end = pos, 0, len(window), id_end - at, end - at
+                add_id(window[at + 2 : id_end].decode())
+                add_source(window[id_end + 2 : end - 4].decode())
+                offsets += window[end - 4 : end]
+                pos += end - at + row_bytes
+    except OSError as exc:
+        raise IoError(f"cannot read feature file {path}: {exc}") from exc
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise IoError(f"truncated or corrupt feature file {path}") from exc
+    if pos > size:
+        raise IoError(f"truncated or corrupt feature file {path}")
+    if pos != size:
+        raise IoError(f"feature file {path} has {size - pos} trailing bytes")
+    starts.append(pos)
+    features = FeatureFile(
+        path, d, tuple(ids), tuple(source_ids),
+        np.frombuffer(offsets, dtype="<f4").astype(np.float64),
+        np.frombuffer(starts, dtype=np.int64), version,
+    )
+    features.row_of  # raises for no rows or a repeated id
+    return features
+
+
+def open_features(path: str | Path) -> FeatureFile | GalleryIndex:
+    """A feature file ready to query: located in place if regular, else read whole and indexed.
+
+    A regular file is checked by one pass over what precedes each vector
+    (:class:`FeatureFile`), and each query then reads about SPAN_BYTES of
+    vectors at a time, so memory stays near one span whatever the file's
+    size.  A pipe cannot be read twice, so it is read whole, as
+    :func:`read_features` and :func:`build_index` do; so is any file
+    where ``os.preadv`` is missing (Windows).
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode) and hasattr(os, "preadv")
+    except OSError:
+        regular = False  # read_features raises the error
+    return _scan(path) if regular else build_index(read_features(path))

@@ -410,7 +410,7 @@ class TestCodecOracles:
         frames, _, is_float = audio_io._parse_wav(wav)
         # One channel is taken as it is (numpy's mean would turn -0.0 into 0.0).
         mean = frames[:, 0] if channels == 1 else frames.mean(axis=1)
-        assert audio_io._mixdown(frames, is_float).tobytes() == mean.tobytes()
+        assert audio_io._parse_wav(wav, mix=True)[0].tobytes() == mean.tobytes()
         # load_audio clips only float input, the one kind that can leave [-1, 1].
         path = tmp_path / "mix.wav"
         path.write_bytes(wav)
@@ -598,9 +598,8 @@ class TestSegmentMemory:
         assert peaks[1] - peaks[0] < 1 << 20
 
     def test_24_bit_decode_shifts_through_a_chunk(self, tmp_path, sources):
-        # The peak is the stereo samples and their mono mix (10.6 MB).  An int32 shift
-        # of every sample (3.5 MB) beside the file's bytes and the samples would make
-        # it 13.3 MB.
+        # An int32 shift of every sample (3.5 MB) beside the file's bytes and the
+        # stereo samples made the peak 13.3 MB.
         from audiomatch.cli import main
 
         tracemalloc.start()
@@ -610,6 +609,19 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert peak < 441000 * 2 * 8 + 441000 * 8 + (512 << 10)
+
+    def test_integer_pcm_is_mixed_as_it_is_decoded(self, tmp_path, sources):
+        # The peak is the mono samples beside their 48 kHz resampling (8.5 MB).  The
+        # (frames, channels) float64 samples beside their mono mix made it 10.6 MB.
+        from audiomatch.cli import main
+
+        tracemalloc.start()
+        try:
+            assert main(["segment", str(sources[0]), "--out-dir", str(tmp_path / "f")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 441000 * 8 + 480000 * 8 + (1536 << 10)
 
     def test_only_the_mono_mix_is_held_while_resampling(self, monkeypatch, sources):
         held = []

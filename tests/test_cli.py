@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -498,6 +499,82 @@ class TestQueryCommand:
         features.write_bytes(b"AMCF" + struct.pack("<IIQ", 1, 4, 3) + body)
         assert main(["query", "--features", str(features), "--query-id", "x"]) == 1
         assert capsys.readouterr().err.startswith("error: gallery row 'y' is not finite")
+
+
+def amcf_file(path, ids=("x", "y", "z"), sources=("s", "t", "u"), rows=None, count=None):
+    """A 3-row AMCF v1 file (d = 4) written field by field, with no check of the rows."""
+    rows = np.eye(3, 4, dtype="<f4") if rows is None else rows
+    body = b"".join(
+        struct.pack("<H", len(name.encode())) + name.encode() + struct.pack("<H", len(source))
+        + source.encode() + struct.pack("<f", 0.0) + row.tobytes()
+        for name, source, row in zip(ids, sources, rows)
+    )
+    count = len(rows) if count is None else count
+    path.write_bytes(b"AMCF" + struct.pack("<IIQ", 1, 4, count) + body)
+    return path
+
+
+def _nan_row():
+    rows = np.eye(3, 4, dtype="<f4")
+    rows[1, 2] = np.nan
+    return rows
+
+
+# Each faulty file, the query id, and the error line the whole-file read printed.
+_QUERY_FAULTS = {
+    "truncated": (lambda p: p.write_bytes(amcf_file(p).read_bytes()[:-3]), "x",
+                  "truncated or corrupt feature file {path}"),
+    "trailing": (lambda p: p.write_bytes(amcf_file(p).read_bytes() + b"\0"), "x",
+                 "feature file {path} has 1 trailing bytes"),
+    "bad-utf8": (lambda p: p.write_bytes(amcf_file(p).read_bytes().replace(b"\1\0y", b"\1\0\xff")),
+                 "x", "truncated or corrupt feature file {path}"),
+    "nan-row": (lambda p: amcf_file(p, rows=_nan_row()), "x",
+                "gallery row 'y' is not finite or its squared norm overflows float32"),
+    "nan-query-row": (lambda p: amcf_file(p, rows=_nan_row()), "y",
+                      "gallery row 'y' is not finite or its squared norm overflows float32"),
+    "duplicate-id": (lambda p: amcf_file(p, ids=("x", "y", "x")), "y", "duplicate gallery id 'x'"),
+    "zero-rows": (lambda p: amcf_file(p, rows=np.empty((0, 4), "<f4")), "x",
+                  "cannot build an index from zero vectors"),
+    "missing-id": (lambda p: amcf_file(p), "ghost", "query id 'ghost' not in feature file"),
+    "one-source": (lambda p: amcf_file(p, sources=("s", "s", "s")), "x",
+                   "no eligible gallery entries for this query"),
+}
+
+
+@pytest.mark.parametrize("span_bytes", [None, 1], ids=["default-spans", "one-row-spans"])
+@pytest.mark.parametrize("fault", sorted(_QUERY_FAULTS))
+def test_query_fault_prints_the_whole_file_error(tmp_path, capsys, monkeypatch, fault, span_bytes):
+    if span_bytes:
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", span_bytes)
+    write, query_id, error = _QUERY_FAULTS[fault]
+    features = tmp_path / "g.amcf"
+    write(features)
+    out_json, render_dir = tmp_path / "q.json", tmp_path / "r"
+    argv = ["query", "--features", str(features), "--query-id", query_id, "--out", str(out_json),
+            "--manifest", str(tmp_path / "unread.jsonl"), "--render-dir", str(render_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error.format(path=features)}\n"
+    assert not out_json.exists() and not render_dir.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_query_reads_features_from_a_named_pipe(tmp_path, segmented, capsys):
+    features = tmp_path / "g.amcf"
+    assert main(["featurize", "--manifest", str(segmented), "--out", str(features)]) == 0
+    argv = ["query", "--query-id", "alpha@1.000", "--k", "4", "--include-same-source"]
+    capsys.readouterr()
+    assert main([*argv, "--features", str(features)]) == 0
+    expected = capsys.readouterr().out
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    # The file is larger than a pipe's buffer: the writer blocks until the query reads.
+    writer = threading.Thread(target=pipe.write_bytes, args=(features.read_bytes(),))
+    writer.start()
+    try:
+        assert main([*argv, "--features", str(pipe)]) == 0
+    finally:
+        writer.join(timeout=10)
+    assert capsys.readouterr().out == expected and len(json.loads(expected)["results"]) == 4
 
 
 @pytest.fixture(scope="module")

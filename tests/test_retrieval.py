@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import audiomatch
 
 from audiomatch import (
     AudioClip,
+    FeatureFile,
     Gallery,
     ProjectionHead,
     build_index,
@@ -27,13 +29,17 @@ from audiomatch import (
     frame_id,
     map_blocks,
     normalize,
+    open_features,
     read_features,
+    retrieval,
     write_audio,
     write_features,
 )
 from audiomatch.dsp import FeatureKind
 from audiomatch.retrieval import _score_error_bound
-from audiomatch.errors import DimensionMismatch, DuplicateId, EmptyIndex, InvalidValue, IoError
+from audiomatch.errors import (
+    AudioMatchError, DimensionMismatch, DuplicateId, EmptyIndex, InvalidValue, IoError,
+)
 
 
 def unit_rows(rng, n, d):
@@ -642,6 +648,169 @@ class TestFeatureFile:
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(EmptyIndex):
             write_features(tmp_path / "empty.amcf", gallery_from(np.empty((0, 8))))
+
+
+def amcf_bytes(ids, sources, offsets, rows):
+    """AMCF v1 bytes written field by field, with no check of the rows."""
+    rows = np.asarray(rows, dtype="<f4")
+    body = b"".join(
+        struct.pack("<H", len(i.encode())) + i.encode() + struct.pack("<H", len(s.encode()))
+        + s.encode() + struct.pack("<f", offset) + row.tobytes()
+        for i, s, offset, row in zip(ids, sources, offsets, rows)
+    )
+    return b"AMCF" + struct.pack("<IIQ", 1, rows.shape[1], len(rows)) + body
+
+
+def ranked(index, z_q, k, exclude_source):
+    """The query's ids, score bits, sources and offsets, or the error it raised."""
+    try:
+        candidates = index.query(z_q, k, exclude_source=exclude_source, query_id="q")
+    except AudioMatchError as exc:
+        return type(exc), str(exc)
+    return [
+        (c.rank, c.gallery_id, c.query_id, struct.pack("<d", c.score),
+         index.source_of(c.gallery_id), float(index.offsets[index.row_of[c.gallery_id]]))
+        for c in candidates
+    ]
+
+
+def streamed(path, z_q, k, exclude_source, span_bytes):
+    """:func:`ranked` for ``open_features(path).query`` in spans of ``span_bytes``."""
+    with mock.patch.object(retrieval, "SPAN_BYTES", span_bytes):
+        try:
+            features = open_features(path)
+        except AudioMatchError as exc:
+            return type(exc), str(exc)
+        assert isinstance(features, FeatureFile)
+        return ranked(features, z_q, k, exclude_source)
+
+
+def whole(path, z_q, k, exclude_source):
+    """:func:`ranked` for the whole file read and indexed."""
+    try:
+        index = build_index(read_features(path))
+    except AudioMatchError as exc:
+        return type(exc), str(exc)
+    return ranked(index, z_q, k, exclude_source)
+
+
+@pytest.fixture(scope="module")
+def amcf_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("streamed")
+
+
+class TestStreamedQuery:
+    """open_features on a regular file: one pass over the ids, then spans of vectors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_the_whole_file_query(self, amcf_dir, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        d = data.draw(st.one_of(st.integers(1, 12), st.sampled_from([511, 900])), label="d")
+        scale = 10.0 ** data.draw(st.integers(-20, 12), label="scale exponent")
+        elements = st.floats(-1e3, 1e3, width=32)
+        rows = data.draw(arrays(np.float32, (n, d), elements=elements), label="rows") * scale
+        for target, original in data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n),
+            label="copies",
+        ):
+            rows[target] = rows[original]
+        texts = st.text(alphabet=st.sampled_from("ab\0é日"), max_size=3)
+        ids = data.draw(st.lists(texts, min_size=n, max_size=n, unique=True), label="ids")
+        sources = data.draw(st.lists(st.sampled_from(["a", "a\0", "é"]), min_size=n, max_size=n))
+        offsets = data.draw(st.lists(st.floats(0, 1e4, width=32), min_size=n, max_size=n))
+        if data.draw(st.booleans(), label="query is a row"):
+            z_q = rows[data.draw(st.integers(0, n - 1))].astype(np.float64)
+        else:
+            z_q = data.draw(arrays(np.float64, d, elements=st.floats(-1e3, 1e3)), label="z_q")
+        z_q = z_q * data.draw(st.sampled_from([1.0, 1e25]), label="query scale")
+        if data.draw(st.integers(0, 9), label="bad row") == 0:  # NaN or a squared-norm overflow
+            rows[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([np.nan, 3e19]))
+        path = amcf_dir / "g.amcf"
+        path.write_bytes(amcf_bytes(ids, sources, offsets, rows))
+        k = data.draw(st.integers(1, n + 3), label="k")
+        row_bytes = len(path.read_bytes()) // n
+        for exclude in (None, data.draw(st.sampled_from(["a", "a\0", "é", "absent"]))):
+            expected = whole(path, z_q, k, exclude)
+            for span_bytes in (1, 3 * row_bytes, 1 << 30):  # a row, a few rows, the file
+                assert streamed(path, z_q, k, exclude, span_bytes) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_a_mutated_file_fails_as_the_whole_file_read_does(self, three_row_file, data):
+        good, fields, path = three_row_file
+        whole_file = st.just(len(good))  # each mutation is skipped about half the time
+        raw = bytearray(good[: data.draw(st.one_of(whole_file, st.integers(0, len(good))))])
+        for _ in range(data.draw(st.integers(0, 2), label="overwrites")):
+            start = data.draw(st.one_of(st.integers(0, len(raw)), st.sampled_from(fields)))
+            patch = data.draw(st.binary(min_size=1, max_size=12), label="patch")
+            raw[start : start + len(patch)] = patch
+        raw += data.draw(st.one_of(st.just(b""), st.binary(max_size=8)), label="appended")
+        path.write_bytes(raw)
+        z_q = np.ones(4)
+        expected = whole(path, z_q, 3, None)
+        for span_bytes in (1, 1 << 30):
+            assert streamed(path, z_q, 3, None, span_bytes) == expected
+
+    def test_spans_cover_every_row_once(self, tmp_path, rng, monkeypatch):
+        # 20 rows of 2 sources read in spans of about 3 rows: every row is read,
+        # ranked and reported as the whole-file query reports it.
+        path = tmp_path / "g.amcf"
+        sources = ["s", "t"] * 10
+        write_features(path, gallery_from(unit_rows(rng, 20, 16), sources=sources))
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 3 * 100)
+        reads = []
+        read = retrieval.read_features
+
+        def counted(*args, **kwargs):
+            reads.append(len(kwargs["span"]))
+            return read(*args, **kwargs)
+
+        features = open_features(path)
+        monkeypatch.setattr(retrieval, "read_features", counted)
+        z_q = features.vector("v00003").astype(np.float64)
+        assert ranked(features, z_q, 25, None) == whole(path, z_q, 25, None)
+        assert reads[0] == 1 and sum(reads[1:]) == 20 and max(reads[1:]) <= 4
+
+    def test_a_file_replaced_between_passes_fails(self, tmp_path, rng):
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))
+        features = open_features(path)
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))  # a new file, renamed in
+        with pytest.raises(IoError, match="changed while it was read"):
+            features.query(np.ones(8), 2)
+
+    @pytest.mark.parametrize("value", [np.nan, 3e19])
+    def test_a_bad_query_row_fails_as_build_index_does(self, tmp_path, value):
+        rows = np.eye(3, 4, dtype=np.float32)
+        rows[1, 2] = value
+        path = tmp_path / "bad.amcf"
+        path.write_bytes(amcf_bytes(["x", "y", "z"], ["s", "t", "u"], [0, 0, 0], rows))
+        with pytest.raises(InvalidValue) as expected:
+            build_index(read_features(path))
+        with pytest.raises(InvalidValue) as got:
+            open_features(path).vector("y")
+        assert str(got.value) == str(expected.value)
+
+    def test_memory_is_one_span_plus_the_id_column(self, tmp_path, rng):
+        # The whole-file read holds the file: 8.3 and 33 MB here.  Beside one span
+        # and the columns a query holds the span's index and the scan's lists.
+        peaks, columns = [], []
+        for n in (4000, 16000):
+            path = tmp_path / f"g{n}.amcf"
+            write_features(path, gallery_from(unit_rows(rng, n, 512)))
+            tracemalloc.start()
+            try:
+                features = open_features(path)
+                columns.append(tracemalloc.get_traced_memory()[0])
+                features.query(features.vector("v00001").astype(np.float64), 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del features
+        for peak, held in zip(peaks, columns):
+            assert peak < 2 * held + retrieval.SPAN_BYTES + (2 << 20)
+        assert peaks[1] - peaks[0] < 2 * (columns[1] - columns[0]) + (512 << 10)
 
 
 class TestBatchFeaturize:
