@@ -10,7 +10,7 @@ and one head GEMM per block), so memory is bounded by a block, not by
 the manifest.  query reads a regular feature file in spans of about
 ``retrieval.SPAN_BYTES`` of vectors (:func:`retrieval.open_features`), so
 memory is bounded by a span and the id column, not by the catalog; a
-pipe is read whole.  Clips are always 48 kHz and frames always 1 second
+pipe, or a file of at most one span, is read whole.  Clips are always 48 kHz and frames always 1 second
 (:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in
 :mod:`audiomatch.dsp`; none of them has a flag.
 """

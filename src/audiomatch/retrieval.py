@@ -26,7 +26,7 @@ in spans of whole rows of about SPAN_BYTES, straight into one matrix,
 indexes and queries each span with :func:`build_index`, and merges the
 spans' exact top-k by (-score, id), which is the file's exact top-k with
 the same score bits.  Memory is one span plus the columns, whatever the
-file's size.  A pipe cannot be read twice, so it is read whole.
+file's size.  A file of at most one span, or a pipe, is read whole.
 """
 
 from __future__ import annotations
@@ -55,16 +55,19 @@ _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-149  # smallest float32 subnormal, twice any underflow error
 
 # Bytes of rows a streamed query reads at a time (FeatureFile.query).  Chosen
-# by measurement on the 2000x2880 audition gallery: at 4 MB a warm request
-# takes no page faults.  Smaller spans leave glibc's dynamic mmap threshold
-# low, so each request maps its 0.4-2 MB audio buffers afresh: at 1 MB a warm
-# request took 2280 minor faults and ran 20-24% slower (2-core VM).
-SPAN_BYTES = 4 << 20
-# The first pass over a file reads the bytes before each vector _HEAD_BYTES at
-# a time, or _SCAN_BYTES at a time over short rows.  One preadv reads
-# _IOV_ROWS rows into two buffers each (IOV_MAX is 1024).
+# by measurement on the 2000x2880 audition gallery (2-core VM).  Below 4 MB,
+# glibc's dynamic mmap threshold stays low, so each request maps its 0.4-2 MB
+# audio buffers afresh: at 1 MB a warm request took 2280 minor faults and ran
+# 20-24% slower.  Each span costs a read, an index and a query: against the
+# whole-file read, a request's gallery work took a median 1.5 ms more at
+# 4 MB, 0.85 at 6 MB, 0.7 at 8 MB and 0.6 at 12 MB (200 requests interleaved
+# with the whole-file read's).
+SPAN_BYTES = 8 << 20
+# The first pass over a file reads the _HEAD_BYTES before each vector, more
+# only where a row's texts are longer: on the audition gallery its 2000 preads
+# took 0.9-1.9 ms, and reading the whole file from the page cache 3.6-3.9 ms.
+# One preadv reads _IOV_ROWS rows into two buffers each (IOV_MAX is 1024).
 _HEAD_BYTES = 256
-_SCAN_BYTES = 1 << 16
 _IOV_ROWS = 512
 
 # Frames featurized per block: enough to batch the head GEMM, few enough
@@ -608,9 +611,10 @@ class FeatureFile:
 def _scan(path: str | Path) -> FeatureFile:
     """Locate every row of a regular AMCF v1 file, reading only what precedes each vector.
 
-    Rows of over about _SCAN_BYTES / 16 bytes take one ``pread`` each.  Raises what
-    :func:`read_features` raises for the file's layout, and what
-    :func:`build_index` raises for its ids (EmptyIndex, DuplicateId).
+    Each row takes one ``pread`` of _HEAD_BYTES, and one more for texts
+    that do not fit.  Raises what :func:`read_features` raises for the
+    file's layout, and what :func:`build_index` raises for its ids
+    (EmptyIndex, DuplicateId).
     """
     try:
         with open(path, "rb", buffering=0) as handle:
@@ -626,32 +630,22 @@ def _scan(path: str | Path) -> FeatureFile:
             # Local names: this loop runs once per row.
             pread, add_start = os.pread, starts.append
             add_id, add_source = ids.append, source_ids.append
-            # One read per row where rows are long; windows over many rows where a
-            # read costs more than copying the short vectors between.
-            reach = _SCAN_BYTES if 16 * (row_bytes + _HEAD_BYTES) <= _SCAN_BYTES else _HEAD_BYTES
-            window, base, have = b"", 0, 0  # bytes [base, base + have) of the file
             pos = _HEADER.size
             for _ in range(count):
                 add_start(pos)
                 # Past the end a read comes back short: an index raises IndexError,
-                # or the last row takes ``pos`` past ``size``.  A row's texts past
-                # the window are read again from ``pos``.
-                at = pos - base
-                if at + _HEAD_BYTES > have:
-                    window = pread(fd, reach, pos)
-                    base, at, have = pos, 0, len(window)
-                id_end = at + 2 + (window[at] | window[at + 1] << 8)
-                if id_end + 2 > have:
-                    window = pread(fd, id_end - at + 2, pos)
-                    base, at, have, id_end = pos, 0, len(window), id_end - at
-                end = id_end + 6 + (window[id_end] | window[id_end + 1] << 8)
-                if end > have:
-                    window = pread(fd, end - at, pos)
-                    base, at, have, id_end, end = pos, 0, len(window), id_end - at, end - at
-                add_id(window[at + 2 : id_end].decode())
-                add_source(window[id_end + 2 : end - 4].decode())
-                offsets += window[end - 4 : end]
-                pos += end - at + row_bytes
+                # or the row takes ``pos`` past ``size``.
+                head = pread(fd, _HEAD_BYTES, pos)
+                id_end = 2 + (head[0] | head[1] << 8)
+                if id_end + 2 > len(head):
+                    head = pread(fd, id_end + 2, pos)
+                end = id_end + 6 + (head[id_end] | head[id_end + 1] << 8)
+                if end > len(head):
+                    head = pread(fd, end, pos)
+                add_id(head[2:id_end].decode())
+                add_source(head[id_end + 2 : end - 4].decode())
+                offsets += head[end - 4 : end]
+                pos += end + row_bytes
     except OSError as exc:
         raise IoError(f"cannot read feature file {path}: {exc}") from exc
     except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
@@ -671,17 +665,19 @@ def _scan(path: str | Path) -> FeatureFile:
 
 
 def open_features(path: str | Path) -> FeatureFile | GalleryIndex:
-    """A feature file ready to query: located in place if regular, else read whole and indexed.
+    """A feature file ready to query: located in place if larger than a span, else read whole.
 
-    A regular file is checked by one pass over what precedes each vector
-    (:class:`FeatureFile`), and each query then reads about SPAN_BYTES of
-    vectors at a time, so memory stays near one span whatever the file's
-    size.  A pipe cannot be read twice, so it is read whole, as
-    :func:`read_features` and :func:`build_index` do; so is any file
-    where ``os.preadv`` is missing (Windows).
+    A regular file of over SPAN_BYTES is checked by one pass over what
+    precedes each vector (:class:`FeatureFile`), and each query then
+    reads about SPAN_BYTES of vectors at a time, so memory stays near one
+    span whatever the file's size.  Any other file is read whole and
+    indexed, as :func:`read_features` and :func:`build_index` do: one of
+    at most a span would be held as a span anyway, without the first
+    pass, and a pipe cannot be read twice.
     """
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode) and hasattr(os, "preadv")
+        status = os.stat(path)
+        streamed = stat.S_ISREG(status.st_mode) and status.st_size > SPAN_BYTES
     except OSError:
-        regular = False  # read_features raises the error
-    return _scan(path) if regular else build_index(read_features(path))
+        streamed = False  # read_features raises the error
+    return _scan(path) if streamed else build_index(read_features(path))

@@ -674,14 +674,17 @@ def ranked(index, z_q, k, exclude_source):
     ]
 
 
-def streamed(path, z_q, k, exclude_source, span_bytes):
-    """:func:`ranked` for ``open_features(path).query`` in spans of ``span_bytes``."""
-    with mock.patch.object(retrieval, "SPAN_BYTES", span_bytes):
+def streamed(path, z_q, k, exclude_source, span_bytes, head_bytes=retrieval._HEAD_BYTES):
+    """:func:`ranked` for ``open_features(path).query`` in spans of ``span_bytes``,
+    its first pass reading ``head_bytes`` before each vector."""
+    with mock.patch.object(retrieval, "SPAN_BYTES", span_bytes), \
+            mock.patch.object(retrieval, "_HEAD_BYTES", head_bytes):
         try:
             features = open_features(path)
         except AudioMatchError as exc:
             return type(exc), str(exc)
-        assert isinstance(features, FeatureFile)
+        # A file of at most one span is read whole.
+        assert isinstance(features, FeatureFile) == (path.stat().st_size > span_bytes)
         return ranked(features, z_q, k, exclude_source)
 
 
@@ -715,9 +718,14 @@ class TestStreamedQuery:
             label="copies",
         ):
             rows[target] = rows[original]
-        texts = st.text(alphabet=st.sampled_from("ab\0é日"), max_size=3)
+        # Texts of up to 900 bytes, past what the first pass reads before a vector.
+        texts = st.builds(
+            lambda text, repeat: text * repeat,
+            st.text(alphabet=st.sampled_from("ab\0é日"), max_size=3), st.sampled_from([1, 100]),
+        )
         ids = data.draw(st.lists(texts, min_size=n, max_size=n, unique=True), label="ids")
-        sources = data.draw(st.lists(st.sampled_from(["a", "a\0", "é"]), min_size=n, max_size=n))
+        names = ["a", "a\0", "é", "é" * 150]
+        sources = data.draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
         offsets = data.draw(st.lists(st.floats(0, 1e4, width=32), min_size=n, max_size=n))
         if data.draw(st.booleans(), label="query is a row"):
             z_q = rows[data.draw(st.integers(0, n - 1))].astype(np.float64)
@@ -729,11 +737,12 @@ class TestStreamedQuery:
         path = amcf_dir / "g.amcf"
         path.write_bytes(amcf_bytes(ids, sources, offsets, rows))
         k = data.draw(st.integers(1, n + 3), label="k")
+        head_bytes = data.draw(st.sampled_from([2, 9, retrieval._HEAD_BYTES]), label="head bytes")
         row_bytes = len(path.read_bytes()) // n
-        for exclude in (None, data.draw(st.sampled_from(["a", "a\0", "é", "absent"]))):
+        for exclude in (None, data.draw(st.sampled_from([*names, "absent"]))):
             expected = whole(path, z_q, k, exclude)
             for span_bytes in (1, 3 * row_bytes, 1 << 30):  # a row, a few rows, the file
-                assert streamed(path, z_q, k, exclude, span_bytes) == expected
+                assert streamed(path, z_q, k, exclude, span_bytes, head_bytes) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -749,8 +758,23 @@ class TestStreamedQuery:
         path.write_bytes(raw)
         z_q = np.ones(4)
         expected = whole(path, z_q, 3, None)
+        # The fixture's texts fit in 256 bytes: 2 and 7 make the first pass read again.
+        head_bytes = data.draw(st.sampled_from([2, 7, retrieval._HEAD_BYTES]), label="head bytes")
         for span_bytes in (1, 1 << 30):
-            assert streamed(path, z_q, 3, None, span_bytes) == expected
+            assert streamed(path, z_q, 3, None, span_bytes, head_bytes) == expected
+
+    def test_texts_at_the_edge_of_the_first_read(self, tmp_path):
+        # A row's bytes before its vector are 8 plus its texts.  These end at
+        # _HEAD_BYTES and one past it, and the id's source length does too.
+        edge = retrieval._HEAD_BYTES
+        lengths = [(10, edge - 18), (10, edge - 17), (edge - 4, 1), (edge - 3, 1), (edge - 5, 0)]
+        ids = [chr(ord("a") + row) * id_bytes for row, (id_bytes, _) in enumerate(lengths)]
+        sources = ["s" * source_bytes for _, source_bytes in lengths]
+        rows = np.arange(1.0, 1.0 + 3 * len(ids)).reshape(-1, 3)
+        path = tmp_path / "edge.amcf"
+        path.write_bytes(amcf_bytes(ids, sources, range(len(ids)), rows))
+        for z_q in (np.ones(3), -np.ones(3)):
+            assert streamed(path, z_q, 9, None, 1) == whole(path, z_q, 9, None)
 
     def test_spans_cover_every_row_once(self, tmp_path, rng, monkeypatch):
         # 20 rows of 2 sources read in spans of about 3 rows: every row is read,
@@ -772,7 +796,8 @@ class TestStreamedQuery:
         assert ranked(features, z_q, 25, None) == whole(path, z_q, 25, None)
         assert reads[0] == 1 and sum(reads[1:]) == 20 and max(reads[1:]) <= 4
 
-    def test_a_file_replaced_between_passes_fails(self, tmp_path, rng):
+    def test_a_file_replaced_between_passes_fails(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
         path = tmp_path / "g.amcf"
         write_features(path, gallery_from(unit_rows(rng, 3, 8)))
         features = open_features(path)
@@ -781,7 +806,8 @@ class TestStreamedQuery:
             features.query(np.ones(8), 2)
 
     @pytest.mark.parametrize("value", [np.nan, 3e19])
-    def test_a_bad_query_row_fails_as_build_index_does(self, tmp_path, value):
+    def test_a_bad_query_row_fails_as_build_index_does(self, tmp_path, value, monkeypatch):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
         rows = np.eye(3, 4, dtype=np.float32)
         rows[1, 2] = value
         path = tmp_path / "bad.amcf"
@@ -792,9 +818,10 @@ class TestStreamedQuery:
             open_features(path).vector("y")
         assert str(got.value) == str(expected.value)
 
-    def test_memory_is_one_span_plus_the_id_column(self, tmp_path, rng):
+    def test_memory_is_one_span_plus_the_id_column(self, tmp_path, rng, monkeypatch):
         # The whole-file read holds the file: 8.3 and 33 MB here.  Beside one span
         # and the columns a query holds the span's index and the scan's lists.
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 2 << 20)  # both files span several
         peaks, columns = [], []
         for n in (4000, 16000):
             path = tmp_path / f"g{n}.amcf"
