@@ -148,16 +148,15 @@ def _check_rate(rate: int) -> None:
         )
 
 
-def _parse_wav(raw: bytes, mix: bool = False) -> tuple[np.ndarray, int, bool]:
-    """Parse RIFF/WAVE bytes into a (samples, rate, is_float) triple.
+def _parse_wav(raw: bytes) -> tuple[np.ndarray, int, bool]:
+    """Parse RIFF/WAVE bytes into a (mono, rate, is_float) triple.
 
-    Returns float64 samples shaped (frames, channels), unscaled beyond
-    the normalization of each sample format to [-1, 1], and whether the
+    Returns the float64 (frames,) mean over channels of the samples,
+    each normalized from its format to [-1, 1], bit for bit numpy's
+    ``mean(axis=1)`` (one channel is taken as it is), and whether the
     data was IEEE float, whose finite values may lie outside [-1, 1].
-    With ``mix`` the samples are their (frames,) mean over channels, bit
-    for bit ``mean(axis=1)`` (one channel is taken as it is), and integer
-    PCM is mixed as it is decoded, with no (frames, channels) array.
-    The data chunk is decoded from ``raw`` in place, never copied.
+    The data chunk is decoded from ``raw`` in place, never copied, and
+    integer PCM is mixed as it is decoded, with no (frames, channels) array.
     """
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise CorruptFile("not a RIFF/WAVE file")
@@ -212,9 +211,7 @@ def _parse_wav(raw: bytes, mix: bool = False) -> tuple[np.ndarray, int, bool]:
         if not np.isfinite(floats).all():
             raise CorruptFile("non-finite samples in float WAV data")
         samples = floats.astype(np.float64).reshape(frames, channels)
-        if mix:
-            samples = samples[:, 0] if channels == 1 else samples.mean(axis=1)
-        return samples, rate, True
+        return (samples[:, 0] if channels == 1 else samples.mean(axis=1)), rate, True
 
     if sample_bytes == 2:
         ints = np.frombuffer(raw, dtype="<i2", count=frames * channels, offset=data_pos)
@@ -231,20 +228,17 @@ def _parse_wav(raw: bytes, mix: bool = False) -> tuple[np.ndarray, int, bool]:
     # 8 samples of 24 bits is exact in float64 in any order, so a frame's sum over
     # its channels, divided once by channels times full scale, is numpy's mean.
     full_scale = 2.0 ** (8 * sample_bytes - 1)
-    samples = np.empty(frames if mix else (frames, channels))
+    samples = np.empty(frames)
     step = max(_DECODE_CHUNK // channels, 1)
     for start in range(0, frames, step):
         part = ints[start : start + step]
         if sample_bytes == 3:
             part = np.right_shift(part, 8, out=shifted[: len(part)])
         out = samples[start : start + len(part)]
-        if mix and channels > 1:
-            np.add(part[:, 0], part[:, 1], out=out, dtype=np.float64)
-            for channel in range(2, channels):
-                out += part[:, channel]
-            out /= channels * full_scale
-        else:
-            np.divide(part[:, 0] if mix else part, full_scale, out=out)
+        out[:] = part[:, 0]
+        for channel in range(1, channels):
+            out += part[:, channel]
+        out /= channels * full_scale
     return samples, rate, False
 
 
@@ -336,7 +330,7 @@ def load_audio(path: str | Path) -> AudioClip:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    mono, rate, is_float = _parse_wav(raw, mix=True)
+    mono, rate, is_float = _parse_wav(raw)
     del raw  # freed before resampling
     mono = resample_to_canonical(mono, rate)
     if is_float or rate != CANONICAL_RATE:

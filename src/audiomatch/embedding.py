@@ -265,9 +265,6 @@ class TrainConfig:
     batch_size: int = 64
     tau: float = DEFAULT_TAU
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         _check_config(self)
@@ -293,8 +290,6 @@ def _check_config(config: TrainConfig) -> None:
         (config.epochs >= 1 and config.batch_size >= 1, "epochs and batch_size must be >= 1"),
         (0.0 <= config.learning_rate < np.inf, "learning_rate must be finite and >= 0"),
         (0.0 < config.tau < np.inf, "tau must be finite and > 0"),
-        (0.0 < config.eps < np.inf, "eps must be finite and > 0"),
-        (0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0, "beta1, beta2 must be in [0, 1)"),
     ):
         if not ok:
             raise InvalidValue(f"{rule}, got {config}")
@@ -314,6 +309,9 @@ def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     return features
 
 
+# Adam's moment decay rates and denominator floor.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 # Entries per Adam chunk: the chunk of the parameter, its gradient, both moments and
 # the two scratch buffers (6 x 256 KB) stay in cache across the 13 operations.
 _ADAM_CHUNK = 32768
@@ -329,7 +327,7 @@ def _adam_update(
     / (sqrt(v / (1 - b2^t)) + eps): each operation as written, for equal bits.  Every
     operation is elementwise, so the chunking changes no result.
     """
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = _BETA1, _BETA2
     param, grad, m, v = (array.reshape(-1) for array in (param, grad, m, v))
     for start in range(0, param.size, _ADAM_CHUNK):
         chunk = slice(start, start + _ADAM_CHUNK)
@@ -340,7 +338,7 @@ def _adam_update(
         v_c *= b2
         v_c += np.multiply(np.square(g, out=denom), 1.0 - b2, out=denom)
         np.sqrt(np.divide(v_c, 1.0 - b2**step, out=denom), out=denom)
-        denom += config.eps
+        denom += _EPS
         np.divide(m_c, 1.0 - b1**step, out=update)
         update *= config.learning_rate
         p -= np.divide(update, denom, out=update)

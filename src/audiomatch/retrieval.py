@@ -220,12 +220,8 @@ class GalleryIndex(Gallery):
         if not np.isfinite(z_q).all():
             raise InvalidValue("query vector is not finite")
 
-        if exclude_source is None:
-            rows = np.arange(len(self.ids))
-        else:
-            # Codes are >= 0, so a source absent from the gallery excludes nothing.
-            code = self.code_of_source.get(exclude_source, -1)
-            rows = np.flatnonzero(self.source_codes != code)
+        # Codes are >= 0, so None or a source absent from the gallery excludes nothing.
+        rows = np.flatnonzero(self.source_codes != self.code_of_source.get(exclude_source, -1))
         if rows.size == 0:
             raise EmptyIndex("no eligible gallery entries for this query")
 
@@ -600,7 +596,7 @@ class FeatureFile:
             try:
                 found += index.query(z_q, k, exclude_source=exclude_source, query_id=query_id)
             except EmptyIndex as exc:  # every row of this span is excluded
-                empty = exc
+                empty = exc.with_traceback(None)  # its frames would hold the index
             del index  # so the next span's matrix takes its place
             found = sorted(found, key=lambda c: (-c.score, c.gallery_id))[:k]
         if not found:

@@ -168,28 +168,19 @@ def render(query: AudioClip, match: AudioClip, plan: TransitionPlan) -> AudioCli
         raise CutOutOfRange(f"match cut {cut_m} outside clip of {len(match)} samples")
 
     overlap = int(round(plan.crossfade_s * CANONICAL_RATE))
-    if overlap == 0:
-        out = np.concatenate([query.samples[:cut_q], match.samples[cut_m:]])
-    else:
-        half = overlap // 2
-        start_q = cut_q - half
-        start_m = cut_m - half
-        if start_q < 0 or start_q + overlap > len(query):
-            raise CrossfadeTooLong(
-                f"{overlap}-sample overlap does not fit query around sample {cut_q}"
-            )
-        if start_m < 0 or start_m + overlap > len(match):
-            raise CrossfadeTooLong(
-                f"{overlap}-sample overlap does not fit match around sample {cut_m}"
-            )
-        w_out, w_in = crossfade_weights(overlap)
-        blended = (
-            w_out * query.samples[start_q : start_q + overlap]
-            + w_in * match.samples[start_m : start_m + overlap]
-        )
-        out = np.concatenate(
-            [query.samples[:start_q], blended, match.samples[start_m + overlap :]]
-        )
+    half = overlap // 2
+    start_q = cut_q - half
+    start_m = cut_m - half
+    if start_q < 0 or start_q + overlap > len(query):
+        raise CrossfadeTooLong(f"{overlap}-sample overlap does not fit query around sample {cut_q}")
+    if start_m < 0 or start_m + overlap > len(match):
+        raise CrossfadeTooLong(f"{overlap}-sample overlap does not fit match around sample {cut_m}")
+    w_out, w_in = crossfade_weights(overlap)
+    blended = (
+        w_out * query.samples[start_q : start_q + overlap]
+        + w_in * match.samples[start_m : start_m + overlap]
+    )
+    out = np.concatenate([query.samples[:start_q], blended, match.samples[start_m + overlap :]])
     out = np.clip(out, -1.0, 1.0)
     source = f"{query.source_id}=>{match.source_id}" if query.source_id else match.source_id
     return AudioClip(out, CANONICAL_RATE, source_id=source, offset_s=0.0)
@@ -219,12 +210,12 @@ def make_plan(
     outside those windows (when present) only widens the room available
     to the crossfade.  The query window is analysed once and the match
     windows as one block, bit for bit what each pair alone gives.
-    Boundary strategies cut at the end of the query window and the
-    start of the match window; for a fixed crossfade the overlap covers
-    the last fade-length of the query window and the first of the
-    match window, with the nominal cut at its center.  ``fixed_s`` is
-    the fixed-crossfade length; ``phi``, ``l_min`` and ``l_max`` set
-    :func:`adaptive_crossfade_length`.
+    Boundary strategies overlap the last fade-length of the query window
+    with the first of the match window, with the nominal cut at the
+    overlap's center: concat is the fixed crossfade with no fade, so it
+    cuts at the window boundaries.  Max-SS is max-SS-adaptive with no
+    fade.  ``fixed_s`` is the fixed-crossfade length; ``phi``, ``l_min``
+    and ``l_max`` set :func:`adaptive_crossfade_length`.
 
     Raises:
         InvalidValue: A setting out of range or an offset that is not
@@ -247,23 +238,11 @@ def make_plan(
                 f"match clip {number} lacks a full 1-second window at the requested offset"
             )
 
-    if strategy is Strategy.CONCAT:
-        return [
-            TransitionPlan(
-                strategy=strategy, cut_query=off_q + FRAME_LENGTH, cut_match=off_m,
-                crossfade_s=0.0,
-            )
-            for _ in matches
-        ]
-
-    if strategy is Strategy.FIXED_CROSSFADE:
-        # Overlap spans the query-window tail and match-window head; the
-        # nominal cut sits at the center of that overlap.
+    if strategy in (Strategy.CONCAT, Strategy.FIXED_CROSSFADE):
+        fade = int(round(fixed_s * CANONICAL_RATE)) if strategy is Strategy.FIXED_CROSSFADE else 0
         plans = []
         for match in matches:
-            overlap = min(
-                int(round(fixed_s * CANONICAL_RATE)), off_q + FRAME_LENGTH, len(match) - off_m
-            )
+            overlap = min(fade, off_q + FRAME_LENGTH, len(match) - off_m)
             plans.append(TransitionPlan(
                 strategy=strategy,
                 cut_query=off_q + FRAME_LENGTH - (overlap - overlap // 2),
@@ -279,6 +258,7 @@ def make_plan(
         np.stack([match.samples[off_m : off_m + FRAME_LENGTH] for match in matches]),
         log_compress=False,
     )
+    adaptive = strategy is Strategy.MAX_SS_ADAPTIVE
     plans = []
     for match, match_mel in zip(matches, match_mels):
         raw, cosine = similarity_matrix(query_mel, match_mel)
@@ -286,24 +266,20 @@ def make_plan(
         cut_q = off_q + step_to_sample(cut_i)
         cut_m = off_m + step_to_sample(cut_j)
         var = float(np.var(cosine))
-        if strategy is Strategy.MAX_SS:
-            plans.append(TransitionPlan(
-                strategy=strategy, cut_query=cut_q, cut_match=cut_m, crossfade_s=0.0,
-                cut_i=cut_i, cut_j=cut_j, var=var,
-            ))
-            continue
-        length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
+        length_s = 0.0
+        if adaptive:
+            length_s = adaptive_crossfade_length(var, phi=phi, l_min=l_min, l_max=l_max)
         # Shrink the fade to the largest overlap that fits both clips around the cuts.
         room = min(cut_q, cut_m, len(query) - cut_q, len(match) - cut_m)
         overlap = min(int(round(length_s * CANONICAL_RATE)), 2 * room)
         plans.append(TransitionPlan(
-            strategy=Strategy.MAX_SS_ADAPTIVE,
+            strategy=strategy,
             cut_query=cut_q,
             cut_match=cut_m,
             crossfade_s=overlap / CANONICAL_RATE,
             cut_i=cut_i,
             cut_j=cut_j,
             var=var,
-            phi=phi,
+            phi=phi if adaptive else None,
         ))
     return plans

@@ -1,0 +1,58 @@
+"""The benchmark's traced run records calls on every layer its workloads name.
+
+``bench/run.py --trace 1`` fails with "traced run recorded no calls on ..."
+when a layer it times is no longer called where it wraps it: a method moved
+to a base class, or a streamed query that stops reading and indexing each
+span through ``retrieval.read_features`` and ``retrieval.build_index``.
+This runs the same tracer on small inputs.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from audiomatch import cli, retrieval
+from audiomatch.synthetic import write_drift_corpus
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_audition_and_search_layers_record_calls(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import spans
+    import workloads
+
+    write_drift_corpus(tmp_path / "drift", n_sequences=2, n_frames=4, seed=4)
+    manifest = tmp_path / "frames" / "manifest.jsonl"
+    features = tmp_path / "gallery.amcf"
+    assert cli.main(["segment", str(tmp_path / "drift"), "--out-dir", str(manifest.parent)]) == 0
+    assert cli.main(["featurize", "--manifest", str(manifest), "--out", str(features)]) == 0
+    # Spans of about three of the eight rows, so the query streams the file.
+    monkeypatch.setattr(retrieval, "SPAN_BYTES", features.stat().st_size // 3)
+    assert isinstance(retrieval.open_features(features), retrieval.FeatureFile)
+
+    tracer = spans.Tracer()
+    tracer.install("audiomatch", workloads.trace_targets())
+    try:
+        tracer.request = "audition"
+        argv = ["query", "--features", str(features), "--query-id", "seq0000@1.000",
+                "--k", "3", "--manifest", str(manifest), "--render-dir", str(tmp_path / "r"),
+                "--out", str(tmp_path / "q.json")]
+        assert cli.main(argv) == 0
+        tracer.request = "search"
+        index = retrieval.build_index(retrieval.read_features(features))
+        index.query(index.vector("seq0001@2.000").astype(np.float64), 3,
+                    exclude_source=index.source_of("seq0001@2.000"))
+    finally:
+        tracer.uninstall()
+
+    called = {request: [span[1] for span in tracer.spans if span[5] == request]
+              for request in ("audition", "search")}
+    for workload in (workloads.Audition, workloads.Search):
+        assert [layer for layer in workload.layers if layer not in called[workload.name]] == []
+    # The streamed query reads and indexes each of its three spans on its own
+    # (the query's own vector is one more read).
+    assert called["audition"].count("retrieval.build_index") == 3
+    assert called["audition"].count("retrieval.read_features") == 4

@@ -59,6 +59,10 @@ def random_batch(rng, n_seq=None, n_frames=None, d_base=None):
     return features, split
 
 
+# Adam's usual decay rates and denominator floor, which train uses.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def reference_train(head, features, config):
     """Out-of-place Adam over the same seeded batch order and split draws as train()."""
     rng = np.random.default_rng(config.seed)
@@ -77,13 +81,13 @@ def reference_train(head, features, config):
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
             step += 1
             for param, grad, m, v in ((weight, grad_w, m_w, v_w), (bias, grad_b, m_b, v_b)):
-                m *= config.beta1
-                m += (1.0 - config.beta1) * grad
-                v *= config.beta2
-                v += (1.0 - config.beta2) * grad**2
-                m_hat = m / (1.0 - config.beta1**step)
-                v_hat = v / (1.0 - config.beta2**step)
-                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad**2
+                m_hat = m / (1.0 - ADAM_BETA1**step)
+                v_hat = v / (1.0 - ADAM_BETA2**step)
+                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return weight, bias, history
 
 
@@ -382,8 +386,7 @@ class TestTrain:
         "config",
         [
             TrainConfig(epochs=3, batch_size=3, seed=4),
-            TrainConfig(epochs=3, learning_rate=3e-2, batch_size=2, tau=0.3, seed=7,
-                        beta1=0.5, beta2=0.9, eps=1e-4),
+            TrainConfig(epochs=3, learning_rate=3e-2, batch_size=2, tau=0.3, seed=7),
         ],
     )
     def test_matches_out_of_place_adam_bit_for_bit(self, rng, config):
@@ -440,8 +443,6 @@ class TestTrain:
             {"epochs": 0}, {"batch_size": 0}, {"batch_size": -1},
             {"learning_rate": -1e-3}, {"learning_rate": math.nan}, {"learning_rate": math.inf},
             {"tau": 0.0}, {"tau": math.nan}, {"tau": math.inf},
-            {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": math.nan},
-            {"eps": 0.0}, {"eps": math.nan},
         ],
     )
     def test_degenerate_settings_rejected(self, rng, setting):

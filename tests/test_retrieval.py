@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -795,6 +796,27 @@ class TestStreamedQuery:
         z_q = features.vector("v00003").astype(np.float64)
         assert ranked(features, z_q, 25, None) == whole(path, z_q, 25, None)
         assert reads[0] == 1 and sum(reads[1:]) == 20 and max(reads[1:]) <= 4
+
+    @pytest.mark.parametrize("exclude_source", [None, "s"])
+    def test_holds_one_span_at_a_time(self, tmp_path, rng, monkeypatch, exclude_source):
+        # Spans of about 3 of 20 rows; the first 7 rows are source "s", so with it
+        # excluded the first spans raise EmptyIndex inside the query.
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 20, 16), sources=["s"] * 7 + ["t"] * 13))
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 3 * 100)
+        features = open_features(path)
+        read = retrieval.read_features
+        matrices, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(any(matrix() is not None for matrix in matrices))
+            gallery = read(*args, **kwargs)
+            matrices.append(weakref.ref(gallery.vectors.base))  # the matrix it views
+            return gallery
+
+        monkeypatch.setattr(retrieval, "read_features", tracked)
+        features.query(np.ones(16), 5, exclude_source=exclude_source)
+        assert len(alive) > 3 and not any(alive)
 
     def test_a_file_replaced_between_passes_fails(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
