@@ -235,11 +235,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     for row in rows:
         by_source.setdefault(row["source_id"], []).append(row)
 
-    # Each source contributes its leading whole runs of n frames, in offset order.
+    # Each source contributes whole runs of n frames, each frame 1 s after the one
+    # before, in offset order: a gap or a repeated offset starts a new run.
     sequence_rows = []
     for source_id in sorted(by_source):
-        frames = sorted(by_source[source_id], key=lambda r: float(r["offset_s"]))
-        sequence_rows += frames[: len(frames) - len(frames) % n]
+        run: list[dict] = []
+        for row in sorted(by_source[source_id], key=lambda r: float(r["offset_s"])):
+            if run and float(row["offset_s"]) != float(run[-1]["offset_s"]) + 1.0:
+                run = []
+            run.append(row)
+            if len(run) == n:
+                sequence_rows += run
+                run = []
     if not sequence_rows:
         raise AudioMatchError(
             f"manifest holds no run of {n} consecutive frames from one source"

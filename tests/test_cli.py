@@ -757,6 +757,37 @@ class TestTrainCommand:
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @staticmethod
+    def frames_manifest(tmp_path, offsets):
+        """A manifest of one 10-frame drift source's rows at ``offsets``, in that order."""
+        write_drift_corpus(tmp_path / "drift", n_sequences=1, n_frames=10, seed=6)
+        main(["segment", str(tmp_path / "drift"), "--out-dir", str(tmp_path / "frames")])
+        rows = {row["offset_s"]: row for row in manifest_rows(tmp_path / "frames" / "manifest.jsonl")}
+        manifest = tmp_path / "picked.jsonl"
+        manifest.write_text("".join(json.dumps(rows[offset]) + "\n" for offset in offsets))
+        return manifest, {row["path"]: offset for offset, row in rows.items()}
+
+    def test_sequences_do_not_join_frames_across_a_gap(self, tmp_path, monkeypatch, capsys):
+        manifest, offset_of = self.frames_manifest(tmp_path, [0.0, 1.0, 6.0, 7.0, 8.0, 9.0])
+        loaded = []
+        monkeypatch.setattr(audio_io, "load_audio", lambda p: loaded.append(p) or load_audio(p))
+        capsys.readouterr()
+        argv = ["train", "--manifest", str(manifest), "--out", str(tmp_path / "head.ssch"),
+                "--epochs", "1", "--frames-per-sequence", "3", "--dim", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("trained on 1 sequences of 3 frames")
+        assert [offset_of[path] for path in loaded] == [6.0, 7.0, 8.0]
+
+    def test_a_repeated_offset_breaks_the_run(self, tmp_path, capsys):
+        manifest, _ = self.frames_manifest(tmp_path, [0.0, 1.0, 1.0])
+        capsys.readouterr()
+        ckpt = tmp_path / "head.ssch"
+        argv = ["train", "--manifest", str(manifest), "--out", str(ckpt),
+                "--epochs", "1", "--frames-per-sequence", "3", "--dim", "8"]
+        assert main(argv) == 1
+        assert "no run of 3 consecutive frames" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 @pytest.fixture(scope="module")
 def drift_manifest(tmp_path_factory):

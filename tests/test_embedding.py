@@ -1,14 +1,20 @@
 """Projection head, contrastive loss, gradients, and training."""
 
+import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import audiomatch
 from audiomatch import (
     ProjectionHead,
     TrainConfig,
@@ -272,18 +278,18 @@ class TestLossOracle:
 
     @pytest.mark.parametrize("zero_rows", [False, True])
     @pytest.mark.parametrize("split", [1, 3, 5])
-    @pytest.mark.parametrize("use_out", [False, True])
-    def test_loss_and_gradients_match_masked_reference(self, rng, zero_rows, split, use_out):
+    @pytest.mark.parametrize("factors", [False, True])
+    def test_loss_and_gradients_match_masked_reference(self, rng, zero_rows, split, factors):
         weight, bias, features = self.batch(rng, zero_rows)
-        out = np.full_like(weight, np.nan) if use_out else None
-        loss, grad_weight, grad_bias = split_and_contrast_loss(
-            weight, bias, features, split, out=out
-        )
+        loss, *grads = split_and_contrast_loss(weight, bias, features, split, factors=factors)
+        if factors:
+            flat, d_pre = grads
+            assert np.array_equal(flat, features.reshape(-1, 40))
+            grads = flat.T @ d_pre, d_pre.sum(axis=0)
         expected = reference_loss(weight, bias, features, split)
         assert loss == expected[0]
-        assert np.array_equal(grad_weight, expected[1])
-        assert np.array_equal(grad_bias, expected[2])
-        assert grad_weight is out if use_out else grad_weight.shape == weight.shape
+        assert np.array_equal(grads[0], expected[1])
+        assert np.array_equal(grads[1], expected[2])
 
 
 class TestGradients:
@@ -410,11 +416,13 @@ class TestTrain:
         assert np.array_equal(result.head.bias, bias)
         assert result.history == history
 
-    def test_memory_holds_one_gradient_and_one_batch(self, rng):
-        # The 300 x 250 head as above.  Beyond the parameters, Adam's two moments, one
-        # weight gradient, one batch and Adam's two chunk-sized scratch buffers, the
-        # peak may hold 256 KB: the loss's temporaries for 12 rows and Python objects.
-        # A second live gradient (600 KB) would exceed it.
+    def test_memory_holds_one_gradient_block_and_one_batch(self, rng, monkeypatch):
+        # The 300 x 250 head as above, in gradient blocks of 64 rows (128 KB).  Beyond
+        # the parameters, Adam's two moments, one gradient block, one batch and Adam's
+        # two chunk-sized scratch buffers, the peak may hold 256 KB: the loss's
+        # temporaries for 12 rows and Python objects.  A whole weight gradient (600 KB)
+        # would exceed it.
+        monkeypatch.setattr(embedding, "_GRAD_ROWS", 64)
         features = rng.normal(size=(7, 4, 300))
         head = ProjectionHead.initialize(300, d=250, seed=3)
         config = TrainConfig(epochs=2, learning_rate=3e-2, batch_size=3, seed=5)
@@ -426,9 +434,10 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         parameters = head.weight.nbytes + head.bias.nbytes
+        block = 64 * head.weight.shape[1] * 8
         scratch = 2 * 8 * min(embedding._ADAM_CHUNK, head.weight.size)
         batch = features[:3].nbytes
-        assert peak < 4 * parameters + batch + scratch + (256 << 10)
+        assert peak < 3 * parameters + block + batch + scratch + (256 << 10)
 
     def test_non_finite_corpus_raises_degenerate_batch(self, rng):
         corpus = rng.normal(size=(6, 4, 6))
@@ -449,6 +458,72 @@ class TestTrain:
         head = ProjectionHead.initialize(6, d=4, seed=1)
         with pytest.raises(ValueError):
             train(head, rng.normal(size=(4, 3, 6)), TrainConfig(**setting))
+
+
+# Trains a 200 -> 32 head in gradient blocks of 48 rows (the last one 8) and prints
+# the trained parameters' digest.
+BLOCKED_TRAIN = """
+import hashlib
+import numpy as np
+from audiomatch import embedding
+embedding._GRAD_ROWS = 48
+features = np.random.default_rng(7).normal(size=(12, 5, 200))
+head = embedding.ProjectionHead.initialize(200, d=32, seed=1)
+config = embedding.TrainConfig(epochs=2, learning_rate=3e-2, batch_size=6, seed=2)
+result = embedding.train(head, features, config)
+print(hashlib.sha256(result.head.weight.tobytes() + result.head.bias.tobytes()).hexdigest())
+"""
+
+
+class TestGradientBlocks:
+    """train's weight gradient, one block of rows at a time, has the whole product's bits."""
+
+    def test_blocks_cover_the_rows_and_none_is_one_row(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_GRAD_ROWS", 4)
+        edges = {d_base: [(b.start, b.stop) for b in embedding._row_blocks(d_base)]
+                 for d_base in range(1, 30)}
+        assert edges[10] == [(0, 4), (4, 8), (8, 10)]
+        assert edges[9] == [(0, 4), (4, 9)]
+        assert edges[4] == [(0, 4)] and edges[1] == [(0, 1)]
+        for d_base, blocks in edges.items():
+            assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
+            assert blocks[-1][1] == d_base
+            assert all(2 <= hi - lo <= 5 for lo, hi in blocks) or blocks == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "d_base, d",
+        [(10, 5), (9, 5), (1, 5), (10, 1), (9, 1), (1, 1), (42, 16)],
+        ids=["2-row-tail", "1-row-tail-folded", "one-row-weight", "d1-2-row-tail",
+             "d1-1-row-tail-folded", "one-entry-weight", "many-blocks"],
+    )
+    def test_blocked_train_matches_whole_gradient_adam(self, rng, monkeypatch, d_base, d):
+        monkeypatch.setattr(embedding, "_GRAD_ROWS", 4)
+        features = rng.normal(size=(7, 4, d_base))
+        head = ProjectionHead.initialize(d_base, d=d, seed=3)
+        config = TrainConfig(epochs=2, learning_rate=3e-2, batch_size=3, seed=5)
+        result = train(head, features, config)
+        weight, bias, history = reference_train(head, features, config)
+        assert np.array_equal(result.head.weight, weight)
+        assert np.array_equal(result.head.bias, bias)
+        assert result.history == history
+        # Adam's first steps hide a last-bit change of the gradient: compare it too.
+        _, flat, d_pre = split_and_contrast_loss(weight, bias, features[:3], 2, factors=True)
+        blocked = [flat[:, rows].T @ d_pre for rows in embedding._row_blocks(d_base)]
+        assert np.array_equal(np.concatenate(blocked), flat.T @ d_pre)
+
+    def test_blocked_train_at_one_blas_thread_matches_whole_gradient_adam(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", BLOCKED_TRAIN], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        features = np.random.default_rng(7).normal(size=(12, 5, 200))
+        head = ProjectionHead.initialize(200, d=32, seed=1)
+        config = TrainConfig(epochs=2, learning_rate=3e-2, batch_size=6, seed=2)
+        weight, bias, _ = reference_train(head, features, config)
+        assert done.stdout.strip() == hashlib.sha256(weight.tobytes() + bias.tobytes()).hexdigest()
 
 
 class TestCheckpoint:
