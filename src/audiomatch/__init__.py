@@ -26,9 +26,7 @@ from .embedding import (
     train,
 )
 from .evaluation import (
-    EvalReport,
     LabeledSet,
-    QueryLabels,
     average_precision,
     evaluate,
     hit_rate_at_k,

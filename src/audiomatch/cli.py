@@ -4,9 +4,12 @@ Every subcommand is deterministic given --seed, reads and writes only
 the files named in its arguments, and exits 0 iff it succeeded.  Python
 code runs in one thread and BLAS owns all parallelism (set it with
 OPENBLAS_NUM_THREADS or the like); outputs are byte-identical at any
-BLAS thread count.  featurize and train stream manifest frames through
-one block path, ``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM
-and one head GEMM per block), so memory is bounded by a block, not by
+BLAS thread count, except one case known: train on MFCC features
+(d_base 900), whose weight-gradient GEMM gave other bits at 1 and 2
+threads for some head widths, so those checkpoints may differ.
+featurize and train stream manifest frames through one block path,
+``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM and one head
+GEMM per block), so memory is bounded by a block, not by
 the manifest.  query reads a regular feature file in spans of about
 ``retrieval.SPAN_BYTES`` of vectors (:func:`retrieval.open_features`), so
 memory is bounded by a span and the id column, not by the catalog; a
@@ -77,6 +80,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
     wavs = _iter_input_wavs(args.inputs)
     if not wavs:
         raise AudioMatchError("no input WAV files found")
+    # A frame's file name and id derive from its source id, the WAV's stem, so two
+    # sources sharing one would overwrite each other's frames and repeat their ids.
+    first_with: dict[str, Path] = {}
+    for wav in wavs:
+        if wav.stem in first_with:
+            raise AudioMatchError(
+                f"{first_with[wav.stem]} and {wav} share the source id {wav.stem!r}"
+            )
+        first_with[wav.stem] = wav
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -288,14 +300,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ks = _parse_ks(args.ks)  # before any file is read
     index = retrieval.build_index(retrieval.read_features(args.features))
     labeled = evaluation.LabeledSet.load(args.labels)
-    query_ids = [query.query_id for query in labeled.queries if query.query_id in index]
-    features = {query_id: index.vector(query_id).astype(np.float64) for query_id in query_ids}
+    features = {
+        query_id: index.vector(query_id).astype(np.float64)
+        for query_id in labeled.relevance if query_id in index
+    }
     report = evaluation.evaluate(index, labeled, features, ks)
-    text = json.dumps(report.to_dict(), indent=2)
     if args.out:
-        audio_io.write_atomic(args.out, (text + "\n").encode())
-    agg = report.aggregate
-    print(json.dumps({"aggregate": agg}, indent=2))
+        audio_io.write_atomic(args.out, (json.dumps(report, indent=2) + "\n").encode())
+    print(json.dumps({"aggregate": report["aggregate"]}, indent=2))
     return 0
 
 

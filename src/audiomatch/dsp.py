@@ -13,12 +13,10 @@ Every transform takes one clip or an (m, n) block of m equal-length
 bit: one stacked filterbank ``matmul`` (and DCT ``matmul``) over the
 block replaces m per-frame products.
 
-The float64 mel values depend on the BLAS thread count: with OpenBLAS
-0.3.31 they differ in the last bits between 1 and 2 threads, because the
-GEMM splits the 1025-long inner dimension at other points.  The float32
-feature files featurize writes are the same at any thread count, since
-float32 rounding hides those bits; the float64 spectrograms, MFCCs and
-transition similarity values are not guaranteed thread-invariant.
+The power spectrum carries 31 zero bins after its 1025 real ones, so the
+mel GEMM's inner dimension, 1056, is a multiple of 32.  Then the float64
+mel values are the same bits at 1 and 2 OpenBLAS threads; over 1025 bins
+their last bits differed between the two.
 
 Energies are power-domain.  Feature extraction log-compresses them as
 log(x + 1e-10); the transition search consumes the raw (pre-log) mel
@@ -41,6 +39,8 @@ HOP_LENGTH = 1024
 MEL_BINS = 64
 N_MFCC = 20
 LOG_EPS = 1e-10
+N_BINS = WINDOW_SIZE // 2 + 1  # 1025 rfft bins
+PADDED_BINS = 1056  # N_BINS rounded up to a multiple of 32; the tail bins are zero
 
 
 class FeatureKind(str, Enum):
@@ -70,7 +70,7 @@ def mel_filterbank() -> np.ndarray:
 
     Band edges are equally spaced on the HTK mel scale between 0 Hz and
     Nyquist; each triangle ramps linearly in Hz and peaks at 1.
-    :func:`mel_spectrogram` uses the copy built once at import.
+    :func:`mel_spectrogram` uses a zero-padded copy built once at import.
     """
     freqs = np.fft.rfftfreq(WINDOW_SIZE, 1.0 / CANONICAL_RATE)
     edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(CANONICAL_RATE / 2.0), MEL_BINS + 2))
@@ -84,7 +84,9 @@ def mel_filterbank() -> np.ndarray:
     return bank
 
 
-_MEL_FILTERBANK = mel_filterbank()
+# Zero-padded to PADDED_BINS columns, to match power_stft's zero tail.
+_MEL_FILTERBANK = np.pad(mel_filterbank(), ((0, 0), (0, PADDED_BINS - N_BINS)))
+_MEL_FILTERBANK.flags.writeable = False
 
 # Periodic Hann: one full cosine cycle over the window.
 _HANN_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
@@ -105,21 +107,26 @@ _DCT_BASIS = _dct_basis()
 
 
 def power_stft(samples: np.ndarray) -> np.ndarray:
-    """Magnitude-squared STFT without center padding of (..., n) samples, shape (..., bins, t).
+    """Magnitude-squared STFT without center padding of (..., n) samples.
 
-    The result is a transposed view of a time-major (..., t, bins) array.
+    The shape is (..., PADDED_BINS, t), and bins N_BINS and up are zero.
+    The result is a transposed view of a time-major (..., t, PADDED_BINS)
+    array.
     """
     samples = np.asarray(samples, dtype=np.float64)
     windows = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE, axis=-1)
     windows = windows[..., ::HOP_LENGTH, :]
-    power = np.empty(windows.shape[:-1] + (WINDOW_SIZE // 2 + 1,))
+    power = np.empty(windows.shape[:-1] + (PADDED_BINS,))
     # One frame's windows at a time, through two buffers made once: the windowed
-    # copy and its complex spectrum stay in cache and out of peak memory.
+    # copy and its complex spectrum stay in cache and out of peak memory.  The
+    # spectrum's tail bins stay zero, so each abs writes whole contiguous power rows,
+    # zero tail included: numpy's abs into the rows' strided first N_BINS is slower.
     windowed = np.empty(windows.shape[-2:])
-    spectrum = np.empty(power.shape[-2:], dtype=np.complex128)
+    spectrum = np.zeros(power.shape[-2:], dtype=np.complex128)
     for frame in np.ndindex(windows.shape[:-2]):
         np.multiply(windows[frame], _HANN_WINDOW, out=windowed)
-        np.abs(np.fft.rfft(windowed, axis=-1, out=spectrum), out=power[frame])
+        np.fft.rfft(windowed, axis=-1, out=spectrum[:, :N_BINS])
+        np.abs(spectrum, out=power[frame])
     power *= power  # the same bits as power ** 2
     return power.swapaxes(-1, -2)
 

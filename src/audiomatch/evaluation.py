@@ -14,7 +14,7 @@ with per-query rows and an aggregate block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,29 +26,18 @@ from .retrieval import GalleryIndex
 
 
 @dataclass(frozen=True)
-class QueryLabels:
-    """Binary relevance labels of one query's candidate set."""
+class LabeledSet:
+    """Binary relevance labels of every query's candidate set: query id -> {gallery id: 0 or 1}."""
 
-    query_id: str
-    relevance: dict[str, int]
+    relevance: dict[str, dict[str, int]]
 
     def __post_init__(self) -> None:
-        if not self.relevance:
-            raise InvalidValue(f"query {self.query_id!r} has no labeled items")
-        bad = {r for r in self.relevance.values() if r not in (0, 1)}
-        if bad:
-            raise InvalidValue(f"non-binary relevance values {bad} for query {self.query_id!r}")
-
-    @property
-    def positives(self) -> set[str]:
-        return {gid for gid, rel in self.relevance.items() if rel == 1}
-
-
-@dataclass(frozen=True)
-class LabeledSet:
-    """All labeled queries of an evaluation run."""
-
-    queries: tuple[QueryLabels, ...]
+        for query_id, labels in self.relevance.items():
+            if not labels:
+                raise InvalidValue(f"query {query_id!r} has no labeled items")
+            bad = {r for r in labels.values() if r not in (0, 1)}
+            if bad:
+                raise InvalidValue(f"non-binary relevance values {bad} for query {query_id!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Mapping]) -> "LabeledSet":
@@ -61,7 +50,7 @@ class LabeledSet:
                     f"duplicate label for query {row['query_id']!r}, gallery {gallery_id!r}"
                 )
             labels[gallery_id] = int(row["relevance"])
-        return cls(tuple(QueryLabels(qid, labels) for qid, labels in by_query.items()))
+        return cls(by_query)
 
     @classmethod
     def load(cls, path: str | Path) -> "LabeledSet":
@@ -107,17 +96,6 @@ def precision_at_k(ranked_ids: Sequence[str], positives: set[str], k: int) -> fl
     return sum(1 for item in ranked_ids[:k] if item in positives) / k
 
 
-@dataclass
-class EvalReport:
-    """Per-query and aggregate retrieval metrics."""
-
-    per_query: list[dict] = field(default_factory=list)
-    aggregate: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"per_query": self.per_query, "aggregate": self.aggregate}
-
-
 def rank_labeled(
     index: GalleryIndex, query_vector: np.ndarray, labeled_ids: Sequence[str]
 ) -> list[str]:
@@ -132,8 +110,12 @@ def evaluate(
     labeled: LabeledSet,
     features: Mapping[str, np.ndarray],
     ks: Sequence[int] = (1, 2, 5, 10),
-) -> EvalReport:
+) -> dict:
     """Score every labeled query against its own candidate set.
+
+    Returns ``{"per_query": [...], "aggregate": {...}}``: one row per query
+    with its AP, hit-rate@K and precision@K (None without a positive), and
+    the means of those over the queries that have them.
 
     Args:
         index: Gallery holding vectors for every labeled gallery id.
@@ -146,41 +128,35 @@ def evaluate(
             query id is absent from ``features``.
     """
     per_query: list[dict] = []
-    ap_values: list[float] = []
-    hr_values: dict[int, list[int]] = {k: [] for k in ks}
-    p_values: dict[int, list[float]] = {k: [] for k in ks}
-
-    for query in labeled.queries:
-        if query.query_id not in features:
-            raise MissingId(f"no feature vector for query {query.query_id!r}")
-        missing = [gid for gid in query.relevance if gid not in index]
+    for query_id, relevance in labeled.relevance.items():
+        if query_id not in features:
+            raise MissingId(f"no feature vector for query {query_id!r}")
+        missing = [gid for gid in relevance if gid not in index]
         if missing:
             raise MissingId(
-                f"labeled gallery ids missing from index for query {query.query_id!r}: "
+                f"labeled gallery ids missing from index for query {query_id!r}: "
                 f"{missing[:3]}..."
             )
-        labeled_ids = sorted(query.relevance)
-        ranked = rank_labeled(index, features[query.query_id], labeled_ids)
-        positives = query.positives
+        labeled_ids = sorted(relevance)
+        ranked = rank_labeled(index, features[query_id], labeled_ids)
+        positives = {gid for gid, rel in relevance.items() if rel == 1}
 
-        row: dict = {"query_id": query.query_id, "n_labeled": len(labeled_ids)}
+        row: dict = {"query_id": query_id, "n_labeled": len(labeled_ids)}
         row["ap"] = average_precision(ranked, positives) if positives else None
-        if positives:
-            ap_values.append(row["ap"])
         for k in ks:
-            hr = hit_rate_at_k(ranked, positives, k) if positives else None
-            pk = precision_at_k(ranked, positives, k) if positives else None
-            row[f"hr@{k}"] = hr
-            row[f"p@{k}"] = pk
-            if positives:
-                hr_values[k].append(hr)
-                p_values[k].append(pk)
+            row[f"hr@{k}"] = hit_rate_at_k(ranked, positives, k) if positives else None
+            row[f"p@{k}"] = precision_at_k(ranked, positives, k) if positives else None
         per_query.append(row)
 
+    def mean(key: str) -> float | None:
+        """Mean of a metric over the queries that have it (those with a positive)."""
+        values = [row[key] for row in per_query if row[key] is not None]
+        return float(np.mean(values)) if values else None
+
     aggregate = {
-        "r_map": float(np.mean(ap_values)) if ap_values else None,
-        "hr": {str(k): float(np.mean(hr_values[k])) if hr_values[k] else None for k in ks},
-        "p": {str(k): float(np.mean(p_values[k])) if p_values[k] else None for k in ks},
-        "n_queries": len(labeled.queries),
+        "r_map": mean("ap"),
+        "hr": {str(k): mean(f"hr@{k}") for k in ks},
+        "p": {str(k): mean(f"p@{k}") for k in ks},
+        "n_queries": len(labeled.relevance),
     }
-    return EvalReport(per_query=per_query, aggregate=aggregate)
+    return {"per_query": per_query, "aggregate": aggregate}

@@ -49,10 +49,6 @@ def tone(
     return out * (amp / peak) if peak > 0 else out
 
 
-def _family_fundamentals(n_families: int, base_hz: float = 220.0, semitones: float = 5.0):
-    return base_hz * 2.0 ** (semitones * np.arange(n_families) / 12.0)
-
-
 def tone_family_set(
     out_dir: str | Path,
     seed: int = 0,
@@ -75,16 +71,14 @@ def tone_family_set(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    fundamentals = _family_fundamentals(n_families)
+    fundamentals = 220.0 * 2.0 ** (5.0 * np.arange(n_families) / 12.0)
     harmonics = (1.0, 0.5, 0.25)
     frames_per_clip = int(clip_seconds)
 
     wav_paths: list[Path] = []
-    stems: dict[tuple[int, str], str] = {}
     for fam, f0 in enumerate(fundamentals):
         for variant in ("a", "b"):
             stem = f"fam{fam:02d}_{variant}"
-            stems[(fam, variant)] = stem
             audio = tone(
                 f0,
                 clip_seconds,
@@ -101,29 +95,16 @@ def tone_family_set(
             write_audio(AudioClip(np.clip(audio, -1, 1), CANONICAL_RATE, stem), path)
             wav_paths.append(path)
 
-    rows: list[dict] = []
-    for fam in range(n_families):
-        query = frame_id(stems[(fam, "a")], 0.0)
-        for offset in range(frames_per_clip):
-            rows.append(
-                {
-                    "query_id": query,
-                    "gallery_id": frame_id(stems[(fam, "b")], float(offset)),
-                    "relevance": 1,
-                }
-            )
-        for other in range(n_families):
-            if other == fam:
-                continue
-            for offset in range(frames_per_clip):
-                rows.append(
-                    {
-                        "query_id": query,
-                        "gallery_id": frame_id(stems[(other, "b")], float(offset)),
-                        "relevance": 0,
-                    }
-                )
-
+    rows = [
+        {
+            "query_id": frame_id(f"fam{fam:02d}_a", 0.0),
+            "gallery_id": frame_id(f"fam{other:02d}_b", float(offset)),
+            "relevance": int(other == fam),
+        }
+        for fam in range(n_families)
+        for other in [fam] + [f for f in range(n_families) if f != fam]
+        for offset in range(frames_per_clip)
+    ]
     labels_path = out_dir / "labels.jsonl"
     write_atomic(labels_path, ("\n".join(json.dumps(row) for row in rows) + "\n").encode())
     return wav_paths, labels_path

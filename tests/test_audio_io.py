@@ -185,6 +185,16 @@ class TestLoadAudio:
         with pytest.raises(CorruptFile, match="whole number of frames"):
             load_audio(bad)
 
+    def test_short_extensible_fmt_chunk(self, tmp_path):
+        # WAVE_FORMAT_EXTENSIBLE keeps its real format code at byte 24 of the
+        # fmt chunk; a 16-byte chunk ends before it.
+        raw = bytearray(wav_bytes(np.zeros((100, 1)), 48000, "pcm16"))
+        struct.pack_into("<H", raw, 20, 0xFFFE)
+        bad = tmp_path / "extensible.wav"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="truncated WAVE_FORMAT_EXTENSIBLE fmt chunk"):
+            load_audio(bad)
+
     def test_block_align_disagreeing_with_format(self, tmp_path):
         raw = bytearray(wav_bytes(np.zeros((100, 1)), 48000, "pcm16"))
         struct.pack_into("<H", raw, 32, 4)  # 16-bit mono frames are 2 bytes

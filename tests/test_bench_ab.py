@@ -1,4 +1,4 @@
-"""The verdict arithmetic of tools/bench_ab.py, on fixed numbers."""
+"""The verdict arithmetic and run order of tools/bench_ab.py, on fixed numbers."""
 
 import importlib.util
 from pathlib import Path
@@ -63,3 +63,26 @@ def test_claim_rule_needs_nine_tenths_of_any_pair_count():
 )
 def test_within_bound_is_relative_to_the_parent_median(better, median, within):
     assert verdict([median] * 10, 0, better=better)["within_bound"] is within
+
+
+def test_run_order_follows_the_seed_not_its_place_in_the_series(monkeypatch):
+    calls = []
+
+    def run_once(copy, workload, seed, seconds):
+        calls.append((seed, copy.name))
+        metrics = {name: 1.0 for name in bench_ab.GATED}
+        return {"metrics": metrics, "failed": 0, "attempted": 1, "digests": {},
+                "environment": {}}
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    copies = {side: Path(side) for side in bench_ab.SIDES}
+    gates = {name: {"better": "lower", "bound": 0.25} for name in bench_ab.GATED}
+    firsts = {}
+    for seeds in (range(3, 6), range(4, 7)):
+        calls.clear()
+        report, _ = bench_ab.compare("search", seeds, copies, 1.0, gates)
+        order = {seed: [side for s, side in calls if s == seed] for seed in seeds}
+        for pair in report["pairs"]:
+            assert order[pair["seed"]][0] == pair["first"]
+            assert firsts.setdefault(pair["seed"], pair["first"]) == pair["first"]
+    assert [firsts[seed] for seed in range(3, 7)] == ["change", "parent", "change", "parent"]

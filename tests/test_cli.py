@@ -79,6 +79,24 @@ class TestSegmentCommand:
         main(["segment", str(wav), "--out-dir", str(out)])
         assert (out / "manifest.jsonl").read_bytes() == first
 
+    def test_same_file_twice_fails_before_any_output(self, tmp_path, tone_wav, capsys):
+        wav = tone_wav(seconds=2.0)
+        out = tmp_path / "frames"
+        assert main(["segment", str(wav), str(wav), "--out-dir", str(out)]) == 1
+        assert f"{wav} and {wav} share the source id 'clip'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_stem_in_two_directories_fails_before_any_output(self, tmp_path, capsys):
+        for folder, freq in (("a", 330.0), ("b", 550.0)):
+            (tmp_path / folder).mkdir()
+            write_audio(AudioClip(tone(freq, 2.0), 48000, "x"), tmp_path / folder / "x.wav")
+        out = tmp_path / "frames"
+        argv = ["segment", str(tmp_path / "a"), str(tmp_path / "b"), "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'a' / 'x.wav'} and {tmp_path / 'b' / 'x.wav'} share" in err
+        assert not out.exists()
+
     def test_frame_length_has_no_flag(self, tmp_path, tone_wav, capsys):
         # Frames are always 1 second: the flag is a usage error, before any output.
         out = tmp_path / "frames"
@@ -389,6 +407,14 @@ class TestQueryCommand:
         assert result["results"][0]["gallery_id"] == "alpha@0.000"
         assert result["results"][0]["score"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_neither_query_id_nor_query_wav_fails(self, tmp_path, segmented, capsys):
+        features = tmp_path / "g.amcf"
+        main(["featurize", "--manifest", str(segmented), "--out", str(features)])
+        out = tmp_path / "q.json"
+        assert main(["query", "--features", str(features), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("error: provide --query-id or --query-wav\n")
+        assert not out.exists()
+
     def test_same_source_excluded_by_default(self, tmp_path, segmented, capsys):
         features = tmp_path / "g.amcf"
         main(["featurize", "--manifest", str(segmented), "--out", str(features)])
@@ -598,11 +624,13 @@ def audition(features, manifest, render_dir, *flags):
 
 
 # Outputs of the per-candidate planner that analysed the query window once per match.
+# The max-ss digests also hash plans.json's full-precision "var", so they pin the
+# float64 mel's last bits.
 _AUDITION_SHA256 = {
     "concat": "ad880ec5202ba5a5c542608eaf14d2d3ef46c435b38bdfd265a9d0e5a3e1b8ac",
     "crossfade": "ee6cd8879640d2deb10b20a7003512de69ac62c821df92461ab2203b836a0c69",
-    "max-ss": "6c73c378d5c37663c48df59373011615df433a4d3b8b2ec900ddea609069ddb0",
-    "max-ss-adaptive": "4ae5b4df0ac752bac05a5ea517637bd7a70c33675773c2bb19d924c0077ebaac",
+    "max-ss": "cd37728e3298304da825b8c0d8df59a533174f4bb2bac3cbe9003ab3ca972066",
+    "max-ss-adaptive": "3c4cbb7fa9ac115a2054989bca22ebd03a20d17d69eee59916a00a7bcf60b6fb",
 }
 
 
@@ -614,6 +642,22 @@ class TestAuditionRequest:
         digest = audition(drift_features, drift_manifest, tmp_path / "r", "--strategy", strategy)
         assert digest == _AUDITION_SHA256[strategy]
         assert capsys.readouterr().out.endswith(f"rendered 3 candidates into {tmp_path / 'r'}\n")
+
+    def test_blas_thread_count_does_not_change_any_output(
+        self, tmp_path, drift_manifest, drift_features
+    ):
+        outputs = []
+        for threads in (1, 2):
+            render_dir = tmp_path / f"r{threads}"
+            out = run_cli_with_blas_threads(
+                threads, "query", "--features", str(drift_features), "--query-id",
+                "seq0000@1.000", "--k", "3", "--manifest", str(drift_manifest),
+                "--render-dir", str(render_dir), "--out", str(tmp_path / f"q{threads}.json"),
+            )
+            files = sorted(render_dir.iterdir())
+            assert "plans.json" in [path.name for path in files]
+            outputs.append([out.read_bytes(), *((p.name, p.read_bytes()) for p in files)])
+        assert outputs[0] == outputs[1]
 
     def test_each_window_is_analysed_once(
         self, tmp_path, drift_manifest, drift_features, monkeypatch
@@ -743,19 +787,26 @@ class TestTrainCommand:
         assert (tmp_path / "c1.ssch").read_bytes() == (tmp_path / "c2.ssch").read_bytes()
 
     def test_blas_thread_count_does_not_change_checkpoint(self, tmp_path):
+        # The history's float64 losses come from the float64 mel, so they show
+        # thread-dependent bits that the checkpoint hides: with a mel GEMM over
+        # 1025 bins, this history differed between 1 and 2 OpenBLAS threads.
         drift_dir = tmp_path / "drift"
         write_drift_corpus(drift_dir, n_sequences=4, n_frames=4, seed=3)
         frames = tmp_path / "frames"
         main(["segment", str(drift_dir), "--out-dir", str(frames)])
         args = [
             "train", "--manifest", str(frames / "manifest.jsonl"),
-            "--epochs", "2", "--frames-per-sequence", "4", "--dim", "16", "--seed", "5",
+            "--epochs", "2", "--frames-per-sequence", "4", "--dim", "32", "--seed", "5",
         ]
-        serial, parallel = (
-            run_cli_with_blas_threads(threads, *args, "--out", str(tmp_path / f"{threads}.ssch"))
-            for threads in (1, 2)
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
+        outputs = []
+        for threads in (1, 2):
+            history = tmp_path / f"{threads}.jsonl"
+            checkpoint = run_cli_with_blas_threads(
+                threads, *args, "--history-out", str(history),
+                "--out", str(tmp_path / f"{threads}.ssch"),
+            )
+            outputs.append((checkpoint.read_bytes(), history.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def frames_manifest(tmp_path, offsets):

@@ -1,10 +1,16 @@
 """Mel-spectrogram, MFCC, and flattening behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import audiomatch
 from audiomatch import AudioClip, flatten, mel_spectrogram, mfcc
-from audiomatch.dsp import LOG_EPS, mel_filterbank
+from audiomatch.dsp import LOG_EPS, N_BINS, mel_filterbank, power_stft
 from audiomatch.errors import TooShort
 
 
@@ -133,6 +139,39 @@ class TestBlocks:
     def test_too_short_block(self):
         with pytest.raises(TooShort):
             mel_spectrogram(np.zeros((2, 2047)))
+
+
+# The sha256 of the float64 raw mel of blocks of 1 to 16 drift frames, then
+# of a 2 s and a 16 s clip.
+_MEL_DIGEST = """
+import hashlib
+import numpy as np
+from audiomatch import mel_spectrogram
+from audiomatch.synthetic import drift_sequence_audio
+frames = drift_sequence_audio(np.random.default_rng(3), 16)
+digest = hashlib.sha256()
+for block in [frames[:m] for m in range(1, 17)] + [frames[:2].ravel(), frames.ravel()]:
+    digest.update(mel_spectrogram(block, log_compress=False).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_power_tail_is_zero(self, rng):
+        power = power_stft(rng.uniform(-0.5, 0.5, size=(2, 48000)))
+        assert power.shape == (2, 1056, 45) and N_BINS == 1025
+        assert np.all(power[:, N_BINS:] == 0.0) and np.all(power[:, :N_BINS] > 0.0)
+
+    def test_float64_mel_is_the_same_bits_at_one_and_two_threads(self):
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", _MEL_DIGEST], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 class TestFlatten:

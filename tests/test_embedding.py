@@ -337,6 +337,11 @@ class TestTrain:
         assert np.array_equal(result.head.weight, head.weight)
         assert np.array_equal(result.head.bias, head.bias)
 
+    def test_corpus_of_another_dimension_is_rejected(self, rng):
+        head = ProjectionHead.initialize(10, d=4, seed=0)
+        with pytest.raises(DimensionMismatch, match="dimension 12, head expects 10"):
+            train(head, rng.normal(size=(4, 3, 12)), TrainConfig(epochs=1, batch_size=2))
+
     def test_same_seed_bit_identical(self, rng):
         corpus = rng.normal(size=(8, 5, 12))
         head = ProjectionHead.initialize(12, d=6, seed=5)

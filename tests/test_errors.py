@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from audiomatch import (
+    AudioClip,
     Gallery,
     LabeledSet,
     ProjectionHead,
-    QueryLabels,
+    Strategy,
     TrainConfig,
+    TransitionPlan,
     average_precision,
     build_index,
     hit_rate_at_k,
     map_blocks,
     precision_at_k,
+    render,
     split_and_contrast_loss,
     train,
 )
@@ -37,12 +40,18 @@ def _loss_with_tau(tau):
 
 
 RAISE_SITES = {
-    "QueryLabels without labels": (lambda: QueryLabels("q", {}), "has no labeled items"),
-    "QueryLabels with a relevance of 2": (
-        lambda: QueryLabels("q", {"g": 2}), "non-binary relevance"),
+    "LabeledSet without labels": (lambda: LabeledSet({"q": {}}), "has no labeled items"),
+    "LabeledSet with a relevance of 2": (
+        lambda: LabeledSet({"q": {"g": 2}}), "non-binary relevance"),
     "LabeledSet with a repeated pair": (
         lambda: LabeledSet.from_rows([{"query_id": "q", "gallery_id": "g", "relevance": 1}] * 2),
         "duplicate label"),
+    "AudioClip with 2-D samples": (
+        lambda: AudioClip(np.zeros((2, 4)), 48000), "samples must be 1-D"),
+    "render with a negative crossfade": (
+        lambda: render(AudioClip(np.zeros(4), 48000), AudioClip(np.zeros(4), 48000),
+                       TransitionPlan(Strategy.FIXED_CROSSFADE, 2, 2, -0.1)),
+        "crossfade_s must be >= 0"),
     "average_precision of an empty ranking": (
         lambda: average_precision([], {"g"}), "ranking is empty"),
     "hit_rate_at_k with k 0": (lambda: hit_rate_at_k(["g"], {"g"}, 0), "k must be >= 1"),

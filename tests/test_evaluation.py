@@ -140,9 +140,9 @@ class TestEvaluate:
             [{"query_id": "q", "gallery_id": gid, "relevance": 1} for gid in ids]
         )
         report = evaluate(index, labeled, features, ks=(1, 2, 5))
-        assert report.aggregate["r_map"] == 1.0
-        assert report.aggregate["hr"] == {"1": 1.0, "2": 1.0, "5": 1.0}
-        assert report.aggregate["p"]["1"] == 1.0
+        assert report["aggregate"]["r_map"] == 1.0
+        assert report["aggregate"]["hr"] == {"1": 1.0, "2": 1.0, "5": 1.0}
+        assert report["aggregate"]["p"]["1"] == 1.0
 
     def test_ranking_respects_similarity(self, rng):
         basis = np.eye(4, dtype=np.float32)
@@ -157,8 +157,23 @@ class TestEvaluate:
             ]
         )
         report = evaluate(index, labeled, features, ks=(1,))
-        assert report.aggregate["r_map"] == 1.0
-        assert report.per_query[0]["hr@1"] == 1
+        assert report["aggregate"]["r_map"] == 1.0
+        assert report["per_query"][0]["hr@1"] == 1
+
+    def test_query_without_positives_is_left_out_of_the_means(self, rng):
+        ids = [f"g{i}" for i in range(4)]
+        index, features = make_index_and_features(rng, ids)
+        features["q"], features["r"] = features["g0"], features["g1"]
+        rows = [{"query_id": "q", "gallery_id": g, "relevance": int(g == "g0")} for g in ids]
+        rows += [{"query_id": "r", "gallery_id": g, "relevance": 0} for g in ids]
+        report = evaluate(index, LabeledSet.from_rows(rows), features, ks=(1, 2))
+        assert report["per_query"][1] == {
+            "query_id": "r", "n_labeled": 4, "ap": None,
+            "hr@1": None, "p@1": None, "hr@2": None, "p@2": None,
+        }
+        assert report["aggregate"] == {
+            "r_map": 1.0, "hr": {"1": 1.0, "2": 1.0}, "p": {"1": 1.0, "2": 0.5}, "n_queries": 2,
+        }
 
     @pytest.mark.parametrize("ids", [["a\0", "a"], ["a", "a\0"]])
     def test_ties_break_by_exact_id_order(self, ids):
@@ -208,7 +223,7 @@ class TestEvaluate:
                     }
                 )
         report = evaluate(index, LabeledSet.from_rows(rows), features, ks=(1,))
-        assert report.aggregate["r_map"] == pytest.approx(0.1147, abs=0.05)
+        assert report["aggregate"]["r_map"] == pytest.approx(0.1147, abs=0.05)
 
 
 class TestLabeledSetIo:
@@ -221,6 +236,7 @@ class TestLabeledSetIo:
         path = tmp_path / "labels.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert LabeledSet.load(path) == LabeledSet.from_rows(rows)
+        assert LabeledSet.load(path).relevance == {"q1": {"g1": 1, "g2": 0}, "q2": {"g1": 1}}
 
     @pytest.mark.parametrize(
         "row, error",

@@ -6,9 +6,10 @@
 PARENT (any git revision) and the working tree (tracked and untracked,
 not ignored, files) are each copied into a fresh sibling directory, so
 neither side runs from the checkout itself.  For every seed, each
-copy's ``bench/run.py --trace 0`` runs once, one after the other, and
-the order flips from seed to seed.  Each run lasts the benchmark's
-``run_seconds`` from ``BENCHMARK.json``.
+copy's ``bench/run.py --trace 0`` runs once, one after the other: the
+parent first on an even seed, the change first on an odd one, so a seed
+runs in the same order in any series and consecutive seeds alternate.
+Each run lasts the benchmark's ``run_seconds`` from ``BENCHMARK.json``.
 
 The drift-audio bank that ``bench/inputs.py`` synthesizes takes minutes
 to make.  When ``bench/inputs.py`` and the modules the bank is built
@@ -141,9 +142,8 @@ def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float
             gates: dict[str, dict]) -> tuple[dict, dict]:
     """Alternated runs of both copies per seed; returns the workload's report and an env."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for turn, seed in enumerate(seeds):
-        order = SIDES if turn % 2 == 0 else SIDES[::-1]
-        for side in order:
+    for seed in seeds:
+        for side in (SIDES if seed % 2 == 0 else SIDES[::-1]):
             runs[side].append(run_once(copies[side], workload, seed, seconds))
             print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}", flush=True)
     pairs = []
@@ -151,7 +151,7 @@ def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float
         parent, change = runs["parent"][turn], runs["change"][turn]
         pairs.append({
             "seed": seed,
-            "first": SIDES[turn % 2],
+            "first": SIDES[seed % 2],
             "ratios": {name: change["metrics"][name] / parent["metrics"][name]
                        for name in GATED},
             "digests_equal": parent["digests"] == change["digests"],
