@@ -265,7 +265,7 @@ def split_and_contrast_loss(
     return float(loss), flat.T @ d_pre, d_pre.sum(axis=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Adam training schedule for the projection head; an unusable setting raises InvalidValue."""
 
@@ -276,7 +276,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_config(self)
+        # NaN fails every comparison, so a NaN setting is refused too.
+        for ok, rule in (
+            (self.epochs >= 1 and self.batch_size >= 1, "epochs and batch_size must be >= 1"),
+            (0.0 <= self.learning_rate < np.inf, "learning_rate must be finite and >= 0"),
+            (0.0 < self.tau < np.inf, "tau must be finite and > 0"),
+        ):
+            if not ok:
+                raise InvalidValue(f"{rule}, got {self}")
 
 
 @dataclass
@@ -291,17 +298,6 @@ class TrainResult:
         for row in self.history:
             epochs.setdefault(row["epoch"], []).append(row["loss"])
         return [float(np.mean(epochs[e])) for e in sorted(epochs)]
-
-
-def _check_config(config: TrainConfig) -> None:
-    """Raise InvalidValue for a setting train cannot use; comparisons with NaN fail."""
-    for ok, rule in (
-        (config.epochs >= 1 and config.batch_size >= 1, "epochs and batch_size must be >= 1"),
-        (0.0 <= config.learning_rate < np.inf, "learning_rate must be finite and >= 0"),
-        (0.0 < config.tau < np.inf, "tau must be finite and > 0"),
-    ):
-        if not ok:
-            raise InvalidValue(f"{rule}, got {config}")
 
 
 def _as_feature_matrix(corpus: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
@@ -381,13 +377,11 @@ def train(
     The input head is not mutated; the same seed gives the same bits.
 
     Raises:
-        InvalidValue: A TrainConfig setting out of range.
         DegenerateBatch: Empty corpus, sequences shorter than 2 frames
             or of unequal shape, a non-finite feature (found before the
             first step), or a non-finite batch loss.
     """
     config = config or TrainConfig()
-    _check_config(config)
     features = _as_feature_matrix(corpus)
     n_total, n_frames, d_base = features.shape
     if d_base != head.d_base:

@@ -9,6 +9,10 @@ ranks below k of those.  The float64 scores, and the ties broken by
 ascending id, are exactly those of a float64 scan of every row, at any
 BLAS thread count.
 
+A :class:`Gallery`, its :class:`GalleryIndex` and a :class:`FeatureFile`
+share one set of id lookups: ``len``, ``in``, ``row_of`` (the id -> row
+map, made once, on first use) and ``source_of``.
+
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
 u16-length-prefixed UTF-8 source id, an f32 offset in seconds, and d
@@ -117,8 +121,35 @@ def frame_id(source_id: str, offset_s: float) -> str:
     return f"{source_id}@{offset_s:.3f}"
 
 
+class _Rows:
+    """``len``, ``in``, the id -> row map ``row_of`` and ``source_of`` of id and source columns."""
+
+    ids: tuple[str, ...]
+    source_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Each id's row.  Raises EmptyIndex for no ids and DuplicateId for a repeated one."""
+        if not self.ids:
+            raise EmptyIndex("cannot build an index from zero vectors")
+        row_of = {entry_id: row for row, entry_id in enumerate(self.ids)}
+        if len(row_of) != len(self.ids):
+            duplicate = next(i for row, i in enumerate(self.ids) if row_of[i] != row)
+            raise DuplicateId(f"duplicate gallery id {duplicate!r}")
+        return row_of
+
+    def __contains__(self, entry_id: str) -> bool:
+        return entry_id in self.row_of
+
+    def source_of(self, entry_id: str) -> str:
+        return self.source_ids[self.row_of[entry_id]]
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class Gallery:
+class Gallery(_Rows):
     """Feature rows stored as columns.
 
     Row i is frame ``ids[i]`` of source ``source_ids[i]``, starting
@@ -151,8 +182,12 @@ class Gallery:
                                (ids, source_ids, offsets, vectors)):
             object.__setattr__(self, name, value)
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
+
+    def vector(self, entry_id: str) -> np.ndarray:
+        return self.vectors[self.row_of[entry_id]]
 
 
 @dataclass(frozen=True)
@@ -170,28 +205,18 @@ class GalleryIndex(Gallery):
     """Immutable gallery supporting exact top-k MIPS, built by :func:`build_index`.
 
     It adds ``source_codes`` (each row's source number), ``id_ranks`` (each
-    row's place in ascending id order), the id -> row map ``row_of`` and
-    ``norm_bound``, an upper bound on every row's L2 norm.
+    row's place in ascending id order) and ``norm_bound``, an upper bound
+    on every row's L2 norm; ``row_of`` is built with it.
     """
 
     source_codes: np.ndarray
     code_of_source: dict[str, int]
     id_ranks: np.ndarray
-    row_of: dict[str, int]
     norm_bound: float
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.row_of
-
-    def vector(self, entry_id: str) -> np.ndarray:
-        return self.vectors[self.row_of[entry_id]]
-
-    def source_of(self, entry_id: str) -> str:
-        return self.source_ids[self.row_of[entry_id]]
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.row_of  # raises for no rows or a repeated id
 
     def query(
         self,
@@ -264,17 +289,6 @@ def _finite_squared_norms(
     return squared_norms
 
 
-def _row_of(ids: tuple[str, ...]) -> dict[str, int]:
-    """Each id's row.  Raises EmptyIndex for no ids and DuplicateId for a repeated one."""
-    if not ids:
-        raise EmptyIndex("cannot build an index from zero vectors")
-    row_of = {entry_id: row for row, entry_id in enumerate(ids)}
-    if len(row_of) != len(ids):
-        duplicate = next(entry_id for row, entry_id in enumerate(ids) if row_of[entry_id] != row)
-        raise DuplicateId(f"duplicate gallery id {duplicate!r}")
-    return row_of
-
-
 def build_index(gallery: Gallery) -> GalleryIndex:
     """Build an immutable index over a gallery's rows, in row order.
 
@@ -285,11 +299,11 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     """
     ids = gallery.ids
     squared_norms = _finite_squared_norms(ids, gallery.vectors, InvalidValue)
-    row_of = _row_of(ids)
     # The float32 sum of d squares is at least (1 - gamma_d) times the true
     # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
-    d = gallery.vectors.shape[1]
-    norm_bound = np.sqrt((float(squared_norms.max()) + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
+    # With no rows the bound goes unused: GalleryIndex raises EmptyIndex.
+    d, max_square = gallery.d, float(squared_norms.max(initial=0.0))
+    norm_bound = np.sqrt((max_square + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
     # Sources are numbered with exact str equality: numpy's fixed-width
     # strings would drop trailing NULs and merge distinct sources.
     code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
@@ -298,7 +312,7 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     id_ranks = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
     return GalleryIndex(
         ids, gallery.source_ids, gallery.offsets, gallery.vectors,
-        source_codes, code_of, id_ranks, row_of, float(norm_bound),
+        source_codes, code_of, id_ranks, float(norm_bound),
     )
 
 
@@ -369,14 +383,15 @@ def map_blocks(
 def write_features(path: str | Path, gallery: Gallery) -> None:
     """Write a gallery as an AMCF v1 feature file, whole or not at all.
 
-    The file is assembled in one buffer of its exact size.  An id or
-    source id over 65535 UTF-8 bytes, an offset that is not a finite
-    float32, or a row that :func:`build_index` would reject (not finite,
-    or its squared norm overflows float32) raises IoError before any
-    byte is written.
+    The file is assembled in one buffer of its exact size.  Before any
+    byte is written, a repeated id raises DuplicateId, and an id or source
+    id over 65535 UTF-8 bytes, an offset that is not a finite float32, or
+    a row that :func:`build_index` would reject (not finite, or its
+    squared norm overflows float32) raises IoError.
     """
     if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
+    gallery.row_of  # raises for a repeated id
     _finite_squared_norms(gallery.ids, gallery.vectors, IoError)
     ids = [entry_id.encode("utf-8") for entry_id in gallery.ids]
     sources = [source_id.encode("utf-8") for source_id in gallery.source_ids]
@@ -520,15 +535,15 @@ def _read_span(path: str | Path, span: FeatureFile) -> Gallery:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class FeatureFile:
+class FeatureFile(_Rows):
     """Rows of a seekable AMCF v1 file, located but with their vectors left on disk.
 
     Made by :func:`open_features`: the id, source and offset columns,
     ``starts`` (each row's byte position in the file, then the end of the
-    last row) and the ``version`` of the file they were read from.  It
-    answers a :class:`GalleryIndex`'s lookups (``in``, ``vector``,
-    ``source_of``, ``offsets``, ``row_of``) and its exact :meth:`query`,
-    which reads the vectors in spans of whole rows of about SPAN_BYTES.
+    last row) and the ``version`` of the file they were read from.  It has
+    a gallery's lookups, :meth:`vector` read from the file, and the exact
+    :meth:`query` of a :class:`GalleryIndex`, which reads the vectors in
+    spans of whole rows of about SPAN_BYTES.
     """
 
     path: str | Path
@@ -538,19 +553,6 @@ class FeatureFile:
     offsets: np.ndarray
     starts: np.ndarray
     version: tuple[int, int, int, int]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        return _row_of(self.ids)
-
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.row_of
-
-    def source_of(self, entry_id: str) -> str:
-        return self.source_ids[self.row_of[entry_id]]
 
     def _span(self, first: int, last: int) -> FeatureFile:
         """Rows first .. last - 1."""

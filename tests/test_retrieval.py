@@ -24,6 +24,7 @@ from audiomatch import (
     AudioClip,
     FeatureFile,
     Gallery,
+    GalleryIndex,
     ProjectionHead,
     build_index,
     featurize_clip,
@@ -485,7 +486,7 @@ class TestFeatureFile:
     @pytest.mark.parametrize(
         "ids",
         [
-            ["", "", "x", ""],
+            ["", "\0", "x", "\0\0"],  # write_features refuses a repeated id
             ["a\0b", "\0", "é", "日本語@1.000", "\U0001f3b5\0"],
             ["x", "y" * 300, "é" * 150, "z", "w" * 300, "v"],
         ],
@@ -650,6 +651,13 @@ class TestFeatureFile:
         with pytest.raises(EmptyIndex):
             write_features(tmp_path / "empty.amcf", gallery_from(np.empty((0, 8))))
 
+    def test_repeated_id_raises_before_writing(self, tmp_path, rng):
+        # Neither read could use such a file: build_index and open_features reject it.
+        path = tmp_path / "repeated.amcf"
+        with pytest.raises(DuplicateId, match="duplicate gallery id 'v'"):
+            write_features(path, gallery_from(unit_rows(rng, 3, 8), ids=["v", "w", "v"]))
+        assert not path.exists()
+
 
 def amcf_bytes(ids, sources, offsets, rows):
     """AMCF v1 bytes written field by field, with no check of the rows."""
@@ -701,6 +709,53 @@ def whole(path, z_q, k, exclude_source):
 @pytest.fixture(scope="module")
 def amcf_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("streamed")
+
+
+class TestLookups:
+    """A Gallery, its GalleryIndex and a FeatureFile share one implementation of each lookup."""
+
+    def test_one_implementation(self):
+        for name in ("__len__", "__contains__", "row_of", "source_of"):
+            assert vars(retrieval._Rows)[name] is getattr(Gallery, name)
+            assert getattr(Gallery, name) is getattr(GalleryIndex, name)
+            assert getattr(Gallery, name) is getattr(FeatureFile, name)
+        for name in ("d", "vector"):
+            assert vars(Gallery)[name] is getattr(GalleryIndex, name)
+
+    def test_same_answers_for_the_same_rows(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)  # open_features streams any file
+        ids, sources = ["b", "a", "é", "a\0", "", "z"], ["s", "t", "s", "u", "t", "s"]
+        rows = unit_rows(rng, len(ids), 8)
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(rows, ids=ids, sources=sources))
+        views = [read_features(path), build_index(read_features(path)), open_features(path)]
+        assert [type(view) for view in views] == [Gallery, GalleryIndex, FeatureFile]
+        for view in views:
+            assert len(view) == len(ids) and view.d == 8
+            assert view.row_of == {entry_id: row for row, entry_id in enumerate(ids)}
+            for row, entry_id in enumerate(ids):
+                assert entry_id in view and view.source_of(entry_id) == sources[row]
+                assert view.vector(entry_id).tobytes() == rows[row].tobytes()
+                assert view.offsets[view.row_of[entry_id]] == row
+            assert "absent" not in view and "a\0\0" not in view
+            with pytest.raises(KeyError):
+                view.source_of("absent")
+
+    @pytest.mark.parametrize("ids, error, message", [
+        ([], EmptyIndex, "cannot build an index from zero vectors"),
+        (["x", "y", "x", "y"], DuplicateId, "duplicate gallery id 'x'"),
+    ])
+    def test_same_errors(self, tmp_path, monkeypatch, ids, error, message):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
+        path = tmp_path / "bad.amcf"
+        path.write_bytes(amcf_bytes(ids, ["s"] * len(ids), range(len(ids)), np.eye(len(ids), 4)))
+        gallery = read_features(path)
+        for lookup in (lambda: gallery.row_of, lambda: "x" in gallery,
+                       lambda: gallery.source_of("x"), lambda: build_index(gallery),
+                       lambda: open_features(path)):
+            with pytest.raises(error) as raised:
+                lookup()
+            assert str(raised.value) == message
 
 
 class TestStreamedQuery:

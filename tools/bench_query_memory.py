@@ -24,13 +24,14 @@ import os
 import platform
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_ab import ROOT, export_parent  # noqa: E402
+
 sys.path.insert(0, str(ROOT / "src"))
 from audiomatch.retrieval import Gallery, write_features  # noqa: E402
 
@@ -75,17 +76,6 @@ def write_gallery(path: Path, n: int, d: int) -> list[str]:
     return ids
 
 
-def export_parent(revision: str, target: Path) -> Path:
-    """PARENT's files in ``target``; returns its source directory."""
-    archive = target.with_suffix(".tar")
-    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive),
-                    revision], check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(target, filter="data")
-    archive.unlink()
-    return target / "src"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git revision to compare the working tree against")
@@ -107,8 +97,9 @@ def main(argv: list[str] | None = None) -> int:
         "galleries": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_query_memory-") as scratch:
-        sides = {"parent": export_parent(args.parent, Path(scratch) / "parent"),
-                 "change": ROOT / "src"}
+        parent = Path(scratch) / "parent"
+        export_parent(args.parent, parent)
+        sides = {"parent": parent / "src", "change": ROOT / "src"}
         for n, d in GALLERIES:
             path = Path(scratch) / f"g{n}x{d}.amcf"
             ids = write_gallery(path, n, d)

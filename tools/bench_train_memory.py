@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_query_memory import ROOT, export_parent  # noqa: E402
+from bench_ab import ROOT, export_parent  # noqa: E402
 
 SHAPE = (256, 10, 2880)
 D = 512
@@ -87,8 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_train_memory-") as scratch:
         corpus = Path(scratch) / "corpus.npy"
         np.save(corpus, np.random.default_rng(0).standard_normal(SHAPE))
-        sides = {"parent": export_parent(args.parent, Path(scratch) / "parent"),
-                 "change": ROOT / "src"}
+        parent = Path(scratch) / "parent"
+        export_parent(args.parent, parent)
+        sides = {"parent": parent / "src", "change": ROOT / "src"}
         for side, src in sides.items():
             done = subprocess.run(
                 [sys.executable, "-c", CHILD, str(src), str(corpus), str(args.calls), str(D)],
