@@ -21,7 +21,6 @@ from .embedding import (
     TrainConfig,
     TrainResult,
     embed,
-    gradient_check,
     split_and_contrast_loss,
     train,
 )

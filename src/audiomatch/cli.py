@@ -8,10 +8,11 @@ BLAS thread count, except one case known: train on MFCC features
 (d_base 900), whose weight-gradient GEMM gave other bits at 1 and 2
 threads for some head widths, so those checkpoints may differ.
 featurize and train stream manifest frames through one block path,
-``retrieval.CHUNK_FRAMES`` frames at a time (one mel GEMM and one head
-GEMM per block), so memory is bounded by a block, not by
-the manifest.  query reads a regular feature file in spans of about
-``retrieval.SPAN_BYTES`` of vectors (:func:`retrieval.open_features`), so
+``retrieval.CHUNK_FRAMES`` frames at a time (one head GEMM per block,
+one mel GEMM per ``retrieval.SPECTROGRAM_FRAMES`` frames of it), so
+memory is bounded by a block, not by the manifest.  query reads a
+regular feature file in spans of about ``retrieval.SPAN_BYTES`` of
+vectors (:func:`retrieval.open_features`), so
 memory is bounded by a span and the id column, not by the catalog; a
 pipe, or a file of at most one span, is read whole.  Clips are always 48 kHz and frames always 1 second
 (:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in

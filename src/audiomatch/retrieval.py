@@ -75,8 +75,12 @@ _HEAD_BYTES = 256
 _IOV_ROWS = 512
 
 # Frames featurized per block: enough to batch the head GEMM, few enough
-# that a block's samples and power spectra stay near 12 MB.
+# that a block's samples stay near 6 MB.
 CHUNK_FRAMES = 16
+# Frames whose spectrograms base_features makes at a time.  A group's float64
+# power spectrum is 1.5 MB, where a whole block's would be 6.1 MB; a group still
+# gives the mel GEMM 180 rows, where one frame's 45 ran it on one BLAS thread.
+SPECTROGRAM_FRAMES = 4
 
 
 def _gamma(n: int, u: float) -> float:
@@ -317,8 +321,21 @@ def build_index(gallery: Gallery) -> GalleryIndex:
 
 
 def base_features(frames: np.ndarray, kind: FeatureKind = FeatureKind.MEL) -> np.ndarray:
-    """Flattened mel or MFCC spectrograms of an (m, n) block of 48 kHz frames, (m, d_base)."""
-    return flatten(mel_spectrogram(frames) if kind is FeatureKind.MEL else mfcc(frames)).values
+    """Flattened mel or MFCC spectrograms of an (m, n) block of 48 kHz frames, (m, d_base).
+
+    The spectrograms are made SPECTROGRAM_FRAMES frames at a time, and each
+    group's flattened rows are written into the result, so the block's power
+    spectrum is never held whole.  A frame's row has the same bits as from
+    the frame alone.
+    """
+    spectrogram = mel_spectrogram if kind is FeatureKind.MEL else mfcc
+    first = flatten(spectrogram(frames[:SPECTROGRAM_FRAMES])).values
+    rows = np.empty((len(frames), first.shape[1]))
+    rows[: len(first)] = first
+    for start in range(SPECTROGRAM_FRAMES, len(frames), SPECTROGRAM_FRAMES):
+        group = frames[start : start + SPECTROGRAM_FRAMES]
+        rows[start : start + len(group)] = flatten(spectrogram(group)).values
+    return rows
 
 
 def featurize_clip(
@@ -352,10 +369,12 @@ def map_blocks(
     yields it; ``function`` gets the filled rows, and the next block
     reuses the buffer.  So a lazy iterable holds one block of samples
     plus the frame it is yielding, not a list of frames and their stack:
-    the benchmark's ingest (2000 frames) peaks at 75.3 MB RSS against
-    85.7 MB for stacking (medians of 10 paired runs, 2-core VM).
-    A result that shares memory with the buffer is copied before the
-    buffer is refilled.  Raises InvalidValue for no frames or frames of
+    stacking took the benchmark's ingest (2000 frames) 10.4 MB higher in
+    peak RSS, and with :func:`base_features` the ingest now peaks at
+    71.7 MB (medians of 10 paired runs, 2-core VM).  A result that
+    shares memory with the buffer is copied before the buffer is
+    refilled, and the buffer is dropped before the results are
+    concatenated.  Raises InvalidValue for no frames or frames of
     unequal shape.
     """
     block = None
@@ -377,6 +396,7 @@ def map_blocks(
         raise InvalidValue("no frames to map")
     if m:
         parts.append(_detached(function(block[:m]), block))
+    del block  # before the concatenation allocates the result
     return np.concatenate(parts)
 
 

@@ -22,7 +22,6 @@ from audiomatch import (
     average_precision,
     build_index,
     crossfade_weights,
-    gradient_check,
     hit_rate_at_k,
     load_audio,
     max_ss,
@@ -39,6 +38,7 @@ from audiomatch.embedding import embed
 from audiomatch.synthetic import tone_family_set
 from audiomatch.transition import TransitionPlan, Strategy
 
+from finite_differences import gradient_check
 from test_embedding import brute_force_loss, random_batch
 
 

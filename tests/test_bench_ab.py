@@ -1,6 +1,7 @@
-"""The verdict arithmetic and run order of tools/bench_ab.py, on fixed numbers."""
+"""The verdict arithmetic, run order and layer report of tools/bench_ab.py, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,100 @@ def test_run_order_follows_the_seed_not_its_place_in_the_series(monkeypatch):
             assert order[pair["seed"]][0] == pair["first"]
             assert firsts.setdefault(pair["seed"], pair["first"]) == pair["first"]
     assert [firsts[seed] for seed in range(3, 7)] == ["change", "parent", "change", "parent"]
+
+
+def _stub_runs(monkeypatch, layers_of):
+    """Stub run_once: untraced runs give 1.0 metrics, traced ones ``layers_of(copy, seed)``."""
+    calls = []
+
+    def run_once(copy, workload, seed, seconds, trace=False):
+        calls.append((seed, copy.name, trace))
+        run = {"failed": 0, "attempted": 1, "digests": {}, "environment": {}}
+        if trace:
+            run["layers"] = layers_of(copy.name, seed)
+        else:
+            run["metrics"] = {name: 1.0 for name in bench_ab.GATED}
+        return run
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    return calls
+
+
+def _compare(seeds, trace):
+    copies = {side: Path(side) for side in bench_ab.SIDES}
+    gates = {name: {"better": "lower", "bound": 0.25} for name in bench_ab.GATED}
+    return bench_ab.compare("ingest", seeds, copies, 1.0, gates, trace)[0]
+
+
+def test_traced_runs_follow_each_seeds_untraced_pair_in_its_order(monkeypatch):
+    calls = _stub_runs(monkeypatch, lambda side, seed: {})
+    report = _compare(range(1, 4), trace=True)
+    for seed, first, second in ((1, "change", "parent"), (2, "parent", "change"),
+                                (3, "change", "parent")):
+        assert [call for call in calls if call[0] == seed] == [
+            (seed, first, False), (seed, second, False), (seed, first, True), (seed, second, True)]
+    assert report["layers"] == {}
+
+
+def test_without_trace_no_traced_run_and_no_layers(monkeypatch):
+    calls = _stub_runs(monkeypatch, lambda side, seed: {})
+    report = _compare(range(1, 3), trace=False)
+    assert all(not trace for _, _, trace in calls)
+    assert "layers" not in report
+
+
+def test_layer_medians_and_paired_ratios(monkeypatch):
+    # Per seed 1-3: the parent's power_stft self time 2.0, 2.2, 2.4 s and
+    # 125 calls; the change's 1.0, 2.2, 3.6 s and 500 calls.  Only the
+    # change records a new layer; only the parent an old one.
+    self_s = {"parent": [2.0, 2.2, 2.4], "change": [1.0, 2.2, 3.6]}
+    calls = {"parent": 125.0, "change": 500.0}
+
+    def layers_of(side, seed):
+        layers = {"dsp.power_stft": {"self_s": self_s[side][seed - 1], "calls": calls[side]}}
+        layers["new" if side == "change" else "old"] = {"self_s": 0.5, "calls": 1.0}
+        return layers
+
+    _stub_runs(monkeypatch, layers_of)
+    report = _compare(range(1, 4), trace=True)
+    stft = report["layers"]["dsp.power_stft"]
+    assert stft["self_s"]["parent"] == pytest.approx(2.2)
+    assert stft["self_s"]["change"] == pytest.approx(2.2)
+    assert stft["self_s"]["ratios"] == pytest.approx([0.5, 1.0, 1.5])
+    assert stft["self_s"]["median_ratio"] == pytest.approx(1.0)
+    assert stft["calls"] == {"parent": 125.0, "change": 500.0, "ratios": [4.0] * 3,
+                             "median_ratio": 4.0}
+    assert report["layers"]["new"]["calls"] == {"parent": 0.0, "change": 1.0,
+                                                "ratios": [None] * 3, "median_ratio": None}
+    assert report["layers"]["old"]["self_s"]["ratios"] == [0.0] * 3
+    # The gated metrics come from the untraced runs alone.
+    assert report["sides"]["change"]["peak_rss_mb"]["values"] == [1.0] * 3
+
+
+def test_layer_stats_reads_a_traced_runs_spans(tmp_path):
+    # Two traced requests: featurize spans of 3 s holding 2 s of mel (and
+    # 1 s of power_stft within the mel), and one set-up span of 0.5 s.
+    copy = tmp_path / "copy"
+    (copy / "bench").mkdir(parents=True)
+    (copy / "bench" / "spans.py").write_text((_PATH.parents[1] / "bench" / "spans.py").read_text())
+    spans = [
+        (1, "cli.main.featurize", 0.0, 3.0, None, "r1"),
+        (2, "dsp.mel_spectrogram", 0.5, 2.5, 1, "r1"),
+        (3, "dsp.power_stft", 1.0, 2.0, 2, "r1"),
+        (4, "cli.main.featurize", 10.0, 13.0, None, "r3"),
+        (5, "dsp.mel_spectrogram", 10.5, 12.5, 4, "r3"),
+        (6, "dsp.power_stft", 11.0, 12.0, 5, "r3"),
+        (7, "dsp.power_stft", 20.0, 20.5, None, "setup"),
+    ]
+    results = copy / ".bench_work" / "results"
+    results.mkdir(parents=True)
+    with open(results / "ingest-seed4-trace1.spans.jsonl", "w") as out:
+        for span in spans:
+            fields = dict(zip(bench_ab.SPAN_FIELDS, (*span, 1, None)))
+            out.write(json.dumps(fields) + "\n")
+    # Every time is a binary fraction, so the sums are exact.
+    assert bench_ab.layer_stats(copy, "ingest", 4) == {
+        "cli.main.featurize": {"self_s": 1.0, "calls": 1.0},
+        "dsp.mel_spectrogram": {"self_s": 1.0, "calls": 1.0},
+        "dsp.power_stft": {"self_s": 1.5, "calls": 2.0},
+    }

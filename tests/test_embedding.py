@@ -19,12 +19,13 @@ from audiomatch import (
     ProjectionHead,
     TrainConfig,
     embed,
-    gradient_check,
     split_and_contrast_loss,
     train,
 )
 from audiomatch import embedding
 from audiomatch.errors import AudioMatchError, DegenerateBatch, DimensionMismatch, InvalidValue
+
+from finite_differences import gradient_check
 
 
 def brute_force_loss(weight, bias, features, split, tau):
@@ -339,8 +340,10 @@ class TestTrain:
 
     def test_corpus_of_another_dimension_is_rejected(self, rng):
         head = ProjectionHead.initialize(10, d=4, seed=0)
-        with pytest.raises(DimensionMismatch, match="dimension 12, head expects 10"):
-            train(head, rng.normal(size=(4, 3, 12)), TrainConfig(epochs=1, batch_size=2))
+        corpus = rng.normal(size=(4, 3, 12))
+        for given in (corpus, list(corpus)):
+            with pytest.raises(DimensionMismatch, match="dimension 12, head expects 10"):
+                train(head, given, TrainConfig(epochs=1, batch_size=2))
 
     def test_same_seed_bit_identical(self, rng):
         corpus = rng.normal(size=(8, 5, 12))

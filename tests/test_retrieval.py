@@ -37,7 +37,7 @@ from audiomatch import (
     write_audio,
     write_features,
 )
-from audiomatch.dsp import FeatureKind
+from audiomatch.dsp import FeatureKind, PADDED_BINS, flatten, mel_spectrogram, mfcc
 from audiomatch.retrieval import _score_error_bound
 from audiomatch.errors import (
     AudioMatchError, DimensionMismatch, DuplicateId, EmptyIndex, InvalidValue, IoError,
@@ -964,6 +964,45 @@ class TestBatchFeaturize:
 
     def test_ids_follow_frame_convention(self):
         assert frame_id("movie", 3.0) == "movie@3.000"
+
+
+class TestBaseFeatures:
+    """base_features against flatten of the whole block's spectrogram, and its peak memory."""
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 16, 17])
+    @pytest.mark.parametrize("kind, spectrogram",
+                             [(FeatureKind.MEL, mel_spectrogram), (FeatureKind.MFCC, mfcc)])
+    def test_equals_the_whole_block_bit_for_bit(self, rng, m, kind, spectrogram):
+        # With groups of 4, m of 1 and 3 fill no group, 4 and 16 end on a
+        # group boundary, and 5 and 17 leave a one-frame group.
+        frames = rng.uniform(-0.5, 0.5, size=(m, 48000)) * rng.uniform(0.01, 1.0, size=(m, 1))
+        got = retrieval.base_features(frames, kind)
+        expected = flatten(spectrogram(frames)).values
+        assert got.shape == expected.shape == (m, (64 if kind is FeatureKind.MEL else 20) * 45)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("group", [1, 3, 16, 32])
+    def test_any_group_size_gives_the_same_bits(self, rng, monkeypatch, group):
+        frames = rng.uniform(-0.5, 0.5, size=(17, 48000))
+        expected = retrieval.base_features(frames)
+        monkeypatch.setattr(retrieval, "SPECTROGRAM_FRAMES", group)
+        assert retrieval.base_features(frames).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    def test_block_peak_memory_is_below_one_block_power_spectrum(self, rng, kind):
+        # The (16, 45, 1056) float64 power spectrum of a whole block is 6.08 MB.
+        frames = rng.uniform(-0.5, 0.5, size=(retrieval.CHUNK_FRAMES, 48000))
+        block_power = retrieval.CHUNK_FRAMES * 45 * PADDED_BINS * 8
+        assert block_power == 6_082_560
+        retrieval.base_features(frames[:1], kind)  # first-call caches
+        tracemalloc.start()
+        try:
+            retrieval.base_features(frames, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_power
 
 
 class TestMapBlocks:

@@ -1,7 +1,7 @@
 """Paired A/B benchmark runs: a parent revision against the working tree.
 
     python3 tools/bench_ab.py PARENT --workload W [--workload W2 ...] \\
-        --seeds A-B --out BENCH_<n>.json [--append]
+        --seeds A-B --out BENCH_<n>.json [--append] [--trace]
 
 PARENT (any git revision) and the working tree (tracked and untracked,
 not ignored, files) are each copied into a fresh sibling directory, so
@@ -10,6 +10,9 @@ copy's ``bench/run.py --trace 0`` runs once, one after the other: the
 parent first on an even seed, the change first on an odd one, so a seed
 runs in the same order in any series and consecutive seeds alternate.
 Each run lasts the benchmark's ``run_seconds`` from ``BENCHMARK.json``.
+With ``--trace``, each seed's untraced pair is followed by one
+``--trace 1`` run per side, in the same order; the gated metrics still
+come from the untraced runs only.
 
 The drift-audio bank that ``bench/inputs.py`` synthesizes takes minutes
 to make.  When ``bench/inputs.py`` and the modules the bank is built
@@ -27,12 +30,16 @@ claimed gain would hold, and whether the change stays within the
 metric's ``bound`` in ``BENCHMARK.json``.  With ``--append`` the
 workloads already in ``--out`` are kept, and a workload already there
 is added again as a series named by its seeds (say ``audition seeds
-11-20``).
+11-20``).  With ``--trace`` a workload's ``layers`` hold, per layer
+that a traced run recorded, each side's median ``self_s`` and ``calls``
+per traced request, the per-seed change/parent ratios and their median
+(see :func:`layer_report`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import shutil
 import statistics
@@ -51,6 +58,8 @@ BANK_INPUTS = (
     "src/audiomatch/audio_io.py",
 )
 SIDES = ("parent", "change")
+LAYER_STATS = ("self_s", "calls")
+SPAN_FIELDS = ("id", "name", "start", "end", "parent", "request", "thread", "counts")
 
 
 def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -91,11 +100,34 @@ def share_bank(revision: str, copies: list[Path]) -> bool:
     return True
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run: its metrics, counts, digests and environment."""
+def layer_stats(copy: Path, workload: str, seed: int) -> dict[str, dict[str, float]]:
+    """Each layer's ``self_s`` and ``calls`` per traced request, from a traced run's spans.
+
+    The copy's own ``bench/spans.py`` computes them from the spans file
+    its ``bench/run.py --trace 1`` wrote, as that run's metrics are.
+    """
+    spec = importlib.util.spec_from_file_location("bench_spans", copy / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    path = copy / ".bench_work" / "results" / f"{workload}-seed{seed}-trace1.spans.jsonl"
+    with open(path) as lines:
+        tracer.spans = [tuple(json.loads(line)[key] for key in SPAN_FIELDS) for line in lines]
+    requests = {span[5] for span in tracer.spans} - {"setup"}
+    stats = tracer.layer_stats(len(requests))
+    layers = {key.removesuffix(".self_s") for key in stats if key.endswith(".self_s")}
+    return {layer: {stat: stats[f"{layer}.{stat}"] for stat in LAYER_STATS} for layer in layers}
+
+
+def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One ``bench/run.py`` run: its metrics, counts, digests and environment.
+
+    A traced run gives :func:`layer_stats` under ``layers`` in place of
+    the gated ``metrics``.
+    """
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=copy, stdout=subprocess.PIPE, text=True, check=True,
     )
     lines = done.stdout.splitlines()
@@ -104,13 +136,17 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
                        if line.startswith("# env "))
     digests = dict(line[len("digest."):].split(maxsplit=1) for line in lines
                    if line.startswith("digest."))
-    return {
-        "metrics": {name: result["metrics"][name]["value"] for name in GATED},
+    run = {
         "failed": result["failed"],
         "attempted": result["attempted"],
         "digests": digests,
         "environment": environment,
     }
+    if trace:
+        run["layers"] = layer_stats(copy, workload, seed)
+    else:
+        run["metrics"] = {name: result["metrics"][name]["value"] for name in GATED}
+    return run
 
 
 def summary(values: list[float]) -> dict:
@@ -138,14 +174,50 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
     }
 
 
+def layer_report(traced: dict[str, list[dict]]) -> dict:
+    """Per layer and stat, each side's median over its traced runs and the paired ratios.
+
+    ``traced`` holds each side's :func:`layer_stats`, one per seed in
+    seed order.  A layer a run did not record counts 0 there; a ratio
+    over a parent's 0 is None, and ``median_ratio`` is the median of the
+    other ratios (None if there are none).
+    """
+    layers = sorted({layer for side in SIDES for run in traced[side] for layer in run})
+    report: dict = {}
+    for layer in layers:
+        report[layer] = {}
+        for stat in LAYER_STATS:
+            values = {side: [run.get(layer, {}).get(stat, 0.0) for run in traced[side]]
+                      for side in SIDES}
+            ratios = [change / parent if parent else None
+                      for parent, change in zip(values["parent"], values["change"])]
+            known = [ratio for ratio in ratios if ratio is not None]
+            report[layer][stat] = {
+                **{side: statistics.median(values[side]) for side in SIDES},
+                "ratios": ratios,
+                "median_ratio": statistics.median(known) if known else None,
+            }
+    return report
+
+
 def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float,
-            gates: dict[str, dict]) -> tuple[dict, dict]:
-    """Alternated runs of both copies per seed; returns the workload's report and an env."""
+            gates: dict[str, dict], trace: bool = False) -> tuple[dict, dict]:
+    """Alternated runs of both copies per seed; returns the workload's report and an env.
+
+    With ``trace``, each seed's untraced pair is followed by one traced
+    run per side, in the same order, and the report gains ``layers``.
+    """
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
     for seed in seeds:
-        for side in (SIDES if seed % 2 == 0 else SIDES[::-1]):
+        order = SIDES if seed % 2 == 0 else SIDES[::-1]
+        for side in order:
             runs[side].append(run_once(copies[side], workload, seed, seconds))
             print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}", flush=True)
+        for side in order if trace else ():
+            traced[side].append(run_once(copies[side], workload, seed, seconds, trace=True)
+                                ["layers"])
+            print(f"{workload} seed {seed} {side}: traced", flush=True)
     pairs = []
     for turn, seed in enumerate(seeds):
         parent, change = runs["parent"][turn], runs["change"][turn]
@@ -184,6 +256,8 @@ def compare(workload: str, seeds: range, copies: dict[str, Path], seconds: float
         "digests_equal": all(pair["digests_equal"] for pair in pairs),
         "pairs": pairs,
     }
+    if trace:
+        report["layers"] = layer_report(traced)
     return report, runs["change"][0]["environment"]
 
 
@@ -205,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--append", action="store_true",
                         help="add to the workloads already in --out; a workload already there "
                              "is added as another series, named by its seeds")
+    parser.add_argument("--trace", action="store_true",
+                        help="after each seed's untraced pair, one traced run per side; "
+                             "record per-layer self time and calls under 'layers'")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -226,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         shared = share_bank(parent_commit, list(copies.values()))
         for workload in args.workload:
             result, environment = compare(workload, args.seeds, copies, spec["run_seconds"],
-                                          gates)
+                                          gates, args.trace)
             name = workload
             if name in report["workloads"]:
                 name = f"{workload} seeds {args.seeds.start}-{args.seeds.stop - 1}"
