@@ -45,6 +45,13 @@ def _max_workers() -> int:
     return 1
 
 
+def _check_range(flag: str, value: float, low: float, high: float | None = None) -> None:
+    """Raise an AudioMatchError naming ``flag`` unless low <= value (<= high); NaN fails."""
+    if not (low <= value and (high is None or value <= high)):
+        bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+        raise AudioMatchError(f"{flag} must be {bounds}, got {value}")
+
+
 def _iter_input_wavs(inputs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for item in inputs:
@@ -169,7 +176,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 "gallery_id": c.gallery_id,
                 "score": c.score,
                 "source_id": index.source_of(c.gallery_id),
-                "offset_s": float(index.offsets[index.row_of[c.gallery_id]]),
+                "offset_s": float(index.offsets[index.row_of(c.gallery_id)]),
             }
             for c in candidates
         ],
@@ -235,10 +242,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     n = args.frames_per_sequence
-    if n < 2:
-        raise AudioMatchError(f"--frames-per-sequence must be at least 2, got {n}")
-    if args.dim < 1:
-        raise AudioMatchError(f"--dim must be at least 1, got {args.dim}")
+    _check_range("--frames-per-sequence", n, 2)
+    _check_range("--dim", args.dim, 1)
     config = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, tau=args.tau,
         seed=args.seed,
@@ -312,7 +317,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# synth makes each clip whole in float64: a 60-second one is 23 MB a buffer.
+_MAX_SYNTH_SECONDS = 60
+# Tone-family fundamentals rise 5 semitones a family from 220 Hz: past 13
+# families the top one's third harmonic passes 24 kHz, the Nyquist frequency.
+_MAX_FAMILIES = 13
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Before --out-dir is made or any sample allocated.
+    _check_range("--seed", args.seed, 0)
+    _check_range("--families", args.families, 1, _MAX_FAMILIES)
+    _check_range("--clip-seconds", args.clip_seconds, 1, _MAX_SYNTH_SECONDS)
+    _check_range("--sequences", args.sequences, 1)
+    _check_range("--frames", args.frames, 1, _MAX_SYNTH_SECONDS)
     out_dir = Path(args.out_dir)
     if args.corpus == "tone-families":
         wavs, labels = synthetic.tone_family_set(
@@ -416,10 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", choices=["tone-families", "drift"])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--families", type=int, default=8)
-    p.add_argument("--clip-seconds", type=float, default=3.0)
+    p.add_argument("--families", type=int, default=8, help=f"1 to {_MAX_FAMILIES}")
+    p.add_argument("--clip-seconds", type=float, default=3.0,
+                   help=f"tone-family clip length, 1 to {_MAX_SYNTH_SECONDS}")
     p.add_argument("--sequences", type=int, default=30)
-    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--frames", type=int, default=10,
+                   help=f"1-second frames per drift sequence, 1 to {_MAX_SYNTH_SECONDS}")
     p.set_defaults(func=cmd_synth)
 
     return parser

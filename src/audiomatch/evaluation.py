@@ -100,7 +100,7 @@ def rank_labeled(
     index: GalleryIndex, query_vector: np.ndarray, labeled_ids: Sequence[str]
 ) -> list[str]:
     """Rank a query's labeled gallery ids by inner product, ties by id, as ``index.query`` does."""
-    rows = np.array([index.row_of[gid] for gid in labeled_ids], dtype=np.intp)
+    rows = np.array([index.row_of(gid) for gid in labeled_ids], dtype=np.intp)
     ranked, _ = index._rank(rows, np.asarray(query_vector, dtype=np.float64), len(rows))
     return [index.ids[row] for row in ranked]
 

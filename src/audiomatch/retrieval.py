@@ -10,8 +10,11 @@ ascending id, are exactly those of a float64 scan of every row, at any
 BLAS thread count.
 
 A :class:`Gallery`, its :class:`GalleryIndex` and a :class:`FeatureFile`
-share one set of id lookups: ``len``, ``in``, ``row_of`` (the id -> row
-map, made once, on first use) and ``source_of``.
+share one set of id lookups: ``len``, ``in``, ``row_of`` and
+``source_of``.  They bisect one stable argsort of the ids, an intp per
+row made once, on first use, and the index ranks ids by its inverse: no
+dict keyed by id is held.  Reading decodes each distinct source id once,
+so the rows of one source share one str.
 
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
@@ -39,7 +42,8 @@ import os
 import stat
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
@@ -126,7 +130,11 @@ def frame_id(source_id: str, offset_s: float) -> str:
 
 
 class _Rows:
-    """``len``, ``in``, the id -> row map ``row_of`` and ``source_of`` of id and source columns."""
+    """``len``, ``in``, ``row_of`` and ``source_of`` of id and source columns.
+
+    An id is found by bisecting ``_id_order``, the rows in ascending id
+    order: one intp per row, where a dict of ids would cost about 100 bytes.
+    """
 
     ids: tuple[str, ...]
     source_ids: tuple[str, ...]
@@ -135,21 +143,43 @@ class _Rows:
         return len(self.ids)
 
     @cached_property
-    def row_of(self) -> dict[str, int]:
-        """Each id's row.  Raises EmptyIndex for no ids and DuplicateId for a repeated one."""
+    def _id_order(self) -> np.ndarray:
+        """Rows by ascending id, made on first use.
+
+        Raises EmptyIndex for no ids, and DuplicateId for a repeated one,
+        naming the repeat whose first row comes first.
+        """
         if not self.ids:
             raise EmptyIndex("cannot build an index from zero vectors")
-        row_of = {entry_id: row for row, entry_id in enumerate(self.ids)}
-        if len(row_of) != len(self.ids):
-            duplicate = next(i for row, i in enumerate(self.ids) if row_of[i] != row)
-            raise DuplicateId(f"duplicate gallery id {duplicate!r}")
-        return row_of
+        # Python's exact str order: numpy's fixed-width strings would drop
+        # trailing NULs.  A stable sort keeps repeats in row order.
+        ids = np.array(self.ids, dtype=object)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        repeats = order[:-1][ids[1:] == ids[:-1]]
+        if repeats.size:
+            raise DuplicateId(f"duplicate gallery id {self.ids[repeats.min()]!r}")
+        return order
+
+    def row_of(self, entry_id: str) -> int:
+        """The id's row.  Raises KeyError for an absent id, or one that is not a str."""
+        order = self._id_order
+        if not isinstance(entry_id, str):  # bisect would raise TypeError comparing it
+            raise KeyError(entry_id)
+        at = bisect_left(order, entry_id, key=self.ids.__getitem__)
+        if at == len(order) or self.ids[order[at]] != entry_id:
+            raise KeyError(entry_id)
+        return int(order[at])
 
     def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.row_of
+        try:
+            self.row_of(entry_id)
+        except KeyError:
+            return False
+        return True
 
     def source_of(self, entry_id: str) -> str:
-        return self.source_ids[self.row_of[entry_id]]
+        return self.source_ids[self.row_of(entry_id)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -191,7 +221,7 @@ class Gallery(_Rows):
         return self.vectors.shape[1]
 
     def vector(self, entry_id: str) -> np.ndarray:
-        return self.vectors[self.row_of[entry_id]]
+        return self.vectors[self.row_of(entry_id)]
 
 
 @dataclass(frozen=True)
@@ -208,19 +238,22 @@ class MatchCandidate:
 class GalleryIndex(Gallery):
     """Immutable gallery supporting exact top-k MIPS, built by :func:`build_index`.
 
-    It adds ``source_codes`` (each row's source number), ``id_ranks`` (each
-    row's place in ascending id order) and ``norm_bound``, an upper bound
-    on every row's L2 norm; ``row_of`` is built with it.
+    It adds ``source_codes`` (each row's source number), ``norm_bound``, an
+    upper bound on every row's L2 norm, and ``id_ranks`` (each row's place
+    in ascending id order), made from the id order that ``row_of`` bisects.
     """
 
     source_codes: np.ndarray
     code_of_source: dict[str, int]
-    id_ranks: np.ndarray
     norm_bound: float
+    id_ranks: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.row_of  # raises for no rows or a repeated id
+        order = self._id_order  # raises for no rows or a repeated id
+        id_ranks = np.empty_like(order)
+        id_ranks[order] = np.arange(len(order))
+        object.__setattr__(self, "id_ranks", id_ranks)
 
     def query(
         self,
@@ -312,11 +345,9 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     # strings would drop trailing NULs and merge distinct sources.
     code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
     source_codes = np.array([code_of[source] for source in gallery.source_ids], dtype=np.intp)
-    # Ids are ranked in Python's exact str order for the same reason.
-    id_ranks = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
     return GalleryIndex(
         ids, gallery.source_ids, gallery.offsets, gallery.vectors,
-        source_codes, code_of, id_ranks, float(norm_bound),
+        source_codes, code_of, float(norm_bound),
     )
 
 
@@ -326,8 +357,10 @@ def base_features(frames: np.ndarray, kind: FeatureKind = FeatureKind.MEL) -> np
     The spectrograms are made SPECTROGRAM_FRAMES frames at a time, and each
     group's flattened rows are written into the result, so the block's power
     spectrum is never held whole.  A frame's row has the same bits as from
-    the frame alone.
+    the frame alone.  Raises InvalidValue for a block of no frames.
     """
+    if not len(frames):
+        raise InvalidValue("no frames to featurize")
     spectrogram = mel_spectrogram if kind is FeatureKind.MEL else mfcc
     first = flatten(spectrogram(frames[:SPECTROGRAM_FRAMES])).values
     rows = np.empty((len(frames), first.shape[1]))
@@ -411,7 +444,7 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
     """
     if not len(gallery):
         raise EmptyIndex("refusing to write an empty feature file")
-    gallery.row_of  # raises for a repeated id
+    gallery._id_order  # raises for a repeated id
     _finite_squared_norms(gallery.ids, gallery.vectors, IoError)
     ids = [entry_id.encode("utf-8") for entry_id in gallery.ids]
     sources = [source_id.encode("utf-8") for source_id in gallery.source_ids]
@@ -455,6 +488,14 @@ def _check_header(header: bytes, size: int, path: str | Path) -> tuple[int, int]
     return d, count
 
 
+class _Texts(dict):
+    """UTF-8 bytes -> str, each decoded once, so the rows of one source share its str."""
+
+    def __missing__(self, text: bytes) -> str:
+        self[text] = decoded = text.decode()
+        return decoded
+
+
 def read_features(path: str | Path, span: FeatureFile | None = None) -> Gallery:
     """Read an AMCF v1 feature file, or the vectors of a span of its rows, into a gallery.
 
@@ -493,6 +534,7 @@ def read_features(path: str | Path, span: FeatureFile | None = None) -> Gallery:
 
     ids: list[str] = []
     source_ids: list[str] = []
+    sources = _Texts()
     offsets = np.empty(count, dtype="<f4")
     offset_bytes = memoryview(offsets.view(np.uint8))
     row_bytes = 4 * d
@@ -504,7 +546,7 @@ def read_features(path: str | Path, span: FeatureFile | None = None) -> Gallery:
             ids.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
             pos += 2 + length
             length = raw[pos] | raw[pos + 1] << 8
-            source_ids.append(str(raw[pos + 2 : pos + 2 + length], "utf-8"))
+            source_ids.append(sources[raw[pos + 2 : pos + 2 + length].tobytes()])
             pos += 2 + length
             offset_bytes[4 * row : 4 * row + 4] = raw[pos : pos + 4]
             pos += 4
@@ -588,7 +630,7 @@ class FeatureFile(_Rows):
             InvalidValue: The row is not finite or its squared norm
                 overflows float32, as :func:`build_index` would raise.
         """
-        row = self.row_of[entry_id]
+        row = self.row_of(entry_id)
         vector = read_features(self.path, span=self._span(row, row + 1)).vectors
         _finite_squared_norms((entry_id,), vector, InvalidValue)
         return vector[0]
@@ -643,6 +685,7 @@ def _scan(path: str | Path) -> FeatureFile:
             row_bytes = 4 * d
             ids: list[str] = []
             source_ids: list[str] = []
+            sources = _Texts()
             offsets = bytearray()
             starts = array("q")
             # Local names: this loop runs once per row.
@@ -661,7 +704,7 @@ def _scan(path: str | Path) -> FeatureFile:
                 if end > len(head):
                     head = pread(fd, end, pos)
                 add_id(head[2:id_end].decode())
-                add_source(head[id_end + 2 : end - 4].decode())
+                add_source(sources[head[id_end + 2 : end - 4]])
                 offsets += head[end - 4 : end]
                 pos += end + row_bytes
     except OSError as exc:
@@ -678,7 +721,7 @@ def _scan(path: str | Path) -> FeatureFile:
         np.frombuffer(offsets, dtype="<f4").astype(np.float64),
         np.frombuffer(starts, dtype=np.int64), version,
     )
-    features.row_of  # raises for no rows or a repeated id
+    features._id_order  # raises for no rows or a repeated id
     return features
 
 

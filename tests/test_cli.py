@@ -23,6 +23,7 @@ from audiomatch import (
 )
 from audiomatch.cli import _max_workers, _render_candidates, build_parser, main
 from audiomatch.errors import AudioMatchError
+from audiomatch import synthetic
 from audiomatch.synthetic import tone, write_drift_corpus
 
 
@@ -1057,3 +1058,40 @@ class TestSynthCommand:
         out = tmp_path / "drift"
         assert main(["synth", "drift", "--out-dir", str(out), "--sequences", "2"]) == 0
         assert len(list(out.glob("*.wav"))) == 2
+
+    @pytest.mark.parametrize("corpus, flag, value", [
+        ("tone-families", "--clip-seconds", "1e12"),
+        ("tone-families", "--clip-seconds", "nan"),
+        ("tone-families", "--clip-seconds", "inf"),
+        ("tone-families", "--clip-seconds", "-1"),
+        ("tone-families", "--clip-seconds", "0.5"),
+        ("tone-families", "--clip-seconds", "61"),
+        ("tone-families", "--families", "0"),
+        ("tone-families", "--families", "14"),
+        ("tone-families", "--seed", "-1"),
+        ("drift", "--seed", "-1"),
+        ("drift", "--frames", "0"),
+        ("drift", "--frames", "61"),
+        ("drift", "--frames", "10000000000"),
+        ("drift", "--sequences", "0"),
+        ("drift", "--sequences", "-1"),
+    ])
+    def test_bad_value_fails_before_any_output(self, tmp_path, capsys, corpus, flag, value):
+        out = tmp_path / "corpus"
+        assert main(["synth", corpus, "--out-dir", str(out), flag, value]) == 1
+        parsed = float(value) if flag == "--clip-seconds" else int(value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and err.endswith(f", got {parsed}\n")
+        assert not out.exists()
+
+    def test_largest_settings_are_accepted(self, tmp_path, monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(synthetic, "tone_family_set",
+                            lambda *a, **kw: made.append(kw) or ([], tmp_path / "labels.jsonl"))
+        monkeypatch.setattr(synthetic, "write_drift_corpus", lambda *a, **kw: made.append(kw) or [])
+        out = str(tmp_path / "corpus")
+        assert main(["synth", "tone-families", "--out-dir", out, "--families", "13",
+                     "--clip-seconds", "60"]) == 0
+        assert main(["synth", "drift", "--out-dir", out, "--frames", "60", "--seed", "0"]) == 0
+        assert made == [dict(seed=0, n_families=13, clip_seconds=60.0),
+                        dict(n_sequences=30, n_frames=60, seed=0)]

@@ -678,7 +678,7 @@ def ranked(index, z_q, k, exclude_source):
         return type(exc), str(exc)
     return [
         (c.rank, c.gallery_id, c.query_id, struct.pack("<d", c.score),
-         index.source_of(c.gallery_id), float(index.offsets[index.row_of[c.gallery_id]]))
+         index.source_of(c.gallery_id), float(index.offsets[index.row_of(c.gallery_id)]))
         for c in candidates
     ]
 
@@ -715,7 +715,7 @@ class TestLookups:
     """A Gallery, its GalleryIndex and a FeatureFile share one implementation of each lookup."""
 
     def test_one_implementation(self):
-        for name in ("__len__", "__contains__", "row_of", "source_of"):
+        for name in ("__len__", "_id_order", "__contains__", "row_of", "source_of"):
             assert vars(retrieval._Rows)[name] is getattr(Gallery, name)
             assert getattr(Gallery, name) is getattr(GalleryIndex, name)
             assert getattr(Gallery, name) is getattr(FeatureFile, name)
@@ -732,14 +732,16 @@ class TestLookups:
         assert [type(view) for view in views] == [Gallery, GalleryIndex, FeatureFile]
         for view in views:
             assert len(view) == len(ids) and view.d == 8
-            assert view.row_of == {entry_id: row for row, entry_id in enumerate(ids)}
             for row, entry_id in enumerate(ids):
+                assert view.row_of(entry_id) == row
                 assert entry_id in view and view.source_of(entry_id) == sources[row]
                 assert view.vector(entry_id).tobytes() == rows[row].tobytes()
-                assert view.offsets[view.row_of[entry_id]] == row
+                assert view.offsets[view.row_of(entry_id)] == row
             assert "absent" not in view and "a\0\0" not in view
-            with pytest.raises(KeyError):
-                view.source_of("absent")
+            assert None not in view and 5 not in view and b"a" not in view
+            for lookup in (view.row_of, view.source_of):
+                with pytest.raises(KeyError):
+                    lookup("absent")
 
     @pytest.mark.parametrize("ids, error, message", [
         ([], EmptyIndex, "cannot build an index from zero vectors"),
@@ -750,12 +752,103 @@ class TestLookups:
         path = tmp_path / "bad.amcf"
         path.write_bytes(amcf_bytes(ids, ["s"] * len(ids), range(len(ids)), np.eye(len(ids), 4)))
         gallery = read_features(path)
-        for lookup in (lambda: gallery.row_of, lambda: "x" in gallery,
+        for lookup in (lambda: gallery.row_of("x"), lambda: "x" in gallery,
                        lambda: gallery.source_of("x"), lambda: build_index(gallery),
                        lambda: open_features(path)):
             with pytest.raises(error) as raised:
                 lookup()
             assert str(raised.value) == message
+
+
+def lookups_or_error(view, probes):
+    """Each probe's (row, in, source) or KeyError, or the error the lookups raise."""
+    answers = []
+    for entry_id in probes:
+        try:
+            answers.append((view.row_of(entry_id), entry_id in view, view.source_of(entry_id)))
+        except KeyError:
+            answers.append((KeyError, entry_id in view))
+        except AudioMatchError as exc:
+            return type(exc), str(exc)
+    return answers
+
+
+def dict_model(ids, sources, probes):
+    """:func:`lookups_or_error` from a dict of ids, with the error a dict-based lookup raised."""
+    if not ids:
+        return EmptyIndex, "cannot build an index from zero vectors"
+    row_of = {entry_id: row for row, entry_id in enumerate(ids)}
+    if len(row_of) != len(ids):
+        duplicate = next(i for row, i in enumerate(ids) if row_of[i] != row)
+        return DuplicateId, f"duplicate gallery id {duplicate!r}"
+    return [(row_of[i], True, sources[row_of[i]]) if i in row_of else (KeyError, False)
+            for i in probes]
+
+
+class TestIdOrder:
+    """row_of bisects one stable argsort of the ids: a dict's answers at a row's cost of one intp."""
+
+    texts = st.text(alphabet=st.sampled_from("ab\0é日"), max_size=3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_answers_and_errors_equal_a_dict(self, data):
+        ids = data.draw(st.lists(self.texts, max_size=12), label="ids")
+        if ids and data.draw(st.booleans(), label="repeat some"):
+            ids += data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4), label="repeats")
+            ids = data.draw(st.permutations(ids), label="order")
+        sources = [f"s{len(entry_id)}" for entry_id in ids]
+        probes = ids + data.draw(st.lists(self.texts, max_size=6), label="probes") + ["x"]
+        gallery = Gallery(ids, sources, np.zeros(len(ids)), np.ones((len(ids), 2)))
+        expected = dict_model(ids, sources, probes)
+        assert lookups_or_error(gallery, probes) == expected
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0]) as raised:
+                build_index(gallery)
+            assert str(raised.value) == expected[1]
+        else:
+            index = build_index(gallery)
+            assert lookups_or_error(index, probes) == expected
+            assert index.id_ranks.dtype == np.intp
+            assert index.id_ranks.tolist() == np.argsort(
+                sorted(range(len(ids)), key=ids.__getitem__)).tolist()
+
+    def test_rows_of_one_source_share_one_str(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)  # open_features streams any file
+        sources = ["a", "bb", "a", "a\0", "bb", "é", "a"]
+        ids = [f"{source}@{row}" for row, source in enumerate(sources)]
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, len(ids), 4), ids=ids, sources=sources))
+        for view in (read_features(path), open_features(path)):
+            assert list(view.source_ids) == sources
+            first = {}
+            for source in view.source_ids:
+                assert first.setdefault(source, source) is source
+            assert len(first) == 4
+
+    def test_bytes_per_row(self, tmp_path):
+        # 20k rows of d=8, 10 frames per source.  With an id -> row dict, a
+        # str per row's source and a second sort for id_ranks, the index held
+        # 267 bytes per row and peaked at 272.
+        n, d = 20_000, 8
+        rows = np.zeros((n, d), dtype=np.float32)
+        rows[:, 0] = 1
+        sources = [f"s{row // 10:05d}" for row in range(n)]
+        path = tmp_path / "g.amcf"
+        write_features(path, Gallery([f"{source}@{row % 10}.000" for row, source in
+                                      enumerate(sources)], sources, np.arange(n) % 10, rows))
+        del rows, sources
+        build_index(read_features(path)).source_of("s00000@0.000")  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_index(read_features(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == n
+        assert (held - before) / n < 220
+        assert (peak - before) / n < 220
 
 
 class TestStreamedQuery:
@@ -981,6 +1074,16 @@ class TestBaseFeatures:
         assert got.shape == expected.shape == (m, (64 if kind is FeatureKind.MEL else 20) * 45)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    @pytest.mark.parametrize("head", [None, "head"])
+    def test_a_block_of_no_frames_is_an_invalid_value(self, kind, head):
+        head = ProjectionHead.initialize(flatten(mel_spectrogram(np.zeros((1, 48000)))).values.shape[1]
+                                         if kind is FeatureKind.MEL else 20 * 45, 4) if head else None
+        for call in (lambda: retrieval.base_features(np.zeros((0, 48000)), kind),
+                     lambda: featurize_clip(np.zeros((0, 48000)), head, kind)):
+            with pytest.raises(InvalidValue, match="no frames to featurize"):
+                call()
 
     @pytest.mark.parametrize("group", [1, 3, 16, 32])
     def test_any_group_size_gives_the_same_bits(self, rng, monkeypatch, group):

@@ -1,4 +1,4 @@
-"""Peak RSS, page faults and latency of CLI queries: a parent revision against the working tree.
+"""Peak RSS, page faults and latency of queries: a parent revision against the working tree.
 
     python3 tools/bench_query_memory.py PARENT [--requests 12] [--out FILE]
 
@@ -6,14 +6,21 @@ Feature files of 2k, 20k and 100k rows at d=512 and of 2k rows at
 d=2880 (seeded random unit rows, 10 frames per source) are written into
 a temporary directory with the working tree's ``write_features``.  For
 each file, PARENT's source (a ``git archive`` copy) and the working
-tree's each run in one fresh process, one after the other, that sends
-``audiomatch query --features F --query-id ID --k 10`` through
-``cli.main`` ``--requests`` times, a different id each time.  The report
-gives, per file and side, the process's peak RSS (``VmHWM``, so Linux
-only), the minor page faults
-of each warm request (every request but the first; median and largest)
-and their median latency.  It is printed as JSON, and written to
-``--out`` when given.
+tree's each run two fresh processes, one after the other:
+
+* ``query``: sends ``audiomatch query --features F --query-id ID --k 10``
+  through ``cli.main`` ``--requests`` times, a different id each time
+  (the streamed path of ``open_features`` for files over a span);
+* ``whole``: runs ``build_index(read_features(F))`` once, then
+  ``GalleryIndex.query`` with k=10 for ``--requests`` ids, each query's
+  own source excluded.
+
+The report gives, per file, path and side, the process's peak RSS
+(``VmHWM``, so Linux only) and the median latency of the warm requests
+(every request but the first); ``query`` adds the minor page faults of
+each warm request (median and largest), and ``whole`` the seconds the
+read and index took.  It is printed as JSON, and written to ``--out``
+when given.
 """
 
 from __future__ import annotations
@@ -37,9 +44,18 @@ from audiomatch.retrieval import Gallery, write_features  # noqa: E402
 
 GALLERIES = [(2_000, 512), (20_000, 512), (100_000, 512), (2_000, 2880)]
 
-# Runs in the fresh process: argv is the source directory, the feature file,
-# the request count and the ids to query.
-CHILD = """
+# Each runs in a fresh process: argv is the source directory, the feature
+# file, the request count and the ids to query.  Each prints its JSON line
+# through REPORT; VmHWM is the process image's own peak, where ru_maxrss
+# would count the forking parent's.
+REPORT = """
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+report["peak_rss_mb"] = int(status["VmHWM"].split()[0]) * 1024 / 1e6
+report["warm_p50_ms"] = statistics.median(seconds[1:]) * 1e3
+print(json.dumps(report))
+"""
+CHILDREN = {
+    "query": """
 import contextlib, io, json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from audiomatch import cli
@@ -53,16 +69,25 @@ for index in range(requests):
     seconds.append(time.perf_counter() - start)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert code == 0, code
-warm = faults[1:]
-# VmHWM is this process image's own peak: ru_maxrss would count the forking parent's.
-status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-print(json.dumps({
-    "peak_rss_mb": int(status["VmHWM"].split()[0]) * 1024 / 1e6,
-    "warm_faults_median": statistics.median(warm),
-    "warm_faults_max": max(warm),
-    "warm_p50_ms": statistics.median(seconds[1:]) * 1e3,
-}))
-"""
+report = {"warm_faults_median": statistics.median(faults[1:]), "warm_faults_max": max(faults[1:])}
+""" + REPORT,
+    "whole": """
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from audiomatch.retrieval import build_index, read_features
+features, requests, ids = sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+start = time.perf_counter()
+index = build_index(read_features(features))
+report = {"setup_s": time.perf_counter() - start}
+seconds = []
+for entry_id in ids[:requests]:
+    start = time.perf_counter()
+    found = index.query(index.vector(entry_id).astype("float64"), 10,
+                        exclude_source=index.source_of(entry_id), query_id=entry_id)
+    seconds.append(time.perf_counter() - start)
+    assert len(found) == 10, found
+""" + REPORT,
+}
 
 
 def write_gallery(path: Path, n: int, d: int) -> list[str]:
@@ -104,15 +129,17 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(scratch) / f"g{n}x{d}.amcf"
             ids = write_gallery(path, n, d)
             picks = [ids[(index * 7919) % n] for index in range(args.requests)]
-            entry = {"file_mb": path.stat().st_size / 1e6}
-            for side, src in sides.items():
-                done = subprocess.run(
-                    [sys.executable, "-c", CHILD, str(src), str(path), str(args.requests),
-                     *picks],
-                    capture_output=True, text=True, check=True,
-                )
-                entry[side] = json.loads(done.stdout)
-                print(f"{n}x{d} {side}: {entry[side]}", flush=True)
+            entry: dict = {"file_mb": path.stat().st_size / 1e6}
+            for kind, child in CHILDREN.items():
+                entry[kind] = {}
+                for side, src in sides.items():
+                    done = subprocess.run(
+                        [sys.executable, "-c", child, str(src), str(path), str(args.requests),
+                         *picks],
+                        capture_output=True, text=True, check=True,
+                    )
+                    entry[kind][side] = json.loads(done.stdout)
+                    print(f"{n}x{d} {kind} {side}: {entry[kind][side]}", flush=True)
             report["galleries"][f"{n}x{d}"] = entry
             path.unlink()
     text = json.dumps(report, indent=1)
