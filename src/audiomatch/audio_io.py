@@ -343,7 +343,8 @@ def load_audio(path: str | Path) -> AudioClip:
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
 
-    A failure (OSError) removes the temporary file and leaves ``path`` as it was.
+    Any failure removes the temporary file and leaves ``path`` as it was; an
+    OSError is raised as IoError("cannot write <path>: ...").
     """
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -351,8 +352,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         with open(temporary, "xb") as handle:
             handle.write(data)
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -444,10 +447,7 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
     np.minimum(scaled, 32767.0, out=scaled)
     np.maximum(scaled, -32768.0, out=scaled)
     np.copyto(np.frombuffer(wav, dtype="<i2", offset=44), scaled, casting="unsafe")
-    try:
-        write_atomic(path, wav)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, wav)
 
 
 def segment(clip: AudioClip) -> list[AudioClip]:

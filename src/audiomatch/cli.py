@@ -1,20 +1,23 @@
 """Command-line pipeline: segment, featurize, query, render, train, eval.
 
 Every subcommand is deterministic given --seed, reads and writes only
-the files named in its arguments, and exits 0 iff it succeeded.  Python
+the files named in its arguments, and exits 0 iff it succeeded.  A file
+is written whole or not at all (``error: cannot write <file>``).  Python
 code runs in one thread and BLAS owns all parallelism (set it with
-OPENBLAS_NUM_THREADS or the like); outputs are byte-identical at any
-BLAS thread count, except one case known: train on MFCC features
-(d_base 900), whose weight-gradient GEMM gave other bits at 1 and 2
-threads for some head widths, so those checkpoints may differ.
+OPENBLAS_NUM_THREADS or the like).  Outputs are byte-identical at any
+BLAS thread count, except where a head's float64 GEMMs are not: at
+d_base 900 (MFCC) for every width probed and at 2880 for widths 250, 300
+and 500, train's loss history and the float64 embeddings of --head may
+differ in their last bits.  The float32 checkpoints and feature vectors
+came out equal in every probe, by rounding, not by construction.
 featurize and train stream manifest frames through one block path,
 ``retrieval.CHUNK_FRAMES`` frames at a time (one head GEMM per block,
 one mel GEMM per ``retrieval.SPECTROGRAM_FRAMES`` frames of it), so
-memory is bounded by a block, not by the manifest.  query reads a
-regular feature file in spans of about ``retrieval.SPAN_BYTES`` of
-vectors (:func:`retrieval.open_features`), so
-memory is bounded by a span and the id column, not by the catalog; a
-pipe, or a file of at most one span, is read whole.  Clips are always 48 kHz and frames always 1 second
+memory is bounded by a block, not by the manifest.  query reads a regular
+feature file in spans of about ``retrieval.SPAN_BYTES`` of vectors
+(:func:`retrieval.open_features`), so memory is bounded by a span and
+the id column, not by the catalog; a pipe, or a file of at most one
+span, is read whole.  Clips are always 48 kHz and frames always 1 second
 (:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in
 :mod:`audiomatch.dsp`; none of them has a flag.
 """
@@ -137,6 +140,7 @@ def _safe_name(text: str) -> str:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    _check_range("--k", args.k, 1)  # before any file is read
     if args.render_dir:  # before any output, so a bad setting leaves none
         if not args.manifest:
             raise AudioMatchError("--render-dir requires --manifest to locate frame WAVs")
@@ -244,6 +248,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     n = args.frames_per_sequence
     _check_range("--frames-per-sequence", n, 2)
     _check_range("--dim", args.dim, 1)
+    _check_range("--seed", args.seed, 0)
     config = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, tau=args.tau,
         seed=args.seed,

@@ -19,13 +19,13 @@ A training step allocates nothing the size of the parameters or of a
 batch, and no whole weight gradient exists.  ``train`` makes a batch
 buffer and a gradient-block buffer once: each batch is gathered into the
 batch buffer (the last, partial one into its first rows).  The loss
-returns the weight gradient's two factors, and ``train`` multiplies them
-one block of weight rows at a time into the block buffer, then applies
-Adam to those rows at once.  The loss's own temporaries are a batch's
-rows of embeddings, not of features: ``_project`` normalizes in place,
-and the step back through the normalization goes through one buffer.
-Every elementwise operation is the one written, so the bits are those
-of the plain formulas.
+returns the gradient at the projection's output, and ``train``
+multiplies the batch's features by it one block of weight rows at a time
+into the block buffer, then applies Adam to those rows at once.  The
+loss's own temporaries are a batch's rows of embeddings, not of
+features: ``_project`` normalizes in place, and the step back through
+the normalization goes through one buffer.  Every elementwise operation
+is the one written, so the bits are those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -114,10 +114,7 @@ class ProjectionHead:
         payload = buffer[16:].view("<f4")
         payload[: self.weight.size].reshape(self.weight.shape)[...] = self.weight
         payload[self.weight.size :] = self.bias
-        try:
-            write_atomic(path, buffer)
-        except OSError as exc:
-            raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+        write_atomic(path, buffer)
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectionHead":
@@ -176,9 +173,9 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def split_and_contrast_loss(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
-    tau: float = DEFAULT_TAU, *, factors: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Contrastive split loss of a batch and its exact gradients.
+    tau: float = DEFAULT_TAU,
+) -> tuple[float, np.ndarray]:
+    """Contrastive split loss of a batch and its exact gradient at the projection's output.
 
     ``features`` holds N sequences of n consecutive frames, (N, n,
     d_base), each split after its first ``split_index`` frames.
@@ -187,13 +184,12 @@ def split_and_contrast_loss(
     pairs in the batch.  Both sums are log-sum-exp stabilized.
 
     Returns:
-        (loss, grad_weight, grad_bias); loss >= 0 because the positive
-        terms are a subset of the denominator terms.  With ``factors``,
-        (loss, flat, d_pre) instead: the (N n, d_base) features and the
-        (N n, d) gradient at the projection's output, whose products are
-        the gradients, grad_weight = flat.T @ d_pre and grad_bias =
-        d_pre.sum(axis=0).  A caller can then form the weight gradient a
-        block of rows at a time, never whole.
+        (loss, d_pre); loss >= 0 because the positive terms are a subset
+        of the denominator terms.  d_pre is the (N n, d) gradient at the
+        projection's output.  With flat = features.reshape(-1, d_base),
+        the parameters' gradients are grad_weight = flat.T @ d_pre and
+        grad_bias = d_pre.sum(axis=0), so a caller can form the weight
+        gradient a block of rows at a time, never whole.
 
     Raises:
         InvalidValue: tau is not positive.
@@ -259,10 +255,7 @@ def split_and_contrast_loss(
     np.subtract(dz, d_pre, out=d_pre)
     np.divide(d_pre, norms[:, None], out=d_pre, where=nonzero[:, None])
     d_pre[~nonzero] = 0.0
-
-    if factors:
-        return float(loss), flat, d_pre
-    return float(loss), flat.T @ d_pre, d_pre.sum(axis=0)
+    return float(loss), d_pre
 
 
 @dataclass(frozen=True)
@@ -414,16 +407,15 @@ def train(
             # write straight into the buffer, where "raise" copies through a temporary.
             rows = np.take(features, chosen, axis=0, out=batch[: len(chosen)], mode="clip")
             split = int(rng.integers(1, n_frames))
-            loss, flat, d_pre = split_and_contrast_loss(
-                weight, bias, rows, split, config.tau, factors=True
-            )
+            loss, d_pre = split_and_contrast_loss(weight, bias, rows, split, config.tau)
             if not np.isfinite(loss):
                 raise DegenerateBatch(f"loss is {loss} at epoch {epoch}, batch {batch_index}")
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
 
             step += 1
-            # The factors do not read the weight: updating a block's rows in place
+            # flat and d_pre do not read the weight: updating a block's rows in place
             # leaves the later blocks' gradients as they were.
+            flat = rows.reshape(-1, d_base)
             for block in blocks:
                 grad = grad_block[: block.stop - block.start]
                 np.matmul(flat[:, block].T, d_pre, out=grad)

@@ -14,7 +14,8 @@ share one set of id lookups: ``len``, ``in``, ``row_of`` and
 ``source_of``.  They bisect one stable argsort of the ids, an intp per
 row made once, on first use, and the index ranks ids by its inverse: no
 dict keyed by id is held.  Reading decodes each distinct source id once,
-so the rows of one source share one str.
+so the rows of one source share one str.  An index is made of a
+gallery's four columns alone and derives the rest from its rows.
 
 Feature files are little-endian binary: magic "AMCF", u32 version,
 u32 d, u64 count, then per entry a u16-length-prefixed UTF-8 id, a
@@ -236,24 +237,41 @@ class MatchCandidate:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GalleryIndex(Gallery):
-    """Immutable gallery supporting exact top-k MIPS, built by :func:`build_index`.
+    """Immutable gallery supporting exact top-k MIPS over its rows, in row order.
 
-    It adds ``source_codes`` (each row's source number), ``norm_bound``, an
-    upper bound on every row's L2 norm, and ``id_ranks`` (each row's place
-    in ascending id order), made from the id order that ``row_of`` bisects.
+    From the four columns it derives ``norm_bound``, an upper bound on
+    every row's L2 norm, ``source_codes`` (each row's number in
+    ``code_of_source``) and ``id_ranks`` (each row's place in ascending id
+    order, made from the id order that ``row_of`` bisects).
+
+    Raises:
+        InvalidValue: A row is not finite or its squared norm overflows float32.
+        EmptyIndex: No rows.
+        DuplicateId: Repeated entry id.
     """
 
-    source_codes: np.ndarray
-    code_of_source: dict[str, int]
-    norm_bound: float
+    norm_bound: float = field(init=False)
+    source_codes: np.ndarray = field(init=False)
+    code_of_source: dict[str, int] = field(init=False)
     id_ranks: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        squared_norms = _finite_squared_norms(self.ids, self.vectors, InvalidValue)
+        # The float32 sum of d squares is at least (1 - gamma_d) times the true
+        # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
+        # With no rows the bound goes unused: the id order raises EmptyIndex.
+        d, max_square = self.d, float(squared_norms.max(initial=0.0))
+        norm_bound = np.sqrt((max_square + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
+        # Sources are numbered with exact str equality: numpy's fixed-width
+        # strings would drop trailing NULs and merge distinct sources.
+        code_of = {source: code for code, source in enumerate(dict.fromkeys(self.source_ids))}
+        source_codes = np.array([code_of[source] for source in self.source_ids], dtype=np.intp)
         order = self._id_order  # raises for no rows or a repeated id
         id_ranks = np.empty_like(order)
         id_ranks[order] = np.arange(len(order))
-        object.__setattr__(self, "id_ranks", id_ranks)
+        self.__dict__.update(norm_bound=float(norm_bound), source_codes=source_codes,
+                             code_of_source=code_of, id_ranks=id_ranks)  # frozen fields
 
     def query(
         self,
@@ -327,28 +345,8 @@ def _finite_squared_norms(
 
 
 def build_index(gallery: Gallery) -> GalleryIndex:
-    """Build an immutable index over a gallery's rows, in row order.
-
-    Raises:
-        EmptyIndex: No rows.
-        InvalidValue: A row is not finite or its squared norm overflows float32.
-        DuplicateId: Repeated entry id.
-    """
-    ids = gallery.ids
-    squared_norms = _finite_squared_norms(ids, gallery.vectors, InvalidValue)
-    # The float32 sum of d squares is at least (1 - gamma_d) times the true
-    # one, less underflow; 1 / (1 - gamma) <= 1 + 2 gamma for gamma <= 1/2.
-    # With no rows the bound goes unused: GalleryIndex raises EmptyIndex.
-    d, max_square = gallery.d, float(squared_norms.max(initial=0.0))
-    norm_bound = np.sqrt((max_square + d * _TINY32) * (1 + 2 * _gamma(d, _U32)))
-    # Sources are numbered with exact str equality: numpy's fixed-width
-    # strings would drop trailing NULs and merge distinct sources.
-    code_of = {source: code for code, source in enumerate(dict.fromkeys(gallery.source_ids))}
-    source_codes = np.array([code_of[source] for source in gallery.source_ids], dtype=np.intp)
-    return GalleryIndex(
-        ids, gallery.source_ids, gallery.offsets, gallery.vectors,
-        source_codes, code_of, float(norm_bound),
-    )
+    """An immutable index over a gallery's rows, in row order; raises what GalleryIndex raises."""
+    return GalleryIndex(gallery.ids, gallery.source_ids, gallery.offsets, gallery.vectors)
 
 
 def base_features(frames: np.ndarray, kind: FeatureKind = FeatureKind.MEL) -> np.ndarray:
@@ -469,10 +467,7 @@ def write_features(path: str | Path, gallery: Gallery) -> None:
         out[pos : pos + 4] = offsets[4 * row : 4 * row + 4]
         out[pos + 4 : pos + 4 + row_bytes] = vectors[row * row_bytes : (row + 1) * row_bytes]
         pos += 4 + row_bytes
-    try:
-        write_atomic(path, buffer)
-    except OSError as exc:
-        raise IoError(f"cannot write feature file {path}: {exc}") from exc
+    write_atomic(path, buffer)
 
 
 def _check_header(header: bytes, size: int, path: str | Path) -> tuple[int, int]:

@@ -5,6 +5,21 @@ import numpy as np
 from audiomatch.embedding import DEFAULT_TAU, split_and_contrast_loss
 
 
+def loss_and_gradients(
+    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
+    tau: float = DEFAULT_TAU,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The loss with its whole gradients: (loss, flat.T @ d_pre, d_pre.sum(0)).
+
+    ``flat`` is the batch's (N n, d_base) features, as the loss reshapes
+    them, so the products have the bits of the loss's own arrays.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    loss, d_pre = split_and_contrast_loss(weight, bias, features, split_index, tau)
+    flat = features.reshape(-1, features.shape[-1])
+    return loss, flat.T @ d_pre, d_pre.sum(axis=0)
+
+
 def gradient_check(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, split_index: int,
     tau: float = DEFAULT_TAU, h: float = 1e-5, samples: int = 120, seed: int = 0,
@@ -17,7 +32,7 @@ def gradient_check(
     dominate the statistic.  Perturbs one private copy of the arrays.
     """
     rng = np.random.default_rng(seed)
-    _, grad_weight, grad_bias = split_and_contrast_loss(weight, bias, features, split_index, tau)
+    _, grad_weight, grad_bias = loss_and_gradients(weight, bias, features, split_index, tau)
     weight = np.array(weight, dtype=np.float64)
     bias = np.array(bias, dtype=np.float64)
 
@@ -36,9 +51,9 @@ def gradient_check(
 
         original = target.flat[flat_index]
         target.flat[flat_index] = original + h
-        loss_plus, _, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
+        loss_plus, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
         target.flat[flat_index] = original - h
-        loss_minus, _, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
+        loss_minus, _ = split_and_contrast_loss(weight, bias, features, split_index, tau)
         target.flat[flat_index] = original
 
         numeric = (loss_plus - loss_minus) / (2.0 * h)

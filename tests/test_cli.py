@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior, run in-process via cli.main()."""
 
 import argparse
+import errno
 import hashlib
 import inspect
 import json
@@ -426,6 +427,15 @@ class TestQueryCommand:
         assert all(r["source_id"] != "alpha" for r in result["results"])
         assert len(result["results"]) == 4  # only beta frames remain
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_fails_before_any_file_is_read(self, tmp_path, capsys, k):
+        out = tmp_path / "q.json"
+        argv = ["query", "--features", str(tmp_path / "unread.amcf"), "--query-id", "a",
+                "--k", k, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
+        assert not out.exists()
+
     def test_k_larger_than_gallery(self, tmp_path, segmented, capsys):
         features = tmp_path / "g.amcf"
         main(["featurize", "--manifest", str(segmented), "--out", str(features)])
@@ -565,6 +575,9 @@ _QUERY_FAULTS = {
     "missing-id": (lambda p: amcf_file(p), "ghost", "query id 'ghost' not in feature file"),
     "one-source": (lambda p: amcf_file(p, sources=("s", "s", "s")), "x",
                    "no eligible gallery entries for this query"),
+    "missing-file": (lambda p: None, "x",
+                     "cannot read feature file {path}: [Errno 2] No such file or directory: "
+                     "'{path}'"),
 }
 
 
@@ -856,7 +869,7 @@ def drift_manifest(tmp_path_factory):
         ["--lr", "nan"], ["--lr", "-0.001"], ["--lr", "inf"],
         ["--tau", "nan"], ["--tau", "0"], ["--tau", "inf"], ["--dim", "0"],
         ["--frames-per-sequence", "0"], ["--frames-per-sequence", "1"],
-        ["--frames-per-sequence", "-1"],
+        ["--frames-per-sequence", "-1"], ["--seed", "-1"],
     ],
 )
 def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, monkeypatch, flags):
@@ -870,18 +883,22 @@ def test_train_rejects_degenerate_settings(tmp_path, drift_manifest, capsys, mon
     assert err.startswith("error:")
     assert not ckpt.exists()
     assert not loaded
-    if flags[0] == "--frames-per-sequence":
-        assert "--frames-per-sequence" in err
+    if flags[0] in ("--frames-per-sequence", "--dim", "--seed"):
+        assert err.startswith(f"error: {flags[0]} must be at least")
 
 
-@pytest.mark.parametrize("command", ["render", "train"])
+@pytest.mark.parametrize("command", ["render", "train", "segment", "query", "plans", "eval"])
 def test_failed_text_write_keeps_existing_file(
-    tmp_path, tone_wav, drift_manifest, monkeypatch, capsys, command
+    tmp_path, tone_wav, drift_manifest, segmented, monkeypatch, capsys, command
 ):
     texts = tmp_path / "texts"
     texts.mkdir()
-    target = texts / "older.txt"
+    target = texts / {"segment": "manifest.jsonl", "plans": "plans.json"}.get(command, "older.txt")
     target.write_text("an older file\n")
+    features = tmp_path / "g.amcf"
+    if command in ("query", "plans", "eval"):
+        assert main(["featurize", "--manifest", str(segmented), "--out", str(features)]) == 0
+    query = ["query", "--features", str(features), "--query-id", "alpha@0.000", "--k", "1"]
     real_replace = os.replace
 
     def refuse(src, dst):
@@ -894,14 +911,45 @@ def test_failed_text_write_keeps_existing_file(
         a, b = tone_wav("qa", 330.0, 1.0), tone_wav("qb", 550.0, 1.0)
         argv = ["render", str(a), str(b), "--out", str(tmp_path / "out.wav"),
                 "--plan-out", str(target)]
-    else:
+    elif command == "train":
         argv = ["train", "--manifest", str(drift_manifest), "--out", str(tmp_path / "head.ssch"),
                 "--history-out", str(target), "--epochs", "1", "--frames-per-sequence", "4",
                 "--dim", "8"]
+    elif command == "segment":
+        argv = ["segment", str(tone_wav("qa", 330.0, 2.0)), "--out-dir", str(texts)]
+    elif command == "query":
+        argv = [*query, "--out", str(target)]
+    elif command == "plans":
+        argv = [*query, "--manifest", str(segmented), "--render-dir", str(texts)]
+    else:
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(
+            json.dumps({"query_id": "alpha@0.000", "gallery_id": "beta@1.000", "relevance": 1})
+            + "\n"
+        )
+        argv = ["eval", "--features", str(features), "--labels", str(labels), "--out", str(target)]
+    capsys.readouterr()
     assert main(argv) == 1
-    assert "no space left on device" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: cannot write {target}: no space left on device\n"
     assert target.read_text() == "an older file\n"
-    assert [p.name for p in texts.iterdir()] == ["older.txt"]
+    # segment and plans write their WAVs before the text; no temporary file is left.
+    assert [p.name for p in texts.iterdir() if p.suffix != ".wav"] == [target.name]
+
+
+def test_failed_open_names_the_target_not_its_temporary(tmp_path, segmented, monkeypatch, capsys):
+    features, target = tmp_path / "g.amcf", tmp_path / "q.json"
+    assert main(["featurize", "--manifest", str(segmented), "--out", str(features)]) == 0
+    before = sorted(tmp_path.iterdir())
+
+    def refuse(file, *args, **kwargs):  # the OSError names the file it could not open
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+
+    monkeypatch.setattr(audio_io, "open", refuse, raising=False)
+    argv = ["query", "--features", str(features), "--query-id", "alpha@0.000", "--out", str(target)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: [Errno {errno.ENOSPC}]")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_every_flag_is_read():

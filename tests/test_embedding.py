@@ -23,9 +23,11 @@ from audiomatch import (
     train,
 )
 from audiomatch import embedding
-from audiomatch.errors import AudioMatchError, DegenerateBatch, DimensionMismatch, InvalidValue
+from audiomatch.errors import (
+    AudioMatchError, DegenerateBatch, DimensionMismatch, InvalidValue, IoError,
+)
 
-from finite_differences import gradient_check
+from finite_differences import gradient_check, loss_and_gradients
 
 
 def brute_force_loss(weight, bias, features, split, tau):
@@ -82,7 +84,7 @@ def reference_train(head, features, config):
         for batch_index, start in enumerate(range(0, len(features), config.batch_size)):
             chosen = order[start : start + config.batch_size]
             split = int(rng.integers(1, features.shape[1]))
-            loss, grad_w, grad_b = split_and_contrast_loss(
+            loss, grad_w, grad_b = loss_and_gradients(
                 weight, bias, features[chosen], split, config.tau
             )
             history.append({"epoch": epoch, "batch": batch_index, "loss": loss})
@@ -180,9 +182,7 @@ class TestSplitAndContrastLoss:
     def test_single_pair_batch_is_exactly_zero(self, rng):
         head = ProjectionHead.initialize(6, d=4, seed=1)
         features, split = random_batch(rng, n_seq=1, n_frames=2, d_base=6)
-        loss, grad_weight, grad_bias = split_and_contrast_loss(
-            head.weight, head.bias, features, split
-        )
+        loss, grad_weight, grad_bias = loss_and_gradients(head.weight, head.bias, features, split)
         assert loss == 0.0
         assert np.sqrt(np.sum(grad_weight**2) + np.sum(grad_bias**2)) < 1e-8
 
@@ -190,7 +190,7 @@ class TestSplitAndContrastLoss:
         # The positive terms are a subset of the denominator terms.
         for _ in range(30):
             head = ProjectionHead.initialize(8, d=5, seed=int(rng.integers(1000)))
-            loss, _, _ = split_and_contrast_loss(
+            loss, _ = split_and_contrast_loss(
                 head.weight, head.bias, *random_batch(rng, d_base=8)
             )
             assert loss >= 0.0
@@ -203,7 +203,7 @@ class TestSplitAndContrastLoss:
                 seed=int(rng.integers(1000)),
             )
             tau = float(rng.uniform(0.05, 1.0))
-            loss, _, _ = split_and_contrast_loss(head.weight, head.bias, features, split, tau)
+            loss, _ = split_and_contrast_loss(head.weight, head.bias, features, split, tau)
             reference = brute_force_loss(head.weight, head.bias, features, split, tau)
             assert loss == pytest.approx(reference, rel=1e-8)
 
@@ -215,14 +215,14 @@ class TestSplitAndContrastLoss:
         features = np.zeros((n_seq, 2, n_seq))
         for s in range(n_seq):
             features[s, :, s] = 5.0
-        loss, _, _ = split_and_contrast_loss(np.eye(n_seq), np.zeros(n_seq), features, 1, tau=0.02)
+        loss, _ = split_and_contrast_loss(np.eye(n_seq), np.zeros(n_seq), features, 1, tau=0.02)
         assert 0.0 <= loss < 1e-6
 
     def test_sequence_permutation_invariance(self, rng):
         features, split = random_batch(rng, n_seq=4, n_frames=5, d_base=7)
         head = ProjectionHead.initialize(7, d=6, seed=9)
-        loss, _, _ = split_and_contrast_loss(head.weight, head.bias, features, split)
-        loss_perm, _, _ = split_and_contrast_loss(
+        loss, _ = split_and_contrast_loss(head.weight, head.bias, features, split)
+        loss_perm, _ = split_and_contrast_loss(
             head.weight, head.bias, features[[2, 0, 3, 1]], split
         )
         assert loss_perm == pytest.approx(loss, rel=1e-12)
@@ -279,18 +279,17 @@ class TestLossOracle:
 
     @pytest.mark.parametrize("zero_rows", [False, True])
     @pytest.mark.parametrize("split", [1, 3, 5])
-    @pytest.mark.parametrize("factors", [False, True])
-    def test_loss_and_gradients_match_masked_reference(self, rng, zero_rows, split, factors):
+    @pytest.mark.parametrize("fortran_order", [False, True])
+    def test_loss_and_gradients_match_masked_reference(self, rng, zero_rows, split, fortran_order):
+        # The batch's memory layout does not change a bit: the loss reshapes a
+        # Fortran-ordered batch into C-ordered rows before any product.
         weight, bias, features = self.batch(rng, zero_rows)
-        loss, *grads = split_and_contrast_loss(weight, bias, features, split, factors=factors)
-        if factors:
-            flat, d_pre = grads
-            assert np.array_equal(flat, features.reshape(-1, 40))
-            grads = flat.T @ d_pre, d_pre.sum(axis=0)
+        batch = np.asfortranarray(features) if fortran_order else features
+        loss, grad_weight, grad_bias = loss_and_gradients(weight, bias, batch, split)
         expected = reference_loss(weight, bias, features, split)
         assert loss == expected[0]
-        assert np.array_equal(grads[0], expected[1])
-        assert np.array_equal(grads[1], expected[2])
+        assert np.array_equal(grad_weight, expected[1])
+        assert np.array_equal(grad_bias, expected[2])
 
 
 class TestGradients:
@@ -308,7 +307,7 @@ class TestGradients:
         # when compared against the central difference at that entry.
         features, split = random_batch(rng, n_seq=3, n_frames=4, d_base=8)
         head = ProjectionHead.initialize(8, d=6, seed=4)
-        _, grad_weight, _ = split_and_contrast_loss(head.weight, head.bias, features, split)
+        _, grad_weight, _ = loss_and_gradients(head.weight, head.bias, features, split)
         flat_index = int(np.argmax(np.abs(grad_weight)))
         corrupted = 2.0 * grad_weight.flat[flat_index]
 
@@ -316,9 +315,9 @@ class TestGradients:
         weight = head.weight.copy()
         original = weight.flat[flat_index]
         weight.flat[flat_index] = original + h
-        plus, _, _ = split_and_contrast_loss(weight, head.bias, features, split)
+        plus, _ = split_and_contrast_loss(weight, head.bias, features, split)
         weight.flat[flat_index] = original - h
-        minus, _, _ = split_and_contrast_loss(weight, head.bias, features, split)
+        minus, _ = split_and_contrast_loss(weight, head.bias, features, split)
         numeric = (plus - minus) / (2 * h)
         rel = abs(corrupted - numeric) / max(abs(corrupted), abs(numeric))
         assert rel > 1e-2
@@ -326,11 +325,19 @@ class TestGradients:
     def test_zero_gradient_at_constant_loss(self, rng):
         features, split = random_batch(rng, n_seq=1, n_frames=2, d_base=5)
         head = ProjectionHead.initialize(5, d=4, seed=7)
-        _, grad_weight, grad_bias = split_and_contrast_loss(head.weight, head.bias, features, split)
+        _, grad_weight, grad_bias = loss_and_gradients(head.weight, head.bias, features, split)
         assert np.sqrt(np.sum(grad_weight**2) + np.sum(grad_bias**2)) < 1e-8
 
 
 class TestTrain:
+    def test_non_finite_loss_is_a_degenerate_batch(self, rng):
+        # At the smallest positive tau every score overflows to +-inf, and the loss is NaN.
+        head = ProjectionHead.initialize(6, d=4, seed=0)
+        config = TrainConfig(epochs=1, batch_size=2, tau=5e-324)
+        with np.errstate(all="ignore"), pytest.raises(DegenerateBatch) as raised:
+            train(head, rng.normal(size=(4, 3, 6)), config)
+        assert str(raised.value) == "loss is nan at epoch 1, batch 0"
+
     def test_zero_learning_rate_is_identity(self, rng):
         corpus = rng.normal(size=(6, 4, 10))
         head = ProjectionHead.initialize(10, d=8, seed=2)
@@ -515,7 +522,8 @@ class TestGradientBlocks:
         assert np.array_equal(result.head.bias, bias)
         assert result.history == history
         # Adam's first steps hide a last-bit change of the gradient: compare it too.
-        _, flat, d_pre = split_and_contrast_loss(weight, bias, features[:3], 2, factors=True)
+        _, d_pre = split_and_contrast_loss(weight, bias, features[:3], 2)
+        flat = features[:3].reshape(-1, d_base)
         blocked = [flat[:, rows].T @ d_pre for rows in embedding._row_blocks(d_base)]
         assert np.array_equal(np.concatenate(blocked), flat.T @ d_pre)
 
@@ -551,10 +559,14 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.ssch"
         bad.write_bytes(b"not a checkpoint")
-        from audiomatch.errors import IoError
-
         with pytest.raises(IoError):
             ProjectionHead.load(bad)
+
+    def test_missing_file_is_an_io_error(self, tmp_path):
+        path = tmp_path / "absent.ssch"
+        with pytest.raises(IoError) as raised:
+            ProjectionHead.load(path)
+        assert str(raised.value).startswith(f"cannot read checkpoint {path}: [Errno 2]")
 
     @pytest.mark.parametrize("d_base, d", [(0, 4), (4, 0), (0, 0)])
     def test_zero_width_head_rejected(self, tmp_path, d_base, d):

@@ -1,5 +1,6 @@
 """Gallery index exactness, feature files, and the featurize pipeline."""
 
+import errno
 import hashlib
 import os
 import struct
@@ -39,6 +40,7 @@ from audiomatch import (
 )
 from audiomatch.dsp import FeatureKind, PADDED_BINS, flatten, mel_spectrogram, mfcc
 from audiomatch.retrieval import _score_error_bound
+from audiomatch.synthetic import tone_family_set
 from audiomatch.errors import (
     AudioMatchError, DimensionMismatch, DuplicateId, EmptyIndex, InvalidValue, IoError,
 )
@@ -200,6 +202,24 @@ class TestBuildIndex:
         rows[2, 5] = rows[4, 0] = value
         with pytest.raises(ValueError, match="'v00002'"):
             build_index(gallery_from(rows))
+
+    def test_a_bad_row_is_found_before_a_repeated_id(self, rng):
+        rows = unit_rows(rng, 3, 8)
+        rows[2, 0] = np.nan
+        with pytest.raises(InvalidValue, match="^gallery row 'c' is not finite"):
+            build_index(gallery_from(rows, ids=["a", "a", "c"]))
+
+    def test_takes_the_four_columns_and_derives_the_rest(self, rng):
+        gallery = gallery_from(unit_rows(rng, 4, 8), sources=["s", "t", "s", "u"])
+        columns = (gallery.ids, gallery.source_ids, gallery.offsets, gallery.vectors)
+        index = GalleryIndex(*columns)
+        assert index.code_of_source == {"s": 0, "t": 1, "u": 2}
+        assert index.source_codes.tolist() == [0, 1, 0, 2]
+        assert index.norm_bound == build_index(gallery).norm_bound > 1.0
+        with pytest.raises(TypeError):
+            GalleryIndex(*columns, np.zeros(4, dtype=np.intp))
+        with pytest.raises(TypeError):
+            GalleryIndex(*columns, norm_bound=1.0)
 
     def test_lossless_readback(self, rng):
         rows = unit_rows(rng, 500, 32)
@@ -628,24 +648,31 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="row 'v00001' is not finite"):
             build_index(gallery_from(rows))
 
-    @pytest.mark.parametrize("writer", ["features", "checkpoint", "audio"])
+    @pytest.mark.parametrize("writer", ["features", "checkpoint", "audio", "labels"])
     def test_failed_write_keeps_existing_file(self, tmp_path, rng, monkeypatch, writer):
-        path = tmp_path / "out.bin"
+        # tone_family_set writes its WAVs, then labels.jsonl beside them.
+        path = tmp_path / ("labels.jsonl" if writer == "labels" else "out.bin")
         path.write_bytes(b"an older file")
+        real_replace = os.replace
 
         def refuse(src, dst):
-            raise OSError("no space left on device")
+            if Path(dst) == path:
+                raise OSError("no space left on device")
+            return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(IoError):
+        with pytest.raises(IoError) as raised:
             if writer == "features":
                 write_features(path, gallery_from(unit_rows(rng, 2, 8)))
             elif writer == "checkpoint":
                 ProjectionHead.initialize(4, d=3).save(path)
-            else:
+            elif writer == "audio":
                 write_audio(AudioClip(np.zeros(10), 48000), path)
+            else:
+                tone_family_set(tmp_path, n_families=1, clip_seconds=1.0)
+        assert str(raised.value) == f"cannot write {path}: no space left on device"
         assert path.read_bytes() == b"an older file"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert [p.name for p in tmp_path.iterdir() if p.suffix != ".wav"] == [path.name]
 
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(EmptyIndex):
@@ -974,6 +1001,40 @@ class TestStreamedQuery:
         write_features(path, gallery_from(unit_rows(rng, 3, 8)))  # a new file, renamed in
         with pytest.raises(IoError, match="changed while it was read"):
             features.query(np.ones(8), 2)
+
+    def test_a_failed_read_in_the_first_pass_is_an_io_error(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))
+
+        def fail(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "pread", fail)
+        with pytest.raises(IoError) as raised:
+            open_features(path)
+        assert str(raised.value) == f"cannot read feature file {path}: [Errno 5] {os.strerror(5)}"
+
+    @pytest.mark.parametrize("fault", ["error", "short"])
+    def test_a_failed_span_read_is_an_io_error(self, tmp_path, rng, monkeypatch, fault):
+        monkeypatch.setattr(retrieval, "SPAN_BYTES", 1)
+        path = tmp_path / "g.amcf"
+        write_features(path, gallery_from(unit_rows(rng, 3, 8)))
+        features = open_features(path)
+        preadv = os.preadv
+
+        def faulty(fd, buffers, offset):
+            if fault == "error":
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return preadv(fd, buffers, offset) - 1  # as if the file had shrunk
+
+        monkeypatch.setattr(os, "preadv", faulty)
+        with pytest.raises(IoError) as raised:
+            features.query(np.ones(8), 2)
+        assert str(raised.value) == (
+            f"cannot read feature file {path}: [Errno 5] {os.strerror(5)}" if fault == "error"
+            else f"truncated or corrupt feature file {path}"
+        )
 
     @pytest.mark.parametrize("value", [np.nan, 3e19])
     def test_a_bad_query_row_fails_as_build_index_does(self, tmp_path, value, monkeypatch):
