@@ -40,7 +40,6 @@ from .retrieval import (
     build_index,
     featurize_clip,
     frame_id,
-    map_blocks,
     normalize,
     open_features,
     read_features,

@@ -10,10 +10,10 @@ d_base 900 (MFCC) for every width probed and at 2880 for widths 250, 300
 and 500, train's loss history and the float64 embeddings of --head may
 differ in their last bits.  The float32 checkpoints and feature vectors
 came out equal in every probe, by rounding, not by construction.
-featurize and train stream manifest frames through one block path,
-``retrieval.CHUNK_FRAMES`` frames at a time (one head GEMM per block,
-one mel GEMM per ``retrieval.SPECTROGRAM_FRAMES`` frames of it), so
-memory is bounded by a block, not by the manifest.  query reads a regular
+featurize and train read manifest frames one at a time into one result
+(:func:`retrieval.featurize_clip`), so beyond it memory is bounded by a
+group of ``retrieval.SPECTROGRAM_FRAMES`` frames, not by the manifest.
+query reads a regular
 feature file in spans of about ``retrieval.SPAN_BYTES`` of vectors
 (:func:`retrieval.open_features`), so memory is bounded by a span and
 the id column, not by the catalog; a pipe, or a file of at most one
@@ -110,9 +110,17 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_frame(row: dict) -> np.ndarray:
-    """48 kHz samples of the first 1-second frame of a manifest row's WAV."""
-    return audio_io.segment(audio_io.load_audio(row["path"]))[0].samples
+class _Frames:
+    """The first 1-second frame of each manifest row's WAV, loaded when it is indexed."""
+
+    def __init__(self, rows: list[dict]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        return audio_io.segment(audio_io.load_audio(self.rows[index]["path"]))[0].samples
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -120,12 +128,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         args.manifest, {"id": "a string", **_FRAME_FIELDS}, unique=("id",)
     )
     head = ProjectionHead.load(args.head) if args.head else None
-    kind = FeatureKind(args.kind)
+    vectors = retrieval.featurize_clip(_Frames(rows), head, FeatureKind(args.kind))
+    del head  # not held while the file is written
     out_path = Path(args.out)
-
-    vectors = retrieval.map_blocks(
-        lambda block: retrieval.featurize_clip(block, head, kind), map(_load_frame, rows)
-    )
     gallery = Gallery(
         [row["id"] for row in rows], [row["source_id"] for row in rows],
         [float(row["offset_s"]) for row in rows], vectors,
@@ -228,6 +233,13 @@ def _render_candidates(args, query_clip, candidates, paths: dict[str, str]) -> N
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    transition.check_settings(  # before either WAV is read
+        phi=args.phi, fixed_s=args.fixed_seconds, l_min=args.l_min, l_max=args.l_max
+    )
+    for flag, offset in (("--query-offset", args.query_offset),
+                         ("--match-offset", args.match_offset)):
+        if not 0.0 <= offset < np.inf:
+            raise AudioMatchError(f"{flag} must be finite and at least 0, got {offset}")
     query_clip = audio_io.load_audio(args.query_wav)
     match_clip = audio_io.load_audio(args.match_wav)
     (plan,) = transition.make_plan(
@@ -275,10 +287,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"manifest holds no run of {n} consecutive frames from one source"
         )
 
-    kind = FeatureKind(args.kind)
-    bases = retrieval.map_blocks(
-        lambda block: retrieval.base_features(block, kind), map(_load_frame, sequence_rows)
-    )
+    bases = retrieval.base_features(_Frames(sequence_rows), FeatureKind(args.kind))
     sequences = bases.reshape(len(sequence_rows) // n, n, -1)
 
     head = ProjectionHead.initialize(sequences.shape[2], d=args.dim, seed=args.seed)

@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,12 +79,13 @@ SPAN_BYTES = 8 << 20
 _HEAD_BYTES = 256
 _IOV_ROWS = 512
 
-# Frames featurized per block: enough to batch the head GEMM, few enough
-# that a block's samples stay near 6 MB.
+# Rows per head GEMM: featurization projects, or normalizes, its base
+# features CHUNK_FRAMES rows at a time.
 CHUNK_FRAMES = 16
-# Frames whose spectrograms base_features makes at a time.  A group's float64
-# power spectrum is 1.5 MB, where a whole block's would be 6.1 MB; a group still
-# gives the mel GEMM 180 rows, where one frame's 45 ran it on one BLAS thread.
+# Frames whose samples featurization holds, and whose spectrograms it makes,
+# at a time.  A group's samples are 1.5 MB and so is its float64 power
+# spectrum, where a whole block's would be 6.1 MB each; a group still gives
+# the mel GEMM 180 rows, where one frame's 45 ran it on one BLAS thread.
 SPECTROGRAM_FRAMES = 4
 
 
@@ -349,86 +350,75 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     return GalleryIndex(gallery.ids, gallery.source_ids, gallery.offsets, gallery.vectors)
 
 
-def base_features(frames: np.ndarray, kind: FeatureKind = FeatureKind.MEL) -> np.ndarray:
-    """Flattened mel or MFCC spectrograms of an (m, n) block of 48 kHz frames, (m, d_base).
+def _feature_rows(
+    frames: Sequence[np.ndarray], kind: FeatureKind,
+    finish: Callable[[np.ndarray], np.ndarray], dtype: type,
+) -> np.ndarray:
+    """``finish`` of each CHUNK_FRAMES-row block of base features, in one (n, d) result.
 
-    The spectrograms are made SPECTROGRAM_FRAMES frames at a time, and each
-    group's flattened rows are written into the result, so the block's power
-    spectrum is never held whole.  A frame's row has the same bits as from
-    the frame alone.  Raises InvalidValue for a block of no frames.
+    Each frame is read once, in order, as ``frames[i]``, into its row of one
+    group buffer of SPECTROGRAM_FRAMES frames; each group's flattened
+    spectrograms go into one base buffer of CHUNK_FRAMES rows, the groups
+    restarting at each block, and each block through ``finish`` into the
+    result, made with ``dtype`` on the first.  Raises InvalidValue for no
+    frames, or a frame not 1-D or not of the first one's shape.
     """
-    if not len(frames):
+    n = len(frames)
+    if not n:
         raise InvalidValue("no frames to featurize")
     spectrogram = mel_spectrogram if kind is FeatureKind.MEL else mfcc
-    first = flatten(spectrogram(frames[:SPECTROGRAM_FRAMES])).values
-    rows = np.empty((len(frames), first.shape[1]))
-    rows[: len(first)] = first
-    for start in range(SPECTROGRAM_FRAMES, len(frames), SPECTROGRAM_FRAMES):
-        group = frames[start : start + SPECTROGRAM_FRAMES]
-        rows[start : start + len(group)] = flatten(spectrogram(group)).values
-    return rows
+    chunk, group_frames = CHUNK_FRAMES, min(SPECTROGRAM_FRAMES, CHUNK_FRAMES)
+    group = base = result = None
+    for i in range(n):
+        in_block = i % chunk
+        in_group = in_block % group_frames
+        frame = frames[i]
+        if group is None:
+            if np.ndim(frame) != 1:
+                raise InvalidValue(f"a frame is one row of samples, got shape {np.shape(frame)}")
+            group = np.empty((min(group_frames, n), len(frame)))
+        elif np.shape(frame) != group.shape[1:]:  # numpy would broadcast a 1-sample frame
+            raise InvalidValue(f"frames differ in shape: {np.shape(frame)} after {group.shape[1:]}")
+        group[in_group] = frame
+        del frame  # the group holds its samples now
+        block_ends = in_block == chunk - 1 or i == n - 1
+        if in_group == group_frames - 1 or block_ends:
+            rows = flatten(spectrogram(group[: in_group + 1])).values
+            if base is None:
+                base = np.empty((min(chunk, n), rows.shape[1]))
+            base[in_block - in_group : in_block + 1] = rows
+            del rows  # not held through the next group's spectrogram
+        if block_ends:
+            vectors = finish(base[: in_block + 1])
+            if result is None:
+                result = np.empty((n, vectors.shape[1]), dtype)
+            result[i - in_block : i + 1] = vectors
+            del vectors
+    return result
+
+
+def base_features(frames: Sequence[np.ndarray], kind: FeatureKind = FeatureKind.MEL) -> np.ndarray:
+    """Flattened mel or MFCC spectrograms of n equal-length 48 kHz frames, (n, d_base) float64.
+
+    ``frames`` is any sequence with a length, an (n, samples) array among
+    them.  A 1-second frame's row has the same bits as from the frame alone.
+    """
+    return _feature_rows(frames, kind, lambda rows: rows, np.float64)
 
 
 def featurize_clip(
-    frames: np.ndarray,
+    frames: Sequence[np.ndarray],
     head: ProjectionHead | None = None,
     kind: FeatureKind = FeatureKind.MEL,
 ) -> np.ndarray:
-    """Unit float32 feature vectors of an (m, n) block of 48 kHz frames, shape (m, d).
+    """Unit float32 feature vectors of n equal-length 48 kHz frames, shape (n, d).
 
-    Without a head each flattened base feature is L2-normalized directly
-    (the non-learned baseline); with a head, it passes through the
-    projection instead.
+    ``frames`` is as for :func:`base_features`.  Without a head each base
+    feature is L2-normalized directly (the non-learned baseline); with a
+    head, it passes through the projection instead, a GEMM per CHUNK_FRAMES rows.
     """
-    base = base_features(frames, kind)
-    vectors = embed(head, base) if head is not None else normalize(base)
-    return vectors.astype(np.float32)
-
-
-def _detached(result: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``result``, copied if it may share memory with ``block``, which is about to be refilled."""
-    return np.array(result) if np.may_share_memory(result, block) else result
-
-
-def map_blocks(
-    function: Callable[[np.ndarray], np.ndarray], frames: Iterable[np.ndarray]
-) -> np.ndarray:
-    """``function`` of consecutive frames stacked CHUNK_FRAMES at a time, its rows concatenated.
-
-    Each frame is copied into its row of one (CHUNK_FRAMES, n) buffer,
-    made on the first frame with its length and dtype, as the iterable
-    yields it; ``function`` gets the filled rows, and the next block
-    reuses the buffer.  So a lazy iterable holds one block of samples
-    plus the frame it is yielding, not a list of frames and their stack:
-    stacking took the benchmark's ingest (2000 frames) 10.4 MB higher in
-    peak RSS, and with :func:`base_features` the ingest now peaks at
-    71.7 MB (medians of 10 paired runs, 2-core VM).  A result that
-    shares memory with the buffer is copied before the buffer is
-    refilled, and the buffer is dropped before the results are
-    concatenated.  Raises InvalidValue for no frames or frames of
-    unequal shape.
-    """
-    block = None
-    parts = []
-    m = 0
-    for frame in frames:
-        if block is None:
-            frame = np.asarray(frame)
-            block = np.empty((CHUNK_FRAMES, *frame.shape), dtype=frame.dtype)
-        elif np.shape(frame) != block.shape[1:]:  # numpy would broadcast a 1-sample frame
-            raise InvalidValue(f"frames differ in shape: {np.shape(frame)} after {block.shape[1:]}")
-        block[m] = frame
-        del frame  # the block holds its samples now
-        m += 1
-        if m == CHUNK_FRAMES:
-            parts.append(_detached(function(block), block))
-            m = 0
-    if block is None:
-        raise InvalidValue("no frames to map")
-    if m:
-        parts.append(_detached(function(block[:m]), block))
-    del block  # before the concatenation allocates the result
-    return np.concatenate(parts)
+    finish = normalize if head is None else lambda rows: embed(head, rows)
+    return _feature_rows(frames, kind, finish, np.float32)
 
 
 def write_features(path: str | Path, gallery: Gallery) -> None:

@@ -2,9 +2,10 @@
 
 ``bench/run.py --trace 1`` fails with "traced run recorded no calls on ..."
 when a layer it times is no longer called where it wraps it: a method moved
-to a base class, or a streamed query that stops reading and indexing each
-span through ``retrieval.read_features`` and ``retrieval.build_index``.
-This runs the same tracer on small inputs.
+to a base class, a streamed query that stops reading and indexing each
+span through ``retrieval.read_features`` and ``retrieval.build_index``, or
+a featurize that stops going through ``retrieval.featurize_clip``.  This
+runs the same tracer on small inputs.
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from audiomatch import cli, retrieval
+from audiomatch import ProjectionHead, cli, retrieval
 from audiomatch.synthetic import write_drift_corpus
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,3 +57,48 @@ def test_audition_and_search_layers_record_calls(tmp_path, monkeypatch):
     # (the query's own vector is one more read).
     assert called["audition"].count("retrieval.build_index") == 3
     assert called["audition"].count("retrieval.read_features") == 4
+
+
+def test_ingest_and_train_layers_record_calls(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import formats
+    import spans
+    import workloads
+
+    sources = tmp_path / "sources"
+    write_drift_corpus(sources, n_sequences=2, n_frames=4, seed=4)
+    # One 2-second 44.1 kHz stereo 24-bit source, as a quarter of the
+    # benchmark's are, so segment resamples it.
+    tone = 0.4 * np.sin(2 * np.pi * 330.0 * np.arange(2 * 44100) / 44100)
+    (sources / "resampled.wav").write_bytes(
+        formats.wav_bytes(np.stack([tone, 0.8 * tone], axis=1), 44100, 24))
+    head = tmp_path / "head.ssch"
+    ProjectionHead.initialize(2880, d=16, seed=0).save(head)
+    manifest = tmp_path / "frames" / "manifest.jsonl"
+    history = tmp_path / "history.jsonl"
+
+    tracer = spans.Tracer()
+    tracer.install("audiomatch", workloads.trace_targets())
+    try:
+        tracer.request = "ingest"
+        assert cli.main(["segment", str(sources), "--out-dir", str(manifest.parent)]) == 0
+        assert cli.main(["featurize", "--manifest", str(manifest), "--out",
+                         str(tmp_path / "gallery.amcf"), "--head", str(head)]) == 0
+        tracer.request = "train"
+        # Two drift sequences of 4 frames, one a batch: two training steps.
+        assert cli.main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "t.ssch"),
+                         "--history-out", str(history), "--frames-per-sequence", "4",
+                         "--batch-size", "1", "--epochs", "1", "--dim", "8"]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert len(history.read_text().splitlines()) == 2
+    called = {request: [span[1] for span in tracer.spans if span[5] == request]
+              for request in ("ingest", "train")}
+    for workload in (workloads.Ingest, workloads.Train):
+        assert [layer for layer in workload.layers if layer not in called[workload.name]] == []
+    # featurize's 10 frames are one call, one head block and groups of 4, 4 and 2.
+    assert called["ingest"].count("retrieval.featurize_clip") == 1
+    assert called["ingest"].count("embedding.embed") == 1
+    assert called["ingest"].count("dsp.mel_spectrogram") == 3

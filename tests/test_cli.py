@@ -187,7 +187,7 @@ class TestFeaturizeCommand:
         assert len(rows) == 8
         for chunk in (1, 3, 5, 8, 16):  # 5 leaves a partial last block
             monkeypatch.setattr(retrieval, "CHUNK_FRAMES", chunk)
-            got = retrieval.map_blocks(retrieval.base_features, iter(frames))
+            got = retrieval.base_features(frames)
             assert np.array_equal(got, reference)
             for name, flags in (("plain", []), ("head", ["--head", str(ckpt)])):
                 out = tmp_path / f"{name}{chunk}.amcf"
@@ -748,16 +748,22 @@ class TestRenderCommand:
             (["--phi", "nan"], "phi"),
             (["--fixed-seconds", "-0.5", "--strategy", "crossfade"], "fixed_s"),
             (["--l-min", "0.6", "--l-max", "0.2"], "l_max"),
-            (["--query-offset", "inf"], "query_frame_offset_s"),
-            (["--match-offset", "nan", "--strategy", "concat"], "match_frame_offset_s"),
+            (["--query-offset", "inf"], "--query-offset"),
+            (["--match-offset", "nan", "--strategy", "concat"], "--match-offset"),
+            (["--query-offset", "-0.5"], "--query-offset"),
         ],
     )
-    def test_out_of_range_setting_fails(self, tmp_path, tone_wav, capsys, flags, named):
+    def test_out_of_range_setting_fails(
+        self, tmp_path, tone_wav, capsys, monkeypatch, flags, named
+    ):
         a, b = tone_wav("qa", 330.0, 1.0), tone_wav("qb", 550.0, 1.0)
         out = tmp_path / "out.wav"
+        loaded = []
+        monkeypatch.setattr(audio_io, "load_audio", lambda path: loaded.append(path))
         assert main(["render", str(a), str(b), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err.startswith(f"error: {named} must")
         assert not out.exists()
+        assert loaded == []  # refused before either WAV is read
 
 
 class TestTrainCommand:
@@ -842,6 +848,38 @@ class TestTrainCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("trained on 1 sequences of 3 frames")
         assert [offset_of[path] for path in loaded] == [6.0, 7.0, 8.0]
+
+    def test_frame_pass_holds_its_result_once(self, tmp_path, monkeypatch):
+        # 512 frames' (512, 2880) float64 base features are 11.8 MB.  Beyond
+        # them the pass holds what featurizing one group of frames does (about
+        # 5 MB), not a second copy of the rows as joining per-block parts did.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": f"f{i}.wav", "source_id": "s", "offset_s": float(i)}) + "\n"
+            for i in range(512)
+        ))
+        monkeypatch.setattr("audiomatch.cli._Frames.__getitem__", lambda self, i: (
+            np.random.default_rng(i).uniform(-0.5, 0.5, 48000)))
+        held = {}
+
+        class Stop(Exception):
+            pass
+
+        def stop(head, sequences, config):
+            held.update(peak=tracemalloc.get_traced_memory()[1], nbytes=sequences.nbytes)
+            raise Stop
+
+        monkeypatch.setattr("audiomatch.cli.train", stop)
+        argv = ["train", "--manifest", str(manifest), "--out", str(tmp_path / "head.ssch"),
+                "--frames-per-sequence", "8", "--dim", "1"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                main(argv)
+        finally:
+            tracemalloc.stop()
+        assert held["nbytes"] == 512 * 2880 * 8
+        assert held["peak"] < held["nbytes"] + (8 << 20)
 
     def test_a_repeated_offset_breaks_the_run(self, tmp_path, capsys):
         manifest, _ = self.frames_manifest(tmp_path, [0.0, 1.0, 1.0])

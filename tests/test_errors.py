@@ -15,8 +15,8 @@ from audiomatch import (
     TransitionPlan,
     average_precision,
     build_index,
+    featurize_clip,
     hit_rate_at_k,
-    map_blocks,
     precision_at_k,
     render,
     split_and_contrast_loss,
@@ -56,9 +56,9 @@ RAISE_SITES = {
         lambda: _index().query(np.array([1.0, np.nan, 0.0, 0.0]), 1), "not finite"),
     "build_index with an infinite row": (
         lambda: build_index(Gallery(["a"], ["s"], [0.0], [[np.inf, 0.0]])), "'a' is not finite"),
-    "map_blocks with frames of two lengths": (
-        lambda: map_blocks(np.asarray, [np.zeros(4), np.zeros(5)]), "frames differ in shape"),
-    "map_blocks with no frames": (lambda: map_blocks(np.asarray, []), "no frames"),
+    "featurize_clip with frames of two lengths": (
+        lambda: featurize_clip([np.zeros(4), np.zeros(5)]), "frames differ in shape"),
+    "featurize_clip with no frames": (lambda: featurize_clip([]), "no frames"),
     "split_and_contrast_loss with tau 0": (lambda: _loss_with_tau(0.0), "tau must be positive"),
     "TrainConfig with a NaN tau": (
         lambda: TrainConfig(tau=float("nan")), "tau must be finite and > 0"),

@@ -28,9 +28,9 @@ from audiomatch import (
     GalleryIndex,
     ProjectionHead,
     build_index,
+    embed,
     featurize_clip,
     frame_id,
-    map_blocks,
     normalize,
     open_features,
     read_features,
@@ -1071,8 +1071,22 @@ class TestStreamedQuery:
         assert peaks[1] - peaks[0] < 2 * (columns[1] - columns[0]) + (512 << 10)
 
 
+class LazyFrames:
+    """``n`` frames, each made by ``make(index)`` when indexed; ``drawn`` logs the indices."""
+
+    def __init__(self, n, make):
+        self.n, self.make, self.drawn = n, make, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        self.drawn.append(index)
+        return self.make(index)
+
+
 class TestBatchFeaturize:
-    """A block of frames through featurize_clip, and frames drawn by map_blocks."""
+    """A block of frames through featurize_clip."""
 
     def test_deterministic(self, tone_clip):
         samples = tone_clip().samples
@@ -1106,7 +1120,7 @@ class TestBatchFeaturize:
     def test_clips_must_share_length(self, tone_clip):
         frames = [tone_clip().samples, tone_clip(seconds=1.5).samples]
         with pytest.raises(ValueError):
-            map_blocks(featurize_clip, frames)
+            featurize_clip(frames)
 
     def test_normalize_rows_equal_one_vector_at_a_time(self, rng):
         # Oracle: each vector divided by np.linalg.norm of it alone, bit for bit.
@@ -1154,79 +1168,123 @@ class TestBaseFeatures:
         assert retrieval.base_features(frames).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", list(FeatureKind))
-    def test_block_peak_memory_is_below_one_block_power_spectrum(self, rng, kind):
-        # The (16, 45, 1056) float64 power spectrum of a whole block is 6.08 MB.
-        frames = rng.uniform(-0.5, 0.5, size=(retrieval.CHUNK_FRAMES, 48000))
+    def test_block_peak_memory_is_below_one_block_power_spectrum(self, kind):
+        # Over a lazy sequence, featurize_clip holds one group of samples, its
+        # spectra and one block of base features beyond its result, the same
+        # at 64 frames as at 256 (24.6 and 98.3 MB of samples).  The whole
+        # block's (16, 45, 1056) float64 power spectrum alone is 6.08 MB.
         block_power = retrieval.CHUNK_FRAMES * 45 * PADDED_BINS * 8
         assert block_power == 6_082_560
-        retrieval.base_features(frames[:1], kind)  # first-call caches
-        tracemalloc.start()
-        try:
-            retrieval.base_features(frames, kind)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < block_power
+        group, d_base = retrieval.SPECTROGRAM_FRAMES, (64 if kind is FeatureKind.MEL else 20) * 45
+        bound = (
+            group * 48000 * 8  # the group's samples
+            + group * 45 * PADDED_BINS * 8  # its power spectrum
+            + 45 * (2048 * 8 + PADDED_BINS * 16)  # one frame's windows and complex spectrum
+            + retrieval.CHUNK_FRAMES * d_base * 8  # the block's base features
+            + (384 << 10)
+        )
+        assert bound < block_power
+
+        def make(index):
+            return np.random.default_rng(index).uniform(-0.5, 0.5, 48000)
+
+        for head in (None, ProjectionHead.initialize(d_base, d=512, seed=0)):
+            featurize_clip(LazyFrames(1, make), head, kind)  # first-call caches
+            above = []
+            for n in (64, 256):
+                tracemalloc.start()
+                try:
+                    result = featurize_clip(LazyFrames(n, make), head, kind)
+                    above.append(tracemalloc.get_traced_memory()[1] - result.nbytes)
+                finally:
+                    tracemalloc.stop()
+            assert max(above) < bound
+            assert abs(above[1] - above[0]) < 64 << 10
 
 
 class TestMapBlocks:
-    """map_blocks against its oracle: ``function`` of np.stack of each block, concatenated."""
+    """featurize_clip and base_features map frames a block at a time: the stacked-block oracle."""
 
     @staticmethod
-    def stacked(function, frames, chunk):
-        return np.concatenate([function(np.stack(frames[i : i + chunk]))
-                               for i in range(0, len(frames), chunk)])
+    def stacked(frames, chunk, finish=lambda rows: rows):
+        # Each block of frames stacked, its spectrograms made whole, and its
+        # flattened rows normalized or projected whole; the blocks concatenated.
+        blocks = [np.stack(frames[i : i + chunk]) for i in range(0, len(frames), chunk)]
+        return np.concatenate([finish(flatten(mel_spectrogram(block)).values) for block in blocks])
 
     @pytest.mark.parametrize("chunk", [1, 5, 16])
     def test_blocks_match_stacked_frames(self, rng, monkeypatch, chunk):
-        # 37 frames leave a partial last block for each chunk size but 1.
-        monkeypatch.setattr(audiomatch.retrieval, "CHUNK_FRAMES", chunk)
-        frames = list(rng.normal(size=(37, 300)))
-        drawn, calls = [], []
+        # 37 frames leave a partial last block for each chunk size but 1, and
+        # a partial last group for each group size but 1.  The frames are
+        # 1-second ones: with 45 time steps a frame, its mel rows have the
+        # same bits in any group (see TestBaseFeatures).
+        monkeypatch.setattr(retrieval, "CHUNK_FRAMES", chunk)
+        frames = list(rng.uniform(-0.5, 0.5, size=(37, 48000)))
+        head = ProjectionHead.initialize(2880, d=8, seed=1)
+        expected = {
+            "base": self.stacked(frames, chunk),
+            "plain": self.stacked(frames, chunk, normalize).astype(np.float32),
+            "head": self.stacked(frames, chunk, lambda rows: embed(head, rows)).astype(np.float32),
+        }
+        spectrogram = retrieval.mel_spectrogram
+        for group in (1, 3, 4):
+            monkeypatch.setattr(retrieval, "SPECTROGRAM_FRAMES", group)
+            # Groups restart at each block boundary.  Each is made as soon as
+            # its last frame is drawn: (its frames, frames drawn by then).
+            made = []
+            for block in range(0, 37, chunk):
+                block_end = min(block + chunk, 37)
+                for start in range(block, block_end, group):
+                    end = min(start + group, block_end)
+                    made.append((end - start, end))
+            for name, function in (("base", retrieval.base_features),
+                                   ("plain", featurize_clip),
+                                   ("head", lambda frames: featurize_clip(frames, head))):
+                lazy, calls = LazyFrames(37, frames.__getitem__), []
 
-        def function(block):
-            calls.append((len(block), len(drawn)))
-            return block @ np.arange(300.0)[:, None] + block[:, :1] ** 2
+                def recording(samples):
+                    calls.append((len(samples), len(lazy.drawn)))
+                    return spectrogram(samples)
 
-        def lazy():
-            for frame in frames:
-                drawn.append(frame)
-                yield frame
-
-        got = map_blocks(function, lazy())
-        # Each block is mapped as soon as its last frame is drawn, not later.
-        ends = list(range(chunk, 37, chunk)) + [37]
-        assert calls == [(end - start, end) for start, end in zip([0] + ends, ends)]
-        assert np.array_equal(got, self.stacked(function, frames, chunk))
-
-    @pytest.mark.parametrize("view", [lambda b: b, lambda b: b[:, :4], lambda b: b[::-1, 1::2]])
-    def test_a_result_viewing_the_block_keeps_its_rows(self, rng, view):
-        frames = list(rng.normal(size=(40, 10)))
-        got = map_blocks(view, iter(frames))
-        assert np.array_equal(got, self.stacked(view, frames, 16))
+                monkeypatch.setattr(retrieval, "mel_spectrogram", recording)
+                got = function(lazy)
+                monkeypatch.setattr(retrieval, "mel_spectrogram", spectrogram)
+                assert got.dtype == expected[name].dtype
+                assert got.tobytes() == expected[name].tobytes()
+                assert lazy.drawn == list(range(37))  # each frame once, in order
+                assert calls == made
 
     def test_float32_frames_give_what_stacking_gave(self, rng):
-        frames = list(rng.normal(size=(20, 2048)).astype(np.float32))
-        function = lambda b: b * np.float32(3.0) + b[:, ::-1]  # noqa: E731
-        got = map_blocks(function, iter(frames))
-        expected = self.stacked(function, frames, 16)
-        assert got.dtype == expected.dtype == np.float32
-        assert np.array_equal(got, expected)
+        frames = list(rng.uniform(-0.5, 0.5, size=(20, 48000)).astype(np.float32))
+        got = retrieval.base_features(frames)
+        expected = self.stacked(frames, 16)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("position", [1, 15, 16, 17, 39])
     @pytest.mark.parametrize("length", [1, 299, 301])
-    def test_a_frame_of_another_length_raises(self, rng, position, length):
+    def test_a_frame_of_another_length_raises(self, rng, monkeypatch, position, length):
         # A 1-sample frame is the case numpy would broadcast into a whole row.
+        # Each frame's shape is checked as it is drawn, whatever the
+        # spectrogram: this stand-in passes 300-sample frames.
+        monkeypatch.setattr(retrieval, "mel_spectrogram", lambda group: group[:, None, :])
         frames = list(rng.normal(size=(40, 300)))
         frames[position] = rng.normal(size=length)
+        assert retrieval.base_features(frames[:position]).tobytes() == np.stack(
+            frames[:position]).tobytes()
         with pytest.raises(InvalidValue, match=f"frames differ in shape: \\({length},\\)"):
-            map_blocks(np.asarray, iter(frames))
+            featurize_clip(frames)
 
     def test_frames_of_another_rank_raise(self):
         for frames in ([np.zeros(3), np.zeros((1, 3))], [np.zeros(3), 0.0]):
-            with pytest.raises(InvalidValue):
-                map_blocks(np.asarray, frames)
+            with pytest.raises(InvalidValue, match="frames differ in shape"):
+                featurize_clip(frames)
+        # An (n,) array is n frames of one sample each, not one frame.
+        for frames in ([np.zeros((1, 3))], [0.0], np.zeros(48000)):
+            with pytest.raises(InvalidValue, match="a frame is one row of samples"):
+                retrieval.base_features(frames)
 
     def test_no_frames_raise(self):
-        with pytest.raises(InvalidValue, match="no frames"):
-            map_blocks(np.asarray, iter([]))
+        for frames in ([], np.zeros((0, 48000)), LazyFrames(0, None)):
+            with pytest.raises(InvalidValue, match="no frames"):
+                featurize_clip(frames)
