@@ -2,22 +2,24 @@
 
 Every subcommand is deterministic given --seed, reads and writes only
 the files named in its arguments, and exits 0 iff it succeeded.  A file
-is written whole or not at all (``error: cannot write <file>``).  Python
-code runs in one thread and BLAS owns all parallelism (set it with
-OPENBLAS_NUM_THREADS or the like).  Outputs are byte-identical at any
-BLAS thread count, except where a head's float64 GEMMs are not: at
-d_base 900 (MFCC) for every width probed and at 2880 for widths 250, 300
-and 500, train's loss history and the float64 embeddings of --head may
-differ in their last bits.  The float32 checkpoints and feature vectors
-came out equal in every probe, by rounding, not by construction.
-featurize and train read manifest frames one at a time into one result
-(:func:`retrieval.featurize_clip`), so beyond it memory is bounded by a
-group of ``retrieval.SPECTROGRAM_FRAMES`` frames, not by the manifest.
-query reads a regular
-feature file in spans of about ``retrieval.SPAN_BYTES`` of vectors
-(:func:`retrieval.open_features`), so memory is bounded by a span and
-the id column, not by the catalog; a pipe, or a file of at most one
-span, is read whole.  Clips are always 48 kHz and frames always 1 second
+is written whole or not at all (``error: cannot write <file>``).  The
+frame pass of featurize, train and query --query-wav
+(:func:`retrieval.featurize_clip`) runs on one thread per core of the
+process's affinity mask, with numpy's OpenBLAS held at one thread
+throughout; where its thread functions are not found, the pass runs on
+one thread and leaves BLAS alone.  Other work runs on one Python thread,
+and BLAS owns its parallelism (set it with OPENBLAS_NUM_THREADS or the
+like).  Outputs are byte-identical at any BLAS thread count, except where
+a head's float64 GEMMs are not: at d_base 900 (MFCC) for every width
+probed and at 2880 for widths 250, 300 and 500, train's loss history may
+differ in its last bits.  The float32 checkpoints came out equal in every
+probe, by rounding, not by construction.  The frame pass reads manifest
+frames one at a time into one result, so beyond it memory is bounded by
+a group of ``retrieval.SPECTROGRAM_FRAMES`` frames per thread, not by
+the manifest.  query reads a regular feature file in spans of about
+``retrieval.SPAN_BYTES`` of vectors (:func:`retrieval.open_features`),
+so memory is bounded by a span and the id column, not by the catalog; a
+pipe, or a file of at most one span, is read whole.  Clips are always 48 kHz and frames always 1 second
 (:mod:`audiomatch.audio_io`), and the analysis geometry is fixed in
 :mod:`audiomatch.dsp`; none of them has a flag.
 """
@@ -44,8 +46,8 @@ _FRAME_FIELDS = {"path": "a string", "source_id": "a string", "offset_s": "a num
 
 
 def _max_workers() -> int:
-    """Python threads the CLI runs work on: one, since BLAS owns all parallelism."""
-    return 1
+    """Python threads featurize and train run the frame pass on (see :mod:`retrieval`)."""
+    return retrieval._workers()
 
 
 def _check_range(flag: str, value: float, low: float, high: float | None = None) -> None:

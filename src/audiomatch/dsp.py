@@ -9,9 +9,11 @@ projected through MEL_BINS = 64 triangular mel filters (HTK mel scale,
 1-second 48 kHz frame therefore always yields t = 45 time steps.
 
 Every transform takes one clip or an (m, n) block of m equal-length
-48 kHz frames, and a block gives the m per-frame results stacked, bit for
-bit: one stacked filterbank ``matmul`` (and DCT ``matmul``) over the
-block replaces m per-frame products.
+48 kHz frames: one stacked filterbank ``matmul`` (and DCT ``matmul``)
+over the block replaces m per-frame products.  A block of 1-second
+frames gives the m per-frame results stacked, bit for bit.  Shorter
+frames' last bits may depend on the block (up to 1.8e-15 seen at 3 and
+7 time steps a frame).
 
 The power spectrum carries 31 zero bins after its 1025 real ones, so the
 mel GEMM's inner dimension, 1056, is a multiple of 32.  Then the float64

@@ -39,13 +39,16 @@ file's size.  A file of at most one span, or a pipe, is read whole.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import stat
 import struct
+import threading
 from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -82,11 +85,12 @@ _IOV_ROWS = 512
 # Rows per head GEMM: featurization projects, or normalizes, its base
 # features CHUNK_FRAMES rows at a time.
 CHUNK_FRAMES = 16
-# Frames whose samples featurization holds, and whose spectrograms it makes,
-# at a time.  A group's samples are 1.5 MB and so is its float64 power
-# spectrum, where a whole block's would be 6.1 MB each; a group still gives
-# the mel GEMM 180 rows, where one frame's 45 ran it on one BLAS thread.
-SPECTROGRAM_FRAMES = 4
+# Frames whose samples each featurizing thread holds, and whose spectrograms
+# it makes, at a time.  A frame's samples are 0.4 MB and so is its float64
+# power spectrum, where a whole block's would be 6.1 MB each.  A larger group
+# only gave the mel GEMM rows for a second BLAS thread, which a featurize
+# pass no longer runs (_one_blas_thread), and each thread holds its own.
+SPECTROGRAM_FRAMES = 1
 
 
 def _gamma(n: int, u: float) -> float:
@@ -350,17 +354,79 @@ def build_index(gallery: Gallery) -> GalleryIndex:
     return GalleryIndex(gallery.ids, gallery.source_ids, gallery.offsets, gallery.vectors)
 
 
+@cache
+def _blas_thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``get_num_threads`` and ``set_num_threads`` of numpy's own OpenBLAS, or None.
+
+    Found with ctypes, on first use, in the library the numpy wheel ships and
+    has already loaded (dlopen of its path gives that copy).  A numpy built
+    against another BLAS has none.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):  # the ILP64 and the LP64 builds
+            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, where it can be, and restore its count after.
+
+    A pass holds the lock throughout, so passes on other threads wait and
+    none restores a count another set.  Without the thread functions BLAS
+    is left alone.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    with _BLAS_THREADS_LOCK:
+        threads = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(threads)
+
+
+def _workers() -> int:
+    """Threads a featurize pass runs on: one per core of the process's affinity mask.
+
+    One where BLAS cannot be held at one thread: an idle OpenBLAS thread
+    spins on the core a second Python thread would use.
+    """
+    return len(os.sched_getaffinity(0)) if _blas_thread_functions() else 1
+
+
 def _feature_rows(
     frames: Sequence[np.ndarray], kind: FeatureKind,
     finish: Callable[[np.ndarray], np.ndarray], dtype: type,
 ) -> np.ndarray:
     """``finish`` of each CHUNK_FRAMES-row block of base features, in one (n, d) result.
 
-    Each frame is read once, in order, as ``frames[i]``, into its row of one
-    group buffer of SPECTROGRAM_FRAMES frames; each group's flattened
-    spectrograms go into one base buffer of CHUNK_FRAMES rows, the groups
-    restarting at each block, and each block through ``finish`` into the
-    result, made with ``dtype`` on the first.  Raises InvalidValue for no
+    The first block runs alone on the calling thread and makes the result,
+    with ``dtype``; the calling thread and ``_workers() - 1`` more then take
+    the other blocks in order, each thread through buffers of its own, and
+    each block writes its rows of the result.  A block reads each of its
+    frames once, in order, as ``frames[i]``, into its row of a group buffer
+    of SPECTROGRAM_FRAMES frames; each group's flattened spectrograms go
+    into a base buffer of CHUNK_FRAMES rows, and the block's rows through
+    ``finish``.  After a failure no block is started, and the earliest
+    failing block's error is raised.  BLAS runs on one thread for the
+    whole pass (:func:`_one_blas_thread`).  Raises InvalidValue for no
     frames, or a frame not 1-D or not of the first one's shape.
     """
     n = len(frames)
@@ -368,32 +434,68 @@ def _feature_rows(
         raise InvalidValue("no frames to featurize")
     spectrogram = mel_spectrogram if kind is FeatureKind.MEL else mfcc
     chunk, group_frames = CHUNK_FRAMES, min(SPECTROGRAM_FRAMES, CHUNK_FRAMES)
-    group = base = result = None
-    for i in range(n):
-        in_block = i % chunk
-        in_group = in_block % group_frames
-        frame = frames[i]
-        if group is None:
-            if np.ndim(frame) != 1:
-                raise InvalidValue(f"a frame is one row of samples, got shape {np.shape(frame)}")
-            group = np.empty((min(group_frames, n), len(frame)))
-        elif np.shape(frame) != group.shape[1:]:  # numpy would broadcast a 1-sample frame
-            raise InvalidValue(f"frames differ in shape: {np.shape(frame)} after {group.shape[1:]}")
-        group[in_group] = frame
-        del frame  # the group holds its samples now
-        block_ends = in_block == chunk - 1 or i == n - 1
-        if in_group == group_frames - 1 or block_ends:
-            rows = flatten(spectrogram(group[: in_group + 1])).values
-            if base is None:
-                base = np.empty((min(chunk, n), rows.shape[1]))
-            base[in_block - in_group : in_block + 1] = rows
-            del rows  # not held through the next group's spectrogram
-        if block_ends:
-            vectors = finish(base[: in_block + 1])
-            if result is None:
-                result = np.empty((n, vectors.shape[1]), dtype)
-            result[i - in_block : i + 1] = vectors
-            del vectors
+    starts, lock = iter(range(0, n, chunk)), threading.Lock()
+    failed: dict[int, BaseException] = {}
+    shape = result = None
+
+    def take() -> int | None:
+        """The next block's first row, or None once every block is taken or one failed."""
+        with lock:
+            return None if failed else next(starts, None)
+
+    def run(most: int = n) -> None:
+        """Featurize up to ``most`` of the blocks ``take`` hands this thread."""
+        nonlocal shape, result
+        group = base = None
+        for _ in range(most):
+            if (start := take()) is None:
+                return
+            stop = min(start + chunk, n)
+            try:
+                for i in range(start, stop):
+                    in_group = (i - start) % group_frames
+                    frame = frames[i]
+                    if shape is None:
+                        if np.ndim(frame) != 1:
+                            raise InvalidValue(
+                                f"a frame is one row of samples, got shape {np.shape(frame)}")
+                        shape = np.shape(frame)
+                    elif np.shape(frame) != shape:  # numpy would broadcast a 1-sample frame
+                        raise InvalidValue(f"frames differ in shape: {np.shape(frame)} after {shape}")
+                    if group is None:
+                        group = np.empty((min(group_frames, n), *shape))
+                    group[in_group] = frame
+                    del frame  # the group holds its samples now
+                    if in_group == group_frames - 1 or i == stop - 1:
+                        rows = flatten(spectrogram(group[: in_group + 1])).values
+                        if base is None:
+                            base = np.empty((min(chunk, n), rows.shape[1]))
+                        base[i - start - in_group : i - start + 1] = rows
+                        del rows  # not held through the next group's spectrogram
+                vectors = finish(base[: stop - start])
+                if result is None:
+                    result = np.empty((n, vectors.shape[1]), dtype)
+                result[start:stop] = vectors
+                del vectors
+            except BaseException as exc:
+                with lock:
+                    failed[start] = exc
+                return
+
+    with _one_blas_thread():
+        run(1)  # the first block makes the result and finds the frames' shape
+        pool = [threading.Thread(target=run)
+                for _ in range(0 if failed else min(_workers(), -(-n // chunk)) - 1)]
+        try:
+            for thread in pool:
+                thread.start()
+            run()
+        finally:
+            for thread in pool:
+                if thread.ident is not None:  # started
+                    thread.join()
+    if failed:
+        raise failed[min(failed)]
     return result
 
 

@@ -9,6 +9,7 @@ runs the same tracer on small inputs.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,46 @@ def test_ingest_and_train_layers_record_calls(tmp_path, monkeypatch):
               for request in ("ingest", "train")}
     for workload in (workloads.Ingest, workloads.Train):
         assert [layer for layer in workload.layers if layer not in called[workload.name]] == []
-    # featurize's 10 frames are one call, one head block and groups of 4, 4 and 2.
+    # featurize's 10 frames are one call, one head block and a mel call per
+    # group of SPECTROGRAM_FRAMES.
     assert called["ingest"].count("retrieval.featurize_clip") == 1
     assert called["ingest"].count("embedding.embed") == 1
-    assert called["ingest"].count("dsp.mel_spectrogram") == 3
+    assert called["ingest"].count("dsp.mel_spectrogram") == -(-10 // retrieval.SPECTROGRAM_FRAMES)
+
+
+def test_featurize_layers_record_calls_on_two_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import spans
+    import workloads
+
+    write_drift_corpus(tmp_path / "drift", n_sequences=2, n_frames=5, seed=4)
+    manifest = tmp_path / "frames" / "manifest.jsonl"
+    assert cli.main(["segment", str(tmp_path / "drift"), "--out-dir", str(manifest.parent)]) == 0
+    # Blocks of 4, 4 and 2 frames on two threads.  The first frames of the
+    # second and third blocks wait for each other, so each thread runs one.
+    monkeypatch.setattr(retrieval, "CHUNK_FRAMES", 4)
+    monkeypatch.setattr(retrieval, "_workers", lambda: 2)
+    both_started = threading.Barrier(2, timeout=30)
+    read_frame = cli._Frames.__getitem__
+
+    def meeting(self, index):
+        if index in (4, 8):
+            both_started.wait()
+        return read_frame(self, index)
+
+    monkeypatch.setattr(cli._Frames, "__getitem__", meeting)
+    tracer = spans.Tracer()
+    tracer.install("audiomatch", workloads.trace_targets())
+    try:
+        tracer.request = "ingest"
+        assert cli.main(["featurize", "--manifest", str(manifest), "--out",
+                         str(tmp_path / "gallery.amcf")]) == 0
+    finally:
+        tracer.uninstall()
+
+    threads = {span[6] for span in tracer.spans if span[1] == "dsp.power_stft"}
+    assert len(threads) == 2
+    assert [span[1] for span in tracer.spans].count("dsp.power_stft") == 10
+    assert all(span[5] == "ingest" and span[4] is not None
+               for span in tracer.spans if span[1] != "cli.main.featurize")

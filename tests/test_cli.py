@@ -207,6 +207,26 @@ class TestFeaturizeCommand:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_corrupt_frame_in_a_later_block_fails_as_one_thread_does(
+        self, tmp_path, segmented, capsys, monkeypatch
+    ):
+        # 40 frames are blocks of 16, 16 and 8; frame 35, in the third, is not a WAV.
+        rows = [dict(row, id=f"{row['id']}#{copy}")
+                for copy in range(5) for row in manifest_rows(segmented)]
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not audio")
+        rows[35]["path"] = str(bad)
+        bad_manifest = tmp_path / "bad.jsonl"
+        bad_manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(retrieval, "_workers", lambda: workers)
+            out = tmp_path / f"broken{workers}.amcf"
+            assert main(["featurize", "--manifest", str(bad_manifest), "--out", str(out)]) == 1
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: not a RIFF/WAVE file\n"] * 2
+
     def test_failure_keeps_an_existing_output(self, tmp_path, segmented, capsys):
         rows = manifest_rows(segmented)
         rows[0]["path"] = str(tmp_path / "missing.wav")
@@ -379,9 +399,12 @@ class TestManifestErrors:
 
 
 class TestMaxWorkers:
-    def test_is_one_at_any_core_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 64)
-        assert _max_workers() == 1
+    def test_is_the_cores_in_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(3, 67)))
+        found = retrieval._blas_thread_functions() is not None
+        assert _max_workers() == (64 if found else 1)
+        monkeypatch.setattr(retrieval, "_blas_thread_functions", lambda: None)
+        assert _max_workers() == 1  # without BLAS thread control
 
     def test_amc_threads_is_ignored(self, tmp_path, segmented, monkeypatch):
         plain, ignored = tmp_path / "plain.amcf", tmp_path / "ignored.amcf"
@@ -849,10 +872,10 @@ class TestTrainCommand:
         assert capsys.readouterr().out.startswith("trained on 1 sequences of 3 frames")
         assert [offset_of[path] for path in loaded] == [6.0, 7.0, 8.0]
 
-    def test_frame_pass_holds_its_result_once(self, tmp_path, monkeypatch):
-        # 512 frames' (512, 2880) float64 base features are 11.8 MB.  Beyond
-        # them the pass holds what featurizing one group of frames does (about
-        # 5 MB), not a second copy of the rows as joining per-block parts did.
+    @staticmethod
+    def frame_pass_peak(tmp_path, monkeypatch, workers):
+        """train's 512-frame pass on ``workers`` threads: its result's bytes and peak."""
+        monkeypatch.setattr(retrieval, "_workers", lambda: workers)
         manifest = tmp_path / "m.jsonl"
         manifest.write_text("".join(
             json.dumps({"path": f"f{i}.wav", "source_id": "s", "offset_s": float(i)}) + "\n"
@@ -878,8 +901,21 @@ class TestTrainCommand:
                 main(argv)
         finally:
             tracemalloc.stop()
-        assert held["nbytes"] == 512 * 2880 * 8
-        assert held["peak"] < held["nbytes"] + (8 << 20)
+        return held["nbytes"], held["peak"]
+
+    def test_frame_pass_holds_its_result_once(self, tmp_path, monkeypatch):
+        # 512 frames' (512, 2880) float64 base features are 11.8 MB.  Beyond
+        # them the pass holds what featurizing one group of frames does (about
+        # 2.8 MB), not a second copy of the rows as joining per-block parts did.
+        nbytes, peak = self.frame_pass_peak(tmp_path, monkeypatch, workers=1)
+        assert nbytes == 512 * 2880 * 8
+        assert peak < nbytes + (8 << 20)
+
+    def test_two_worker_frame_pass_holds_its_result_once(self, tmp_path, monkeypatch):
+        # Each thread holds its own group (about 5.5 MB for two).
+        nbytes, peak = self.frame_pass_peak(tmp_path, monkeypatch, workers=2)
+        assert nbytes == 512 * 2880 * 8
+        assert peak < nbytes + (8 << 20)
 
     def test_a_repeated_offset_breaks_the_run(self, tmp_path, capsys):
         manifest, _ = self.frames_manifest(tmp_path, [0.0, 1.0, 1.0])

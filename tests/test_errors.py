@@ -57,7 +57,7 @@ RAISE_SITES = {
     "build_index with an infinite row": (
         lambda: build_index(Gallery(["a"], ["s"], [0.0], [[np.inf, 0.0]])), "'a' is not finite"),
     "featurize_clip with frames of two lengths": (
-        lambda: featurize_clip([np.zeros(4), np.zeros(5)]), "frames differ in shape"),
+        lambda: featurize_clip([np.zeros(2048), np.zeros(2049)]), "frames differ in shape"),
     "featurize_clip with no frames": (lambda: featurize_clip([]), "no frames"),
     "split_and_contrast_loss with tau 0": (lambda: _loss_with_tau(0.0), "tau must be positive"),
     "TrainConfig with a NaN tau": (

@@ -1,12 +1,14 @@
 """Gallery index exactness, feature files, and the featurize pipeline."""
 
 import errno
+import gc
 import hashlib
 import os
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -1167,27 +1169,27 @@ class TestBaseFeatures:
         monkeypatch.setattr(retrieval, "SPECTROGRAM_FRAMES", group)
         assert retrieval.base_features(frames).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("kind", list(FeatureKind))
-    def test_block_peak_memory_is_below_one_block_power_spectrum(self, kind):
-        # Over a lazy sequence, featurize_clip holds one group of samples, its
-        # spectra and one block of base features beyond its result, the same
-        # at 64 frames as at 256 (24.6 and 98.3 MB of samples).  The whole
-        # block's (16, 45, 1056) float64 power spectrum alone is 6.08 MB.
-        block_power = retrieval.CHUNK_FRAMES * 45 * PADDED_BINS * 8
-        assert block_power == 6_082_560
+    @staticmethod
+    def peaks_above_the_result(monkeypatch, kind, workers):
+        """featurize_clip's bound on ``workers`` threads and its peaks beyond the result.
+
+        Over a lazy sequence, each thread holds one group of samples, its
+        spectra and one block of base features, the same at 64 frames as at
+        256 (24.6 and 98.3 MB of samples).
+        """
+        monkeypatch.setattr(retrieval, "_workers", lambda: workers)
         group, d_base = retrieval.SPECTROGRAM_FRAMES, (64 if kind is FeatureKind.MEL else 20) * 45
-        bound = (
+        bound = workers * (
             group * 48000 * 8  # the group's samples
             + group * 45 * PADDED_BINS * 8  # its power spectrum
             + 45 * (2048 * 8 + PADDED_BINS * 16)  # one frame's windows and complex spectrum
             + retrieval.CHUNK_FRAMES * d_base * 8  # the block's base features
-            + (384 << 10)
-        )
-        assert bound < block_power
+        ) + (384 << 10)
 
         def make(index):
             return np.random.default_rng(index).uniform(-0.5, 0.5, 48000)
 
+        peaks = []
         for head in (None, ProjectionHead.initialize(d_base, d=512, seed=0)):
             featurize_clip(LazyFrames(1, make), head, kind)  # first-call caches
             above = []
@@ -1198,8 +1200,108 @@ class TestBaseFeatures:
                     above.append(tracemalloc.get_traced_memory()[1] - result.nbytes)
                 finally:
                     tracemalloc.stop()
+            peaks.append(above)
+        return bound, peaks
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    def test_block_peak_memory_is_below_one_block_power_spectrum(self, monkeypatch, kind):
+        # The whole block's (16, 45, 1056) float64 power spectrum alone is 6.08 MB.
+        block_power = retrieval.CHUNK_FRAMES * 45 * PADDED_BINS * 8
+        assert block_power == 6_082_560
+        bound, peaks = self.peaks_above_the_result(monkeypatch, kind, workers=1)
+        assert bound < block_power
+        for above in peaks:
             assert max(above) < bound
             assert abs(above[1] - above[0]) < 64 << 10
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    def test_two_workers_peak_below_one_block_power_spectrum(self, monkeypatch, kind):
+        bound, peaks = self.peaks_above_the_result(monkeypatch, kind, workers=2)
+        assert bound < retrieval.CHUNK_FRAMES * 45 * PADDED_BINS * 8
+        for above in peaks:
+            assert max(above) < bound
+            # A thread's Hann multiply over the strided window view holds
+            # 128 KiB of ufunc buffers; whether both threads hold them at the
+            # peak varies from run to run.  A frame held on would be 375 KiB.
+            assert abs(above[1] - above[0]) < (64 << 10) + (128 << 10)
+
+
+_BLAS_FUNCTIONS = retrieval._blas_thread_functions()
+_needs_blas_functions = pytest.mark.skipif(
+    _BLAS_FUNCTIONS is None, reason="numpy's BLAS thread functions were not found")
+
+# Run in a child process: the float64 embeddings featurize_clip's head makes of
+# 40 random one-second frames (MFCC, d_base 900, into d 250), as sorted digests,
+# since threads finish their blocks in any order.
+_HEAD_DIGESTS = """
+import hashlib
+import numpy as np
+from audiomatch import ProjectionHead, embedding, retrieval
+from audiomatch.dsp import FeatureKind
+digests = []
+def capturing(head, rows):
+    z = embedding.embed(head, rows)
+    digests.append(hashlib.sha256(z.tobytes()).hexdigest())
+    return z
+retrieval.embed = capturing
+frames = np.random.default_rng(7).uniform(-0.5, 0.5, (40, 48000))
+head = ProjectionHead.initialize(900, d=250, seed=3)
+retrieval.featurize_clip(frames, head, FeatureKind.MFCC)
+print(sorted(digests))
+"""
+
+
+class TestBlasThreads:
+    """A featurize pass runs BLAS on one thread and restores the count after."""
+
+    def test_numpy_openblas_has_its_thread_functions(self):
+        # Else CI's 1- and 2-thread jobs would test only the one-worker pass.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] == "scipy-openblas":
+            assert _BLAS_FUNCTIONS is not None
+            assert retrieval._workers() == len(os.sched_getaffinity(0))
+
+    @_needs_blas_functions
+    def test_count_is_one_in_a_pass_and_restored_after(self, monkeypatch):
+        get, set_ = _BLAS_FUNCTIONS
+        before = get()
+        seen = []
+        spectrogram = retrieval.mel_spectrogram
+
+        def recording(group):
+            seen.append(get())
+            return spectrogram(group)
+
+        def failing(group):
+            raise InvalidValue("no spectrogram")
+
+        monkeypatch.setattr(retrieval, "_workers", lambda: 2)
+        try:
+            set_(2)
+            monkeypatch.setattr(retrieval, "mel_spectrogram", recording)
+            featurize_clip(np.zeros((40, 48000)))
+            assert set(seen) == {1}
+            assert get() == 2
+            monkeypatch.setattr(retrieval, "mel_spectrogram", failing)
+            with pytest.raises(InvalidValue, match="no spectrogram"):
+                featurize_clip(np.zeros((40, 48000)))
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @_needs_blas_functions
+    def test_head_output_is_the_same_bits_at_one_and_two_threads(self):
+        # Run serially at 2 BLAS threads, this head's float64 output differed
+        # from 1 thread's: the shape is one of the exceptions a head GEMM has.
+        src = str(Path(audiomatch.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", _HEAD_DIGESTS], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
 
 class TestMapBlocks:
@@ -1217,7 +1319,9 @@ class TestMapBlocks:
         # 37 frames leave a partial last block for each chunk size but 1, and
         # a partial last group for each group size but 1.  The frames are
         # 1-second ones: with 45 time steps a frame, its mel rows have the
-        # same bits in any group (see TestBaseFeatures).
+        # same bits in any group (see TestBaseFeatures).  One thread runs
+        # every block.
+        monkeypatch.setattr(retrieval, "_workers", lambda: 1)
         monkeypatch.setattr(retrieval, "CHUNK_FRAMES", chunk)
         frames = list(rng.uniform(-0.5, 0.5, size=(37, 48000)))
         head = ProjectionHead.initialize(2880, d=8, seed=1)
@@ -1254,6 +1358,106 @@ class TestMapBlocks:
                 assert lazy.drawn == list(range(37))  # each frame once, in order
                 assert calls == made
 
+    @pytest.mark.parametrize("chunk", [1, 5, 16])
+    def test_two_workers_match_stacked_frames(self, rng, monkeypatch, chunk):
+        # Two threads take the blocks: each frame is drawn once, each block's
+        # frames in order, and each block's rows land in their place.
+        monkeypatch.setattr(retrieval, "_workers", lambda: 2)
+        monkeypatch.setattr(retrieval, "CHUNK_FRAMES", chunk)
+        frames = list(rng.uniform(-0.5, 0.5, size=(37, 48000)))
+        head = ProjectionHead.initialize(2880, d=8, seed=1)
+        for group in (1, 3):
+            monkeypatch.setattr(retrieval, "SPECTROGRAM_FRAMES", group)
+            for function, finish in ((retrieval.base_features, lambda rows: rows),
+                                     (featurize_clip, normalize),
+                                     (lambda frames: featurize_clip(frames, head),
+                                      lambda rows: embed(head, rows))):
+                lazy = LazyFrames(37, frames.__getitem__)
+                got = function(lazy)
+                expected = self.stacked(frames, chunk, finish).astype(got.dtype)
+                assert got.tobytes() == expected.tobytes()
+                assert sorted(lazy.drawn) == list(range(37))
+                for block in range(0, 37, chunk):
+                    in_block = [i for i in lazy.drawn if block <= i < block + chunk]
+                    assert in_block == list(range(block, min(block + chunk, 37)))
+
+    def test_more_threads_than_cores_draw_each_frame_once(self, rng, monkeypatch):
+        # 8 threads over 64 one-frame blocks, switching as often as they can.
+        monkeypatch.setattr(retrieval, "CHUNK_FRAMES", 1)
+        frames = rng.uniform(-0.5, 0.5, size=(64, 48000))
+        expected = self.stacked(list(frames), 1, normalize).astype(np.float32)
+        monkeypatch.setattr(retrieval, "_workers", lambda: 8)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lazy = LazyFrames(64, frames.__getitem__)
+            got = featurize_clip(lazy)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(lazy.drawn) == list(range(64))
+        assert got.tobytes() == expected.tobytes()
+        assert threading.active_count() == threads  # every pool thread was joined
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_and_frames_are_freed_without_the_cycle_collector(self, monkeypatch, workers):
+        # A reference cycle through the pass's closures would hold both (4 MB
+        # of result and every manifest row, for the CLI) until a collection.
+        monkeypatch.setattr(retrieval, "_workers", lambda: workers)
+        lazy = LazyFrames(40, lambda index: np.full(48000, 0.01 * index))
+        gc.disable()
+        try:
+            result = featurize_clip(lazy)
+            refs = weakref.ref(result), weakref.ref(lazy)
+            del result, lazy
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_a_failure_starts_no_later_block(self, monkeypatch):
+        # One-frame blocks; frame 5 fails.  Blocks 0-5 are taken in order, so
+        # block 6 is the most another thread can have started before the
+        # failure (its frame is slow, so that it is still running then).
+        monkeypatch.setattr(retrieval, "CHUNK_FRAMES", 1)
+
+        def make(index):
+            if index == 5:
+                raise IoError("frame 5 is unreadable")
+            if index == 6:
+                time.sleep(0.2)
+            return np.full(48000, 0.01 * index)
+
+        for workers in (1, 2):
+            monkeypatch.setattr(retrieval, "_workers", lambda: workers)
+            lazy = LazyFrames(40, make)
+            with pytest.raises(IoError, match="frame 5 is unreadable"):
+                featurize_clip(lazy)
+            assert sorted(lazy.drawn)[:6] == list(range(6))
+            assert len(lazy.drawn) == len(set(lazy.drawn)) <= 7
+            assert max(lazy.drawn) <= 6
+            if workers == 1:
+                assert lazy.drawn == list(range(6))
+
+    def test_the_earliest_failing_block_raises(self, monkeypatch):
+        # Blocks 1 and 2 both fail, each on a thread of its own; block 2's
+        # frame fails first, but block 1's error is the one raised.
+        monkeypatch.setattr(retrieval, "CHUNK_FRAMES", 2)
+        monkeypatch.setattr(retrieval, "_workers", lambda: 2)
+        block_2_failed = threading.Event()
+
+        def make(index):
+            if index == 2:
+                assert block_2_failed.wait(10)
+                raise IoError("block 1 failed")
+            if index == 4:
+                block_2_failed.set()
+                raise IoError("block 2 failed")
+            return np.zeros(48000)
+
+        lazy = LazyFrames(8, make)
+        with pytest.raises(IoError, match="block 1 failed"):
+            featurize_clip(lazy)
+        assert sorted(lazy.drawn) == [0, 1, 2, 4]
+
     def test_float32_frames_give_what_stacking_gave(self, rng):
         frames = list(rng.uniform(-0.5, 0.5, size=(20, 48000)).astype(np.float32))
         got = retrieval.base_features(frames)
@@ -1276,7 +1480,9 @@ class TestMapBlocks:
             featurize_clip(frames)
 
     def test_frames_of_another_rank_raise(self):
-        for frames in ([np.zeros(3), np.zeros((1, 3))], [np.zeros(3), 0.0]):
+        # The first frame is one analysis window long, so its spectrogram,
+        # made before the second frame is drawn, does not fail first.
+        for frames in ([np.zeros(2048), np.zeros((1, 2048))], [np.zeros(2048), 0.0]):
             with pytest.raises(InvalidValue, match="frames differ in shape"):
                 featurize_clip(frames)
         # An (n,) array is n frames of one sample each, not one frame.
